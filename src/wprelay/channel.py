@@ -3,7 +3,8 @@
 The downlink beam is a mix of two orthonormal directions derived from the
 user channel h1 and the relay channel h2: the component of h2* along h1*
 and the perpendicular remainder. All solvers work with the scalars
-(a, b, c) of that decomposition instead of the raw N-dimensional vectors.
+(a, b, c) of that decomposition instead of the raw N-dimensional vectors,
+held per trial for a whole block of trials in LinkStats.
 """
 from __future__ import annotations
 
@@ -21,11 +22,13 @@ __all__ = [
     "SystemParams",
     "ChannelState",
     "ChannelDecomposition",
+    "LinkStats",
     "DegenerateChannelError",
     "dbm_to_watt",
     "sample_channel",
     "sample_channel_block",
     "decompose",
+    "decompose_block",
     "build_beamformer",
 ]
 
@@ -33,6 +36,9 @@ __all__ = [
 DEFAULT_NOISE_DBM = -174.0 + 10.0 * math.log10(20e6)
 
 _RADICAND_SLOP = 1e-12
+# A perpendicular component no larger than this times max(||h2||, 1)
+# leaves only the parallel beam direction.
+_PERP_TOL = 1e-12
 
 
 class DegenerateChannelError(ValueError):
@@ -150,6 +156,8 @@ class ChannelDecomposition:
     cap_a, cap_c, cap_d: tau-free path coefficients.
     a0..d0: tau-dependent coefficients of the end-to-end SNR.
     a1, b1, c1: coefficients of the user-directed (MRT) branch SNR.
+    decompose_block fills the per-trial fields with arrays, one entry per
+    trial.
     """
 
     a: float
@@ -165,6 +173,75 @@ class ChannelDecomposition:
     a1: float
     b1: float
     c1: float
+
+
+def _row_sq_norms(h: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of h: the sum of its squared real and imaginary parts."""
+    v = np.ascontiguousarray(h, dtype=complex).view(float)
+    return np.einsum("ij,ij->i", v, v)
+
+
+@dataclass(frozen=True)
+class LinkStats:
+    """Per-trial channel statistics of a block of trials.
+
+    Every beam design and the end-to-end SNR see a channel only through
+    n1_sq = ||h1||^2, inner = h1^H h2, n2_sq = ||h2||^2 and h3_sq = |h3|^2,
+    plus the projection scalars a, b, c derived from them. ok is False
+    where the channel is degenerate: h1 vanishes (or is not a number), or
+    the perpendicular radicand ||h2||^2 - b^2 falls below minus the
+    rounding slop. Where the radicand is within that slop of zero it
+    cannot tell a small c from none, so c is taken there from the
+    perpendicular vector itself and zeroed with build_beamformer's cut-off.
+    Indexing applies the index to every field.
+    """
+
+    n1_sq: np.ndarray
+    inner: np.ndarray
+    n2_sq: np.ndarray
+    h3_sq: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    ok: np.ndarray
+
+    @classmethod
+    def from_block(cls, h1: np.ndarray, h2: np.ndarray, h3: np.ndarray) -> "LinkStats":
+        """Statistics of trials given as rows of h1, h2 and entries of h3."""
+        n1_sq = _row_sq_norms(h1)
+        inner = np.einsum("ij,ij->i", np.conj(h1), h2)
+        n2_sq = _row_sq_norms(h2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.sqrt(n1_sq)
+            b = np.abs(inner) / a
+            c_sq = n2_sq - b * b
+            c = np.sqrt(np.maximum(c_sq, 0.0))
+        slop = _RADICAND_SLOP * np.maximum(n2_sq, 1.0)
+        ok = (n1_sq > 0.0) & (c_sq >= -slop)
+        near = ok & (c_sq <= slop)
+        if near.any():
+            perp = h2[near] - h1[near] * (inner[near] / n1_sq[near])[:, None]
+            c_near = np.sqrt(_row_sq_norms(perp))
+            cut = _PERP_TOL * np.maximum(np.sqrt(n2_sq[near]), 1.0)
+            c[near] = np.where(c_near > cut, c_near, 0.0)
+        return cls(n1_sq=n1_sq, inner=inner, n2_sq=n2_sq, h3_sq=np.abs(h3) ** 2,
+                   a=a, b=b, c=c, ok=ok)
+
+    @classmethod
+    def of(cls, ch: "ChannelState") -> "LinkStats":
+        """A block of one trial; raises if the channel is degenerate."""
+        link = cls.from_block(ch.h1[None, :], ch.h2[None, :], np.array([ch.h3]))
+        if link.n1_sq[0] == 0.0:
+            raise DegenerateChannelError("h1 vanishes; no beam direction exists")
+        if not link.ok[0]:
+            raise ValueError("perpendicular radicand below rounding slop")
+        return link
+
+    def __len__(self) -> int:
+        return len(self.n1_sq)
+
+    def __getitem__(self, index) -> "LinkStats":
+        return LinkStats(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
 def sample_channel(params: SystemParams, rng: Generator) -> ChannelState:
@@ -202,41 +279,29 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     return h1, h2, h3
 
 
-def decompose(params: SystemParams, ch: ChannelState, tau: float) -> ChannelDecomposition:
-    """Projection scalars (a, b, c) plus every SNR coefficient set."""
+def decompose_block(params: SystemParams, link: LinkStats, tau: float) -> ChannelDecomposition:
+    """Projection scalars plus every SNR coefficient set, per trial."""
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    n1_sq = float(np.vdot(ch.h1, ch.h1).real)
-    if n1_sq == 0.0:
-        raise DegenerateChannelError("h1 vanishes; no beam direction exists")
-    n1 = math.sqrt(n1_sq)
-    n2_sq = float(np.vdot(ch.h2, ch.h2).real)
-    inner = complex(np.vdot(ch.h1, ch.h2))  # h1^H h2
-    b = abs(inner) / n1
-    c_sq = n2_sq - b * b
-    if c_sq < 0.0:
-        if c_sq < -_RADICAND_SLOP * max(n2_sq, 1.0):
-            raise ValueError(f"perpendicular radicand {c_sq} below rounding slop")
-        c_sq = 0.0
-    c = math.sqrt(c_sq)
-    h3_sq = abs(ch.h3) ** 2
     d1a = params.d1 ** params.alpha
     d2a = params.d2 ** params.alpha
     d3a = params.d3 ** params.alpha
-    cap_a = n1_sq / d1a ** 2
-    cap_c = h3_sq / (d1a * d3a)
-    cap_d = n2_sq / d2a ** 2
+    cap_a = link.n1_sq / d1a ** 2
+    cap_c = link.h3_sq / (d1a * d3a)
+    cap_d = link.n2_sq / d2a ** 2
     scale = 2.0 * params.eta * tau * params.rho / (1.0 - tau)
-    a0 = scale * cap_a
     c0 = scale * cap_c
     d0 = scale * cap_d
-    a1 = scale / d1a ** 2
-    b1 = scale / (d1a * d3a)
-    c1 = scale / d2a ** 2
-    return ChannelDecomposition(a=n1, b=b, c=c,
+    return ChannelDecomposition(a=link.a, b=link.b, c=link.c,
                                 cap_a=cap_a, cap_c=cap_c, cap_d=cap_d,
-                                a0=a0, b0=c0 * d0, c0=c0, d0=d0,
-                                a1=a1, b1=b1, c1=c1)
+                                a0=scale * cap_a, b0=c0 * d0, c0=c0, d0=d0,
+                                a1=scale / d1a ** 2, b1=scale / (d1a * d3a),
+                                c1=scale / d2a ** 2)
+
+
+def decompose(params: SystemParams, ch: ChannelState, tau: float) -> ChannelDecomposition:
+    """Projection scalars (a, b, c) plus every SNR coefficient set."""
+    return decompose_block(params, LinkStats.of(ch)[0], tau)
 
 
 def build_beamformer(ch: ChannelState, x_bar: float) -> np.ndarray:
@@ -261,6 +326,6 @@ def build_beamformer(ch: ChannelState, x_bar: float) -> np.ndarray:
     perp = np.conj(ch.h2) - par
     perp_norm = float(np.linalg.norm(perp))
     n2 = float(np.linalg.norm(ch.h2))
-    if perp_norm <= 1e-12 * max(n2, 1.0):
+    if perp_norm <= _PERP_TOL * max(n2, 1.0):
         return u_par
     return x_bar * u_par + math.sqrt(max(0.0, 1.0 - x_bar * x_bar)) * perp / perp_norm

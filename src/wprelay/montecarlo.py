@@ -1,9 +1,17 @@
 """Reproducible Monte Carlo estimation of throughput, outage and time split.
 
 Trial t always consumes the same counter-addressed block of the random
-keystream (see channel.sample_channel_block), and per-chunk partial sums
-are combined in fixed chunk order, so estimates are bit-identical for any
-worker count or chunk size.
+keystream (see channel.sample_channel_block). Trials are evaluated and
+reduced in fixed blocks of _BLOCK consecutive trials: chunks handed to
+workers hold whole blocks only, each block yields (n, sum, M2), and the
+blocks are merged in trial order with the pairwise update of Chan, Golub
+and LeVeque (1983). Estimates are therefore bit-identical for any worker
+count or chunk size.
+
+Every strategy solves a whole block at once (see beamform); tau fixed or
+optimized, there is one evaluation path. A trial fails, and is counted
+rather than averaged, when its channel is degenerate or its SNR or tau is
+not a finite number.
 
 Strategies are the four beam designs plus "no-relay", a baseline where
 the user transmits directly to the access point for the whole data phase.
@@ -11,16 +19,15 @@ the user transmits directly to the access point for the whole data phase.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import beamform
-from .channel import (ChannelState, DegenerateChannelError, SystemParams,
-                      sample_channel_block)
-from .sysmodel import snr_exact, throughput
-from .timesplit import golden_max
+from .channel import LinkStats, SystemParams, sample_channel_block
+from .sysmodel import link_snr, link_throughput
 
 __all__ = [
     "PerformanceEstimate",
@@ -35,6 +42,7 @@ MC_STRATEGIES = beamform.STRATEGIES + ("no-relay",)
 METRICS = ("throughput", "outage", "tau")
 
 _MAX_ERROR_FRACTION = 1e-3
+_BLOCK = 4096  # trials per reduction block; divides _DEFAULT_CHUNK
 _DEFAULT_CHUNK = 32768
 
 
@@ -44,6 +52,8 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PerformanceEstimate:
+    """value averages n_trials trials; n_failed more failed and were left out."""
+
     metric: str
     value: float
     std_err: float
@@ -51,96 +61,68 @@ class PerformanceEstimate:
     master_seed: int
     strategy: str
     params_digest: str
+    n_failed: int = 0
 
 
-def _no_relay_gamma(params: SystemParams, y: np.ndarray, tau: float) -> np.ndarray:
-    """Direct-transmission SNR: harvest tau*T, then transmit for (1-tau)*T."""
-    d1a = params.d1 ** params.alpha
-    pu = np.maximum(0.0, params.eta * tau * params.ps_watt * y / ((1.0 - tau) * d1a)
-                    - params.pc_watt)
-    return pu * y / (d1a * params.noise_watt)
-
-
-def _trial_values_fast(params: SystemParams, strategy: str, tau: float,
-                       h1: np.ndarray, h2: np.ndarray, h3: np.ndarray,
-                       metric: str) -> np.ndarray:
-    """Vectorized fixed-tau evaluation for the beam-free strategies."""
-    y = np.sum(np.abs(h1) ** 2, axis=1)
-    if metric == "tau":
-        return np.full(y.shape, tau)
-    if strategy == "no-relay":
-        gamma = _no_relay_gamma(params, y, tau)
-        if metric == "outage":
-            return (gamma < params.gamma_th).astype(float)
-        return (1.0 - tau) * np.log2(1.0 + gamma)
-    # mrt-user: w = h1* / ||h1||
-    d1a = params.d1 ** params.alpha
-    d2a = params.d2 ** params.alpha
-    d3a = params.d3 ** params.alpha
-    g2 = np.abs(np.einsum("ij,ij->i", np.conj(h1), h2)) ** 2 / np.maximum(y, 1e-300)
-    scale_p = 2.0 * params.eta * tau * params.ps_watt / (1.0 - tau)
-    pu = np.maximum(0.0, scale_p * y / d1a - params.pc_watt)
-    pr = np.maximum(0.0, scale_p * g2 / d2a - params.pc_watt)
-    n0 = params.noise_watt
-    gd = pu * y / (d1a * n0)
-    xu = pu * np.abs(h3) ** 2 / (d3a * n0)
-    xr = pr * np.sum(np.abs(h2) ** 2, axis=1) / (d2a * n0)
-    gamma = gd + xu * xr / (xu + xr + 1.0)
-    if metric == "outage":
-        return (gamma < params.gamma_th).astype(float)
-    return 0.5 * (1.0 - tau) * np.log2(1.0 + gamma)
-
-
-def _trial_value_slow(params: SystemParams, strategy: str, tau: float | None,
-                      ch: ChannelState, metric: str) -> float:
-    """Per-trial evaluation for strategies that optimize the beam or tau."""
-    if strategy == "no-relay":
-        y = np.array([float(np.vdot(ch.h1, ch.h1).real)])
-
-        def obj(t: float) -> float:
-            return (1.0 - t) * math.log2(1.0 + float(_no_relay_gamma(params, y, t)[0]))
-
-        t_opt, _ = golden_max(obj, 1e-6, 1.0 - 1e-6, 1e-9)
+def _block_values(params: SystemParams, strategy: str, tau: float | None, metric: str,
+                  h1: np.ndarray, h2: np.ndarray, h3: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial metric values of one block and the mask of trials that count."""
+    link = LinkStats.from_block(h1, h2, h3)
+    relay = strategy != "no-relay"
+    with np.errstate(all="ignore"):  # failed trials are masked below
+        if relay:
+            design = beamform.solve_block(strategy, params, link, tau=tau)
+            g1, g2, tau = design.g1, design.g2, design.tau
+        else:
+            g1, g2 = link.n1_sq, 0.0
+            if tau is None:
+                tau = beamform.golden_tau(params, link, g1, g2, relay=False)
+        tau = np.broadcast_to(tau, link.n1_sq.shape)
+        gamma = link_snr(params, link, g1, g2, tau, relay)
+        ok = link.ok & np.isfinite(gamma) & np.isfinite(tau)
         if metric == "tau":
-            return t_opt
-        gamma = float(_no_relay_gamma(params, y, t_opt)[0])
+            return tau, ok
         if metric == "outage":
-            return float(gamma < params.gamma_th)
-        return (1.0 - t_opt) * math.log2(1.0 + gamma)
-    design = beamform.solve(strategy, params, ch, tau=tau)
-    if metric == "tau":
-        return design.tau
-    gamma = snr_exact(params, ch, design.w, design.tau).gamma_total
-    if metric == "outage":
-        return float(gamma < params.gamma_th)
-    return throughput(gamma, design.tau)
+            return (gamma < params.gamma_th).astype(float), ok
+        return link_throughput(gamma, tau, relay), ok
 
 
 def _run_chunk(params: SystemParams, strategy: str, tau: float | None,
                metric: str, master_seed: int, start: int, stop: int
-               ) -> tuple[int, int, int, float, float]:
-    """One contiguous block of trials; returns (start, ok, err, sum, sumsq)."""
+               ) -> list[tuple[int, int, int, float, float]]:
+    """Trials [start, stop), a whole number of blocks except at the end.
+
+    Returns per block (first trial, ok, failed, sum, M2), where M2 is the
+    sum of squared deviations from the block mean.
+    """
     h1, h2, h3 = sample_channel_block(params, master_seed, start, stop)
-    fast = tau is not None and strategy in ("mrt-user", "no-relay")
-    if fast:
-        vals = _trial_values_fast(params, strategy, tau, h1, h2, h3, metric)
-        return (start, vals.size, 0, float(np.sum(vals)),
-                float(np.sum(np.square(vals))))
-    n_ok = 0
-    n_err = 0
-    total = 0.0
-    total_sq = 0.0
-    for t in range(stop - start):
-        ch = ChannelState(h1=h1[t], h2=h2[t], h3=complex(h3[t]))
-        try:
-            v = _trial_value_slow(params, strategy, tau, ch, metric)
-        except (DegenerateChannelError, ValueError, ArithmeticError):
-            n_err += 1
+    parts = []
+    for lo in range(0, stop - start, _BLOCK):
+        hi = min(lo + _BLOCK, stop - start)
+        vals, ok = _block_values(params, strategy, tau, metric,
+                                 h1[lo:hi], h2[lo:hi], h3[lo:hi])
+        v = vals[ok]
+        total = float(np.sum(v))
+        m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
+        parts.append((start + lo, v.size, hi - lo - v.size, total, m2))
+    return parts
+
+
+def _merge(parts) -> tuple[int, float, float]:
+    """(n, sum, M2) of the union of blocks, merged in the given order."""
+    n, total, m2 = 0, 0.0, 0.0
+    for _, nb, _, sb, m2b in parts:
+        if nb == 0:
             continue
-        n_ok += 1
-        total += v
-        total_sq += v * v
-    return start, n_ok, n_err, total, total_sq
+        if n:
+            delta = sb / nb - total / n
+            m2 += m2b + delta * delta * n * nb / (n + nb)
+        else:
+            m2 = m2b
+        n += nb
+        total += sb
+    return n, total, m2
 
 
 def estimate(params: SystemParams, strategy: str, n_trials: int,
@@ -149,9 +131,10 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
              chunk_size: int = _DEFAULT_CHUNK) -> PerformanceEstimate:
     """Monte Carlo estimate of one metric for one strategy.
 
-    tau fixes the harvest fraction; None lets each strategy optimize it
-    per channel draw. The result is independent of workers and chunk_size
-    down to the last bit.
+    tau fixes the harvest fraction of mrt-user and no-relay, and is
+    rejected by the strategies that optimize it; None lets each strategy
+    optimize it per channel draw. The result is independent of workers and
+    chunk_size down to the last bit.
     """
     if strategy not in MC_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {MC_STRATEGIES}")
@@ -161,32 +144,33 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
         raise ValueError("n_trials must be >= 2")
     if tau is not None and not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    bounds = [(s, min(s + chunk_size, n_trials)) for s in range(0, n_trials, chunk_size)]
+    if (isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral)
+            or chunk_size < 1):
+        raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
+    chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
+    bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]
     args = [(params, strategy, tau, metric, master_seed, a, b) for a, b in bounds]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk_star, args))
+            chunks = list(pool.map(_run_chunk_star, args))
     else:
-        parts = [_run_chunk(*a) for a in args]
-    parts.sort(key=lambda p: p[0])
-    n_ok = sum(p[1] for p in parts)
+        chunks = [_run_chunk(*a) for a in args]
+    parts = sorted(p for c in chunks for p in c)
     n_err = sum(p[2] for p in parts)
     if n_err > _MAX_ERROR_FRACTION * n_trials:
         raise SimulationError(f"{n_err} of {n_trials} trials failed")
-    total = 0.0
-    total_sq = 0.0
-    for p_ in parts:
-        total += p_[3]
-        total_sq += p_[4]
+    n_ok, total, m2 = _merge(parts)
     mean = total / n_ok
     if metric == "outage":
         se = math.sqrt(max(mean * (1.0 - mean), 0.0) / n_ok)
     else:
-        var = max(0.0, (total_sq - n_ok * mean * mean) / (n_ok - 1))
-        se = math.sqrt(var / n_ok)
+        se = math.sqrt(m2 / (n_ok - 1) / n_ok)
     return PerformanceEstimate(metric=metric, value=mean, std_err=se,
                                n_trials=n_ok, master_seed=master_seed,
-                               strategy=strategy, params_digest=params.digest())
+                               strategy=strategy, params_digest=params.digest(),
+                               n_failed=n_err)
 
 
 def _run_chunk_star(a):

@@ -1,8 +1,15 @@
-"""Harvest-time optimization: Lambert-W closed form and golden-section search."""
+"""Harvest-time optimization: Lambert-W closed form and golden-section search.
+
+Both accept arrays: optimal_tau solves every coefficient at once, and
+golden_max runs one search per array entry in lockstep.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import lambertw
 
 __all__ = [
     "TimeSplitResult",
@@ -25,72 +32,74 @@ class TimeSplitResult:
     objective: float
 
 
-def rate_upper(kappa: float, tau: float) -> float:
+def _scalar_or_array(x):
+    """Plain float for 0-d input, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def rate_upper(kappa, tau):
     """Rate bound (1-tau)/2 * log2(1 + kappa*tau/(1-tau))."""
-    return 0.5 * (1.0 - tau) * math.log2(1.0 + kappa * tau / (1.0 - tau))
+    return 0.5 * (1.0 - tau) * np.log2(1.0 + kappa * tau / (1.0 - tau))
 
 
-def lambert_w0(x: float) -> float:
+def lambert_w0(x):
     """Principal branch of the Lambert W function for x >= -1/e.
 
-    Halley iteration on w*e^w = x from a series (near the branch point and
-    near zero) or log-based (large x) initial guess.
+    Values within rounding slop below the branch point are clamped to it;
+    there W = -1 (scipy returns NaN at the float nearest -1/e).
     """
-    if x < -_INV_E:
-        if x > -_INV_E - 1e-15:  # rounding slop at the branch point
-            x = -_INV_E
-        else:
-            raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x <= -_INV_E + 1e-16:
-        return -1.0
-    if x < -0.25:
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p ** 3
-    elif x < math.e:
-        w = x / (1.0 + x)
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - x
-        w1 = w + 1.0
-        step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-        w -= step
-        if abs(step) <= 1e-15 * (1.0 + abs(w)):
-            break
-    return w
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -_INV_E - 1e-15):
+        raise ValueError(f"lambert_w0 requires x >= -1/e, got {x.min()}")
+    w = np.where(x <= -_INV_E + 1e-16, -1.0,
+                 lambertw(np.maximum(x, -_INV_E)).real)
+    return _scalar_or_array(w)
 
 
-def optimal_tau(kappa: float) -> TimeSplitResult:
-    """Closed-form maximizer of rate_upper(kappa, .) on (0, 1)."""
-    if kappa <= 0:
+def optimal_tau(kappa) -> TimeSplitResult:
+    """Closed-form maximizer of rate_upper(kappa, .) on (0, 1).
+
+    kappa may be an array; the result's fields then are arrays too.
+    """
+    k = np.asarray(kappa, dtype=float)
+    if not np.all(k > 0):
         raise ValueError(f"optimal_tau requires kappa > 0, got {kappa}")
-    z = math.exp(lambert_w0((kappa - 1.0) / math.e) + 1.0)
-    tau = (z - 1.0) / (kappa - 1.0 + z)
+    z = np.exp(lambert_w0((k - 1.0) / math.e) + 1.0)
+    tau = _scalar_or_array((z - 1.0) / (k - 1.0 + z))
     return TimeSplitResult(tau=tau, kappa=kappa, method="lambert-w",
-                           objective=rate_upper(kappa, tau))
+                           objective=_scalar_or_array(rate_upper(k, tau)))
 
 
-def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal f on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
+def golden_max(f, lo, hi, tol: float):
+    """Golden-section maximum of a unimodal f on [lo, hi]; returns (x, f(x)).
+
+    lo and hi may be arrays: f then maps an array of abscissae to the
+    array of values, one independent search per entry. The searches run
+    in lockstep, one call of f per step; each entry stops where the scalar
+    search would, once its own bracket is no wider than tol, so the count
+    of steps is fixed by the widest bracket and tol.
+    """
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
+    fc, fd = np.asarray(f(c)), np.asarray(f(d))
+    active = (b - a) > tol
+    while active.any():
+        left = fc >= fd  # the maximum lies in [a, d]
+        a1 = np.where(left, a, c)
+        b1 = np.where(left, d, b)
+        probe = np.where(left, b1 - _GOLDEN * (b1 - a1), a1 + _GOLDEN * (b1 - a1))
+        fp = np.asarray(f(probe))
+        c1 = np.where(left, probe, d)
+        fc1 = np.where(left, fp, fd)
+        d1 = np.where(left, c, probe)
+        fd1 = np.where(left, fc, fp)
+        a, b = np.where(active, a1, a), np.where(active, b1, b)
+        c, fc = np.where(active, c1, c), np.where(active, fc1, fc)
+        d, fd = np.where(active, d1, d), np.where(active, fd1, fd)
+        active = (b - a) > tol
     x = 0.5 * (a + b)
-    return x, f(x)
+    return _scalar_or_array(x), _scalar_or_array(np.asarray(f(x)))
 
 
 def search_tau(objective, tol: float = 1e-9, kappa: float = float("nan")) -> TimeSplitResult:
