@@ -9,22 +9,36 @@ tractable branches:
   relay->AP:   gamma_rs = c1 * (|h1^H h2|^2 / ||h1||^2) * ||h2||^2
 
 with coefficients a1, b1, c1 collecting the harvest efficiency, time
-split, transmit SNR and path losses. The relay->AP branch is c1 times
-z = v * ||h2||^4 where v = |h1^H h2|^2 / (||h1||^2 ||h2||^2) is a
-Beta(1, N-1) fraction independent of ||h2||^2.
+split, transmit SNR and path losses.
+
+The relay->AP branch is c1 times z = |u|^2 * ||h2||^2, where u is the
+component of h2 along h1. Splitting h2 into u and its part h2_perp
+orthogonal to h1 gives two independent variates, e = |u|^2 ~ Exp(1) and
+s = ||h2_perp||^2 ~ Gamma(N-1), with z = e (e + s). For a given s,
+z <= x exactly when e is below the positive root of e^2 + s e - x, so
+
+  P(z <= x) = E_s[1 - exp(-2x / (s + sqrt(s^2 + 4x)))],
+
+an average of terms in [0, 1] that cannot cancel at any N. The average
+over s is a fixed Gauss-Legendre rule on panels equally spaced in ln s,
+which resolves both the sqrt(x) scale near s = 0 and the bulk of the
+Gamma density. outage_exact integrates that CDF over |h3|^2 with the same
+kind of rule, one numpy expression per outer point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln
 
 from .channel import SystemParams, sample_channel_block
 from .specfun import (QuadratureSpec, digamma, gamma_fn, bessel_k,
-                      integrate_adaptive, upper_incomplete_gamma,
-                      upper_incomplete_gamma_table)
+                      integrate_adaptive, upper_incomplete_gamma)
 
 __all__ = [
     "BranchConstants",
@@ -39,9 +53,19 @@ __all__ = [
     "arbitrate_mean_relay_gain",
 ]
 
-_CDF_SMALL_X = 1e-20
 _CDF_LARGE_SQRT = 600.0
 _OUTAGE_SLOP = 1e-9
+
+# Inner rules: _PANELS Gauss-Legendre panels of _PANEL_NODES nodes each,
+# equally spaced in the log of the integration variable (_log_rule).
+_PANELS = 8
+_PANEL_NODES = 12
+_NEGLIGIBLE_EXP = 40.0  # exp(-40) ~ 4e-18: below the resolution of 1.0
+_GAMMA_TAIL = 1e-17  # Gamma(N-1) mass the s rule leaves off at each end
+_S_FLOOR = 1e-6  # s in [0, _S_FLOOR] is lumped into one node
+_T_FLOOR = 1e-9  # the t rule lumps at least [0, _T_FLOOR] into one node, so its
+# panels stay narrow as t* -> 0 at the edge of the outage region
+_MAX_ELEMENTS = 65536  # elements of the largest (x, s) temporary
 
 
 @dataclass(frozen=True)
@@ -67,39 +91,70 @@ def branch_constants(params: SystemParams, tau: float) -> BranchConstants:
     )
 
 
-def relay_mix_cdf(x: float, n_antennas: int) -> float:
+@functools.cache
+def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The composite rule on [0, 1]; built on first use, as leggauss starts
+    LAPACK (about 1 MB of resident memory) and most callers never need it."""
+    x, w = leggauss(_PANEL_NODES)
+    nodes = ((np.arange(_PANELS)[:, None] + 0.5 * (x + 1.0)) / _PANELS).ravel()
+    weights = np.tile(w / (2 * _PANELS), _PANELS)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _log_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes p and weights w with sum(w f(p)) ~ integral of f over [lo, hi],
+    on _PANELS equal panels in ln p."""
+    nodes, weights = _unit_rule()
+    span = math.log(hi / lo)
+    p = lo * np.exp(span * nodes)
+    return p, span * weights * p
+
+
+@functools.lru_cache(maxsize=64)
+def _mix_rule(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """s nodes and Gamma(N-1)-weighted weights of relay_mix_cdf's rule, and
+    the x from which its CDF is 1 to double precision."""
+    k = n - 1
+    lo = max(float(gammaincinv(k, _GAMMA_TAIL)), _S_FLOOR)
+    hi = float(gammainccinv(k, _GAMMA_TAIL))
+    s, w = _log_rule(lo, hi)
+    w *= np.exp((k - 1) * np.log(s) - s - gammaln(k))
+    s = np.concatenate(([0.5 * lo], s))
+    w = np.concatenate(([gammainc(k, lo)], w))
+    s.setflags(write=False)
+    w.setflags(write=False)
+    # For s <= hi the root exceeds x / (hi + sqrt x), which reaches
+    # _NEGLIGIBLE_EXP at sqrt x = r / 2 + sqrt(r^2 / 4 + r hi), r = _NEGLIGIBLE_EXP.
+    r = _NEGLIGIBLE_EXP
+    saturation = (0.5 * r + math.sqrt(0.25 * r * r + r * hi)) ** 2
+    return s, w, saturation
+
+
+def relay_mix_cdf(x, n_antennas: int):
     """CDF of z = v * ||h2||^4, v ~ Beta(1, N-1) independent of ||h2||^2.
 
-    Alternating finite double sum over incomplete gamma functions of
-    integer order; orders below zero come from the same recurrence table.
-    Tiny and huge arguments short-circuit to the exact limits before the
-    sum loses all precision.
+    Evaluated as E_s[1 - exp(-2x / (s + sqrt(s^2 + 4x)))] with
+    s ~ Gamma(N-1) (see the module docstring) by a fixed positive rule, so
+    it holds at any N. x may be a float, giving a float, or an array,
+    giving an array of the same shape. 0 at x <= 0, and exactly 1 from an
+    x at which 1 - CDF is below 2e-17.
     """
-    n = n_antennas
-    if n < 2:
+    if n_antennas < 2:
         raise ValueError("relay mix needs at least 2 antennas")
-    if x <= _CDF_SMALL_X:
-        return 0.0
-    rx = math.sqrt(x)
-    if rx >= _CDF_LARGE_SQRT:
-        return 1.0
-    gam = upper_incomplete_gamma_table(-2 * n + 2, n - 3, rx) if n >= 3 else \
-        upper_incomplete_gamma_table(-2 * n + 2, n - 2, rx)
-    total = 0.0
-    inv_mfact = 1.0
-    for m in range(n):
-        if m > 0:
-            inv_mfact /= m
-        xp = x  # x^(i+1)
-        sign = 1.0
-        inner = 0.0
-        for i in range(n - 1):
-            inner += sign * math.comb(n - 2, i) * xp * gam[m - 2 * i - 2]
-            xp *= x
-            sign = -sign
-        total += inv_mfact * inner
-    val = 1.0 - 2.0 * (n - 1) * total
-    return min(1.0, max(0.0, val))
+    s, w, saturation = _mix_rule(n_antennas)
+    xa = np.asarray(x, dtype=float)
+    flat = xa.ravel()
+    out = np.where(flat >= saturation, 1.0, 0.0)
+    inside = np.flatnonzero(~(flat <= 0.0) & ~(flat >= saturation))
+    rows = _MAX_ELEMENTS // s.size
+    for i in range(0, inside.size, rows):
+        idx = inside[i:i + rows]
+        xc = flat[idx, None]
+        root = 2.0 * xc / (s + np.sqrt(s * s + 4.0 * xc))
+        out[idx] = np.minimum((-np.expm1(-root) * w).sum(axis=1), 1.0)
+    return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
 
 
 def branch_cdfs(params: SystemParams, tau: float) -> dict[str, Callable[[float], float]]:
@@ -142,7 +197,7 @@ def branch_cdfs(params: SystemParams, tau: float) -> dict[str, Callable[[float],
 
 
 def branch_moments(params: SystemParams, tau: float, order: int = 1) -> dict[str, float]:
-    """n-th raw moment of each SNR branch (finite alternating sums)."""
+    """n-th raw moment of each SNR branch (finite sums and a closed form)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     bc = branch_constants(params, tau)
@@ -166,18 +221,10 @@ def branch_moments(params: SystemParams, tau: float, order: int = 1) -> dict[str
     user_relay = n * bc.b1 ** n * gamma_fn(float(n + 1)) * acc
 
     if n_ant >= 2:
-        acc = 0.0
-        inv_mfact = 1.0
-        for m in range(n_ant):
-            if m > 0:
-                inv_mfact /= m
-            inner = 0.0
-            sign = 1.0
-            for i in range(n_ant - 1):
-                inner += sign * math.comb(n_ant - 2, i) / (2 * n + 2 * i + 2)
-                sign = -sign
-            acc += inv_mfact * gamma_fn(float(m + 2 * n)) * inner
-        relay_ap = 4.0 * n * (n_ant - 1) * bc.c1 ** n * acc
+        # z = v r^2 with v ~ Beta(1, N-1) and r = ||h2||^2 ~ Gamma(N)
+        # independent: E[z^n] = E[v^n] E[r^2n] = n! Gamma(N+2n) / Gamma(N+n).
+        relay_ap = bc.c1 ** n * math.exp(math.lgamma(n + 1) + math.lgamma(n_ant + 2 * n)
+                                         - math.lgamma(n_ant + n))
     else:
         relay_ap = float("nan")
 
@@ -192,8 +239,11 @@ def outage_exact(params: SystemParams, tau: float,
     below sqrt(gamma_th / a1); inside that region the relayed term must
     make up the deficit G. Conditioned on ||h1||^2 = y and |h3|^2 = mu,
     the relayed term misses G whenever its first hop b1*y*mu already
-    falls short, or otherwise when the relay->AP mix falls below the
-    matching cutoff chi. Both layers integrate by adaptive quadrature.
+    falls short (mu < mu0), or otherwise when the relay->AP mix falls
+    below chi = G/c1 + t*/t, with t = mu - mu0 and t* = G(G+1)/(b1 c1 y).
+    The outer integral over y is adaptive (quad); the inner one over t is
+    a fixed rule on panels equally spaced in ln t between the t at which
+    the mix CDF saturates at 1 and exp(-t) becomes negligible.
     """
     bc = branch_constants(params, tau)
     n = bc.n_antennas
@@ -201,30 +251,29 @@ def outage_exact(params: SystemParams, tau: float,
         raise ValueError("outage analysis needs at least 2 antennas")
     gth = params.gamma_th
     quad = quad or QuadratureSpec()
-    inner_quad = QuadratureSpec(rel_tol=max(quad.rel_tol / 10, 1e-12),
-                                abs_tol=quad.abs_tol,
-                                max_subdivisions=quad.max_subdivisions)
     y_max = math.sqrt(gth / bc.a1)
     log_gamma_n = math.lgamma(n)
+    saturation = _mix_rule(n)[2]
+    t_max = _NEGLIGIBLE_EXP
 
     def integrand(y: float) -> float:
         if y <= 0.0 or y >= y_max:
             return 0.0
+        weight = math.exp((n - 1) * math.log(y) - y - log_gamma_n)
         g = gth - bc.a1 * y * y
         mu0 = g / (bc.b1 * y)
-        first = -math.expm1(-mu0) if mu0 < 700 else 1.0
-
-        def inner(mu: float) -> float:
-            lead = bc.b1 * y * mu
-            excess = lead - g
-            if excess <= 0.0:
-                return math.exp(-mu)
-            chi = (lead + 1.0) * g / (bc.c1 * excess)
-            return relay_mix_cdf(chi, n) * math.exp(-mu)
-
-        second = integrate_adaptive(inner, mu0, math.inf, inner_quad) if mu0 < 700 else 0.0
-        weight = math.exp((n - 1) * math.log(y) - y - log_gamma_n)
-        return (first + second) * weight
+        if mu0 >= 700:
+            return weight
+        # F(chi) = 1 for t <= t*/(saturation - a); [0, t_lo] is one node at its middle.
+        a = g / bc.c1
+        t_star = g * (g + 1.0) / (bc.b1 * bc.c1 * y)
+        t_lo = t_star / (saturation - a) if a < saturation else t_max
+        t_lo = min(max(t_lo, _T_FLOOR), t_max)
+        t, w = _log_rule(t_lo, t_max)
+        t = np.concatenate(([0.5 * t_lo], t))
+        w = np.concatenate(([-math.expm1(-t_lo)], w * np.exp(-t[1:])))
+        second = float(relay_mix_cdf(a + t_star / t, n) @ w)
+        return (-math.expm1(-mu0) + math.exp(-mu0) * second) * weight
 
     val = integrate_adaptive(integrand, 0.0, y_max, quad)
     if val < -_OUTAGE_SLOP or val > 1.0 + _OUTAGE_SLOP:
@@ -308,12 +357,8 @@ def throughput_lower_bound(params: SystemParams, tau: float,
     psi1 = digamma(1.0)
     m1 = math.log(bc.a1) + 2.0 * psi1 + 2.0 * harmonic
     m2 = math.log(bc.b1) + 2.0 * psi1 + harmonic
-    alt = 0.0
-    sign = 1.0
-    for i in range(n - 1):
-        alt += sign * math.comb(n - 2, i) / (i + 1) ** 2
-        sign = -sign
-    m3 = math.log(bc.c1) + 2.0 * psi1 + 2.0 * harmonic - (n - 1) * alt
+    # E[ln z] = E[ln v] + 2 E[ln r] = psi(1) + psi(N), z = v r^2 as in branch_moments
+    m3 = math.log(bc.c1) + 2.0 * psi1 + harmonic
     m4 = mean_relay_gain(params, tau, m4_mode)
     m5 = branch_moments(params, tau, order=1)["relay-ap"]
     relayed = math.exp(m2 + m3 - math.log1p(m4 + m5))

@@ -1,15 +1,17 @@
-"""Scalar special functions and adaptive quadrature.
+"""Special functions and adaptive quadrature.
 
-Everything here is pure and deterministic. The implementations target the
-parameter ranges the analytic performance layer actually uses: integer
-Bessel orders, incomplete-gamma orders down to roughly -2N, and smooth or
-semi-infinite integrands with at most integrable endpoint singularities.
+The special functions are thin validated wrappers over `scipy.special`
+that return Python floats and raise ValueError outside their domain. The
+adaptive Gauss-Kronrod integrator is kept here, with its own tolerance
+spec and error type, for the outer integral of the analytic outage.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
+
+from scipy import special
 
 __all__ = [
     "EULER_GAMMA",
@@ -26,22 +28,6 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Lanczos approximation, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_MAX_SERIES_ITER = 800
-
 
 class IntegrationError(RuntimeError):
     """Quadrature failed to converge; carries the best available estimate."""
@@ -52,228 +38,50 @@ class IntegrationError(RuntimeError):
         self.error_bound = error_bound
 
 
-def _lanczos_sum(x: float) -> float:
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (x + i)
-    return s
-
-
 def gamma_fn(x: float) -> float:
     """Gamma function for real x away from the poles at 0, -1, -2, ..."""
     if x <= 0 and x == math.floor(x):
         raise ValueError(f"gamma_fn pole at x={x}")
-    if x < 0.5:
-        # reflection
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
+    return float(special.gamma(x))
 
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if x <= 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(_lanczos_sum(z))
+    return float(special.gammaln(x))
 
 
 def digamma(x: float) -> float:
     """Psi (logarithmic derivative of Gamma) for x > 0."""
     if x <= 0:
         raise ValueError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    while x < 10.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # asymptotic expansion, Bernoulli coefficients
-    tail = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
-    return acc + math.log(x) - 0.5 / x - tail
-
-
-def _lower_gamma_series(s: float, x: float) -> float:
-    # gamma(s, x), lower incomplete; converges well for x < s + 1
-    term = 1.0 / s
-    total = term
-    for n in range(1, _MAX_SERIES_ITER):
-        term *= x / (s + n)
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + s * math.log(x))
-
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    # Gamma(s, x) by Lentz continued fraction; reliable for x >= max(1, s + 1)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_SERIES_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delt = d * c
-        h *= delt
-        if abs(delt - 1.0) < 1e-16:
-            break
-    return math.exp(-x + s * math.log(x)) * h
-
-
-def _e1(x: float) -> float:
-    # exponential integral E1(x) = Gamma(0, x), x > 0
-    if x <= 1.0:
-        total = -EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, _MAX_SERIES_ITER):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < abs(total) * 1e-17 + 1e-300:
-                break
-        return total
-    return _upper_gamma_cf(0.0, x)
+    return float(special.psi(x))
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
     """Upper incomplete gamma Gamma(s, x) for x > 0 and any real s.
 
-    Non-positive s is reached by downward recurrence
-    Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s, anchored at Gamma(0, x)
-    = E1(x) for integer s (avoids the cancellation a near-zero anchor
-    would cause) or at the fractional part of s otherwise.
+    Positive s is Gamma(s) times the regularized gammaincc. gammaincc
+    rejects s <= 0, so integer s <= 0 uses Gamma(s, x) = x^s E_{1-s}(x)
+    and other s <= 0 Tricomi's Gamma(s, x) = x^s e^{-x} U(1, 1+s, x).
     """
     if x <= 0:
         raise ValueError(f"upper_incomplete_gamma requires x > 0, got {x}")
     if s > 0:
-        if x < s + 1.0:
-            return gamma_fn(s) - _lower_gamma_series(s, x)
-        return _upper_gamma_cf(s, x)
-    nearest = round(s)
-    if abs(s - nearest) < 1e-12:
-        g = _e1(x)
-        cur = 0
-        lx = math.log(x)
-        while cur > nearest:
-            cur -= 1
-            g = (g - math.exp(cur * lx - x)) / cur
-        return g
-    frac = s - math.floor(s)  # in (0, 1)
-    g = upper_incomplete_gamma(frac, x)
-    cur = frac
-    lx = math.log(x)
-    steps = round(frac - s)
-    for _ in range(steps):
-        cur -= 1.0
-        g = (g - math.exp(cur * lx - x)) / cur
-    return g
+        return float(special.gamma(s) * special.gammaincc(s, x))
+    if s == math.floor(s):
+        return float(x ** s * special.expn(int(1 - s), x))
+    return float(math.exp(s * math.log(x) - x) * special.hyperu(1.0, 1.0 + s, x))
 
 
 def upper_incomplete_gamma_table(s_min: int, s_max: int, x: float) -> dict[int, float]:
-    """Gamma(s, x) for every integer s in [s_min, s_max], sharing recurrences."""
+    """Gamma(s, x) for every integer s in [s_min, s_max]."""
     if x <= 0:
         raise ValueError(f"upper_incomplete_gamma_table requires x > 0, got {x}")
     if s_min > s_max:
         raise ValueError("empty order range")
-    out: dict[int, float] = {}
-    lx = math.log(x)
-    emx_log = -x
-    if s_max >= 1:
-        g = math.exp(-x)  # Gamma(1, x)
-        if 1 >= s_min:
-            out[1] = g
-        for j in range(1, s_max):
-            g = j * g + math.exp(j * lx + emx_log)
-            if s_min <= j + 1:
-                out[j + 1] = g
-    if s_min <= 0:
-        g = _e1(x)
-        out[0] = g
-        cur = 0
-        while cur > s_min:
-            cur -= 1
-            g = (g - math.exp(cur * lx + emx_log)) / cur
-            out[cur] = g
-    return {s: v for s, v in out.items() if s_min <= s <= s_max}
-
-
-def _bessel_k01_series(x: float) -> tuple[float, float]:
-    # power-series K0, K1 for small argument (x < 2)
-    t = 0.25 * x * x
-    lg = math.log(0.5 * x)
-    # K0 = -(ln(x/2)+gamma) I0 + sum t^k H_k / (k!)^2
-    term = 1.0
-    i0 = 1.0
-    s0 = 0.0
-    hk = 0.0
-    for k in range(1, _MAX_SERIES_ITER):
-        term *= t / (k * k)
-        hk += 1.0 / k
-        i0 += term
-        s0 += term * hk
-        if term < 1e-18:
-            break
-    k0 = -(lg + EULER_GAMMA) * i0 + s0
-    # K1 = ln(x/2) I1 + 1/x - (x/4) sum [psi(k+1)+psi(k+2)] t^k / (k! (k+1)!)
-    coef = 1.0  # t^k / (k! (k+1)!) at k = 0
-    i1 = coef
-    s1 = coef * (digamma(1.0) + digamma(2.0))
-    for k in range(1, _MAX_SERIES_ITER):
-        coef *= t / (k * (k + 1))
-        i1 += coef
-        s1 += coef * (digamma(k + 1.0) + digamma(k + 2.0))
-        if coef < 1e-18:
-            break
-    i1 *= 0.5 * x
-    k1 = lg * i1 + 1.0 / x - 0.25 * x * s1
-    return k0, k1
-
-
-def _bessel_k01_cf(x: float) -> tuple[float, float]:
-    # Steed/Temme continued fraction for K0, K1, x >= 2 (Thompson-Barnett form)
-    eps = 1e-16
-    a1 = 0.25  # 1/4 - nu^2 with nu = 0
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d
-    delh = d
-    q1 = 0.0
-    q2 = 1.0
-    q = a1
-    c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 10001):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < eps:
-            break
-    h = a1 * h
-    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    k1 = k0 * (x + 0.5 - h) / x
-    return k0, k1
+    return {s: upper_incomplete_gamma(float(s), x) for s in range(s_min, s_max + 1)}
 
 
 def bessel_k(n: int, x: float) -> float:
@@ -282,20 +90,7 @@ def bessel_k(n: int, x: float) -> float:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
     if n < 0:
         raise ValueError(f"bessel_k requires n >= 0, got {n}")
-    if x < 2.0:
-        k0, k1 = _bessel_k01_series(x)
-    else:
-        k0, k1 = _bessel_k01_cf(x)
-    if n == 0:
-        return k0
-    if n == 1:
-        return k1
-    km, kc = k0, k1
-    for j in range(1, n):
-        km, kc = kc, km + (2.0 * j / x) * kc
-        if math.isinf(kc):
-            return math.inf
-    return kc
+    return float(special.kv(n, x))
 
 
 @dataclass(frozen=True)

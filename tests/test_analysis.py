@@ -1,13 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import integrate
 
 from wprelay.analysis import (BranchConstants, arbitrate_mean_relay_gain,
                               branch_cdfs, branch_constants, branch_moments,
                               mean_relay_gain, outage_exact, outage_high_snr,
                               relay_mix_cdf, throughput_lower_bound)
 from wprelay.channel import SystemParams
+from wprelay.montecarlo import estimate
 
 PARAMS = SystemParams(n_antennas=5, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0)
 TAU = 0.4
@@ -52,6 +55,36 @@ def test_relay_mix_cdf_shape():
         relay_mix_cdf(1.0, 1)
 
 
+def _mix_cdf_oracle(x, n):
+    """P(v g^2 <= x), g ~ Gamma(N), v ~ Beta(1, N-1), by mpmath quadrature:
+    P(g <= sqrt x) + E[1 - (1 - x/g^2)^(N-1); g > sqrt x]."""
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        r = mp.sqrt(x)
+        head = mp.gammainc(n, 0, r, regularized=True)
+        tail = mp.quad(lambda g: mp.exp((n - 1) * mp.log(g) - g - mp.loggamma(n))
+                       * (1 - (1 - x / g ** 2) ** (n - 1)), [r, r + n, mp.inf])
+        return float(head + tail)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 30, 40, 50, 64])
+def test_relay_mix_cdf_matches_mpmath(n):
+    for c in (1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
+        x = c * (n + 1)
+        assert abs(relay_mix_cdf(x, n) - _mix_cdf_oracle(x, n)) <= 1e-9, (n, x)
+
+
+def test_relay_mix_cdf_array_matches_scalar():
+    for n in (2, 7, 64):
+        # long enough to span several internal chunks, with both limits
+        x = np.concatenate([[-1.0, 0.0, 1e9], np.logspace(-8, 5, 1997)])
+        got = relay_mix_cdf(x, n)
+        assert got.shape == x.shape
+        assert np.array_equal(got, [relay_mix_cdf(float(v), n) for v in x])
+        assert np.array_equal(relay_mix_cdf(x.reshape(-1, 8), n), got.reshape(-1, 8))
+    assert isinstance(relay_mix_cdf(2.0, 3), float)
+
+
 def test_branch_cdfs_match_simulation():
     gus, gur, grs = _branch_samples(PARAMS, TAU, 200_000)
     cdfs = branch_cdfs(PARAMS, TAU)
@@ -83,6 +116,39 @@ def test_outage_matches_simulation():
     p_mc = float(np.mean(gamma < params.gamma_th))
     se = math.sqrt(p_mc * (1 - p_mc) / gamma.size)
     assert outage_exact(params, 0.5) == pytest.approx(p_mc, abs=3.5 * se)
+
+
+@pytest.mark.parametrize("n, ps", [(40, -66.0), (50, -68.0)])
+def test_outage_matches_simulation_at_large_n(n, ps):
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=ps)
+    mc = estimate(params, "mrt-user", 200_000, 2, metric="outage", tau=0.5)
+    assert 0.05 < mc.value < 0.12
+    assert outage_exact(params, 0.5) == pytest.approx(mc.value, abs=3.5 * mc.std_err)
+
+
+def _outage_by_nested_quad(params, tau):
+    """outage_exact's double integral with QUADPACK for both layers."""
+    bc = branch_constants(params, tau)
+    n, gth = bc.n_antennas, params.gamma_th
+
+    def given_y(y):
+        g = gth - bc.a1 * y * y
+        mu0 = g / (bc.b1 * y)
+        t_star = g * (g + 1.0) / (bc.b1 * bc.c1 * y)
+        inner = integrate.quad(lambda t: relay_mix_cdf(g / bc.c1 + t_star / t, n) * math.exp(-t),
+                               0.0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+        return (-math.expm1(-mu0) + math.exp(-mu0) * inner) * math.exp(
+            (n - 1) * math.log(y) - y - math.lgamma(n))
+
+    return integrate.quad(given_y, 0.0, math.sqrt(gth / bc.a1), epsabs=1e-14,
+                          epsrel=1e-10, limit=200)[0]
+
+
+@pytest.mark.parametrize("n, ps", [(2, -40.0), (40, -66.0)])
+def test_outage_matches_nested_quadrature(n, ps):
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=ps)
+    assert outage_exact(params, 0.5) == pytest.approx(_outage_by_nested_quad(params, 0.5),
+                                                      rel=1e-8)
 
 
 def test_outage_bounds_and_errors():
@@ -143,3 +209,14 @@ def test_relay_ap_mean_closed_form():
         bc = branch_constants(p, TAU)
         assert branch_moments(p, TAU)["relay-ap"] == \
             pytest.approx(bc.c1 * (n + 1), rel=1e-10)
+
+
+def test_relay_ap_moments_closed_form_at_large_n():
+    # E[z] = N + 1 and E[z^2] = 2 (N + 2)(N + 3) for z = e (e + s),
+    # e ~ Exp(1), s ~ Gamma(N-1): E[e^4] + 2 E[e^3] E[s] + E[e^2] E[s^2]
+    for n in (20, 40, 64):
+        p = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0)
+        c1 = branch_constants(p, TAU).c1
+        assert branch_moments(p, TAU)["relay-ap"] == pytest.approx(c1 * (n + 1), rel=1e-12)
+        assert branch_moments(p, TAU, order=2)["relay-ap"] == \
+            pytest.approx(2 * c1 ** 2 * (n + 2) * (n + 3), rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -79,6 +80,15 @@ def test_upper_gamma_table_matches_scalar():
         for s, v in table.items():
             assert v == pytest.approx(upper_incomplete_gamma(float(s), x),
                                       rel=1e-10, abs=1e-300)
+
+
+def test_upper_gamma_table_deep_negative_order_against_mpmath():
+    table = upper_incomplete_gamma_table(-18, 3, 40.0)
+    assert sorted(table) == list(range(-18, 4))
+    with mp.workdps(30):
+        ref = {s: float(mp.gammainc(s, 40.0)) for s in table}
+    for s, v in table.items():
+        assert v == pytest.approx(ref[s], rel=1e-12, abs=0.0)
 
 
 def test_upper_gamma_rejects_nonpositive_x_for_nonpositive_order():
