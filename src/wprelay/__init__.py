@@ -1,21 +1,14 @@
-"""Wireless-powered relay link: beam/time-split optimization and analysis."""
+"""Wireless-powered relay link: beam/time-split optimization and analysis.
 
-from .channel import (ChannelDecomposition, ChannelState,
-                      DegenerateChannelError, SystemParams, build_beamformer,
-                      decompose, sample_channel, sample_channel_block)
-from .beamform import BeamformerDesign, solve
-from .montecarlo import PerformanceEstimate, SimulationError, estimate, sweep
-from .sysmodel import SnrBreakdown, snr_exact, snr_upper, throughput
-from .timesplit import TimeSplitResult, lambert_w0, optimal_tau, search_tau
+The top level re-exports the names of the README's library example; every
+other name is imported from its module (wprelay.montecarlo, wprelay.analysis, ...).
+"""
+
+from .channel import SystemParams, sample_channel
+from .beamform import solve
+from .sysmodel import snr_exact, throughput
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelDecomposition", "ChannelState", "DegenerateChannelError",
-    "SystemParams", "build_beamformer", "decompose", "sample_channel",
-    "sample_channel_block", "BeamformerDesign", "solve",
-    "PerformanceEstimate", "SimulationError", "estimate", "sweep",
-    "SnrBreakdown", "snr_exact", "snr_upper", "throughput",
-    "TimeSplitResult", "lambert_w0", "optimal_tau", "search_tau",
-    "__version__",
-]
+__all__ = ["SystemParams", "sample_channel", "solve", "snr_exact", "throughput",
+           "__version__"]

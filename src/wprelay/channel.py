@@ -153,26 +153,17 @@ class ChannelDecomposition:
     """Projection scalars and SNR coefficients of one (channel, tau) pair.
 
     a, b, c: user-channel norm, parallel and perpendicular relay components.
-    cap_a, cap_c, cap_d: tau-free path coefficients.
     a0..d0: tau-dependent coefficients of the end-to-end SNR.
-    a1, b1, c1: coefficients of the user-directed (MRT) branch SNR.
-    decompose_block fills the per-trial fields with arrays, one entry per
-    trial.
+    decompose_block fills every field with arrays, one entry per trial.
     """
 
     a: float
     b: float
     c: float
-    cap_a: float
-    cap_c: float
-    cap_d: float
     a0: float
     b0: float
     c0: float
     d0: float
-    a1: float
-    b1: float
-    c1: float
 
 
 def _row_sq_norms(h: np.ndarray) -> np.ndarray:
@@ -286,17 +277,11 @@ def decompose_block(params: SystemParams, link: LinkStats, tau: float) -> Channe
     d1a = params.d1 ** params.alpha
     d2a = params.d2 ** params.alpha
     d3a = params.d3 ** params.alpha
-    cap_a = link.n1_sq / d1a ** 2
-    cap_c = link.h3_sq / (d1a * d3a)
-    cap_d = link.n2_sq / d2a ** 2
     scale = 2.0 * params.eta * tau * params.rho / (1.0 - tau)
-    c0 = scale * cap_c
-    d0 = scale * cap_d
+    c0 = scale * (link.h3_sq / (d1a * d3a))
+    d0 = scale * (link.n2_sq / d2a ** 2)
     return ChannelDecomposition(a=link.a, b=link.b, c=link.c,
-                                cap_a=cap_a, cap_c=cap_c, cap_d=cap_d,
-                                a0=scale * cap_a, b0=c0 * d0, c0=c0, d0=d0,
-                                a1=scale / d1a ** 2, b1=scale / (d1a * d3a),
-                                c1=scale / d2a ** 2)
+                                a0=scale * (link.n1_sq / d1a ** 2), b0=c0 * d0, c0=c0, d0=d0)
 
 
 def decompose(params: SystemParams, ch: ChannelState, tau: float) -> ChannelDecomposition:

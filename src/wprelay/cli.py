@@ -9,13 +9,19 @@ The strategy column carries variant tags such as "exact/N=2"; analytic
 curves appear as strategies ("analytic-exact", "analytic-high-snr",
 "lower-bound") with n_trials = 0. Re-running a recipe with the same seed
 writes byte-identical data rows regardless of worker count.
+
+Recipes are data: RECIPES maps each figure to a Recipe value, and one
+curve-major loop (_sweep) runs them all; custom runs it once per axis
+value, so its rows are axis-major.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import time
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +30,7 @@ import numpy as np
 from . import analysis, beamform, montecarlo, timesplit
 from .channel import SystemParams, decompose, sample_channel
 
-__all__ = ["main", "RECIPES", "default_params", "run_recipe", "run_verify"]
+__all__ = ["main", "RECIPES", "Recipe", "default_params", "run_recipe", "run_verify"]
 
 CSV_HEADER = "axis,strategy,metric,value,std_err,n_trials,seed"
 
@@ -52,255 +58,222 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _mc_rows(params: SystemParams, axis_name: str, values, strategy: str,
-             tag: str, trials: int, seed: int, metric: str,
-             tau: float | None, workers: int) -> list[dict]:
-    rows = []
-    for v in values:
-        p = replace(params, **{axis_name: v})
-        est = montecarlo.estimate(p, strategy, trials, seed, metric=metric,
-                                  tau=tau, workers=workers)
-        rows.append({"axis": v, "strategy": tag, "metric": metric,
-                     "value": est.value, "std_err": est.std_err,
-                     "n_trials": est.n_trials, "seed": seed})
-    return rows
-
-
-def _analytic_rows(params: SystemParams, axis_name: str, values, tag: str,
-                   metric: str, fn, seed: int) -> list[dict]:
-    rows = []
-    for v in values:
-        p = replace(params, **{axis_name: v})
-        rows.append({"axis": v, "strategy": tag, "metric": metric,
-                     "value": fn(p), "std_err": 0.0, "n_trials": 0,
-                     "seed": seed})
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# Recipes. Each returns (rows, summary_lines, all_checks_passed).
+# Recipes: sweeps as data, all run by _sweep.
 
-def _check_trend(name: str, ok: bool, lines: list[str]) -> bool:
-    lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}")
-    return ok
+# Analytic curve tags and the analysis function each calls as fn(params, tau).
+ANALYTIC = {"analytic-exact": "outage_exact", "analytic-high-snr": "outage_high_snr",
+            "lower-bound": "throughput_lower_bound"}
 
 
-def _recipe_fig4(params, trials, seed, workers):
-    """Throughput of all four beam designs vs transmit power, N in {2, 10}."""
-    params = replace(params, d1=20.0, d2=20.0, d3=2.0)
-    ps = [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
+@dataclass(frozen=True)
+class Recipe:
+    """One sweep: the points it visits, the curves it writes, its trend checks.
+
+    Each point is a dict of parameter overrides; its value under axis fills
+    the CSV axis column. Each curve is (tag, overrides, metric, tau); the
+    tag before the first "/" names a Monte Carlo strategy or an ANALYTIC
+    curve. A cell's parameters are the caller's with base, the curve's and
+    the point's overrides applied in that order. check(values, std_errs)
+    gets each tag's column in point order and returns (name, passed) pairs.
+    """
+
+    trials: int
+    axis: str
+    points: tuple
+    curves: tuple
+    check: Callable[[dict, dict], list[tuple[str, bool]]]
+    base: dict = field(default_factory=dict)
+
+
+def _sweep(recipe: Recipe, params: SystemParams, trials: int, seed: int,
+           workers: int) -> list[dict]:
+    """Rows of every curve at every point, curve-major."""
     rows = []
-    means = {}
-    for n in (2, 10):
-        for strat in ("exact", "suboptimal", "large-n", "mrt-user"):
-            p = replace(params, n_antennas=n)
-            got = _mc_rows(p, "ps_dbm", ps, strat, f"{strat}/N={n}",
-                           trials, seed, "throughput", None, workers)
-            rows.extend(got)
-            means[(n, strat)] = [r["value"] for r in got]
-    lines = []
-    ok = True
-    for n in (2, 10):
-        dominated = all(e >= s - 1e-12 for e, s in
-                        zip(means[(n, "exact")], means[(n, "suboptimal")]))
-        near = all(s >= 0.97 * e for e, s in
-                   zip(means[(n, "exact")], means[(n, "suboptimal")]))
-        ok &= _check_trend(f"N={n}: exact dominates suboptimal", dominated, lines)
-        ok &= _check_trend(f"N={n}: suboptimal within 3% of exact", near, lines)
-    return rows, lines, ok
-
-
-def _recipe_fig5(params, trials, seed, workers, variant_axis, variants):
-    """Suboptimal throughput vs relay->AP distance with d2 + d3 = 12 m."""
-    params = replace(params, n_antennas=20)
-    d2s = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
-    rows = []
-    lines = []
-    ok = True
-    for v in variants:
-        p = replace(params, **{variant_axis: v})
-        vals = []
-        for d2 in d2s:
-            q = replace(p, d2=d2, d3=12.0 - d2)
-            est = montecarlo.estimate(q, "suboptimal", trials, seed,
-                                      metric="throughput", workers=workers)
-            rows.append({"axis": d2, "strategy": f"suboptimal/{variant_axis}={v}",
-                         "metric": "throughput", "value": est.value,
-                         "std_err": est.std_err, "n_trials": est.n_trials,
+    for tag, overrides, metric, tau in recipe.curves:
+        kind = tag.split("/")[0]
+        for point in recipe.points:
+            p = replace(params, **{**recipe.base, **overrides, **point})
+            if kind in ANALYTIC:
+                value, std_err, n = getattr(analysis, ANALYTIC[kind])(p, tau), 0.0, 0
+            else:
+                est = montecarlo.estimate(p, kind, trials, seed, metric=metric,
+                                          tau=tau, workers=workers)
+                value, std_err, n = est.value, est.std_err, est.n_trials
+            rows.append({"axis": point[recipe.axis], "strategy": tag, "metric": metric,
+                         "value": value, "std_err": std_err, "n_trials": n,
                          "seed": seed})
-            vals.append(est.value)
-        interior = max(vals) >= max(vals[0], vals[-1])
-        ok &= _check_trend(f"{variant_axis}={v}: relay placement has an optimum",
-                           interior, lines)
-    return rows, lines, ok
+    return rows
 
 
-def _recipe_fig6(params, trials, seed, workers):
-    """Circuit-power impact on the suboptimal throughput."""
-    ps = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
-    rows = []
-    lines = []
-    curves = {}
-    for pc in (None, -30.0, -20.0):
-        p = replace(params, pc_dbm=pc)
-        tag = "suboptimal/pc=none" if pc is None else f"suboptimal/pc={pc:g}dBm"
-        got = _mc_rows(p, "ps_dbm", ps, "suboptimal", tag, trials, seed,
-                       "throughput", None, workers)
-        rows.extend(got)
-        curves[pc] = [r["value"] for r in got]
-    ok = True
-    for pc in (-30.0, -20.0):
-        below = all(c <= f + 1e-12 for c, f in zip(curves[pc], curves[None]))
-        ok &= _check_trend(f"pc={pc:g} dBm never beats free circuitry", below, lines)
-    gap_low = curves[None][0] - curves[-20.0][0]
-    gap_high = curves[None][-1] - curves[-20.0][-1]
-    ok &= _check_trend("circuit-power gap shrinks at high power",
-                       gap_high <= gap_low, lines)
-    return rows, lines, ok
+def _points(axis: str, values) -> tuple:
+    return tuple({axis: v} for v in values)
 
 
-def _recipe_fig7(params, trials, seed, workers, variant_axis, variants):
-    """Mean optimized harvest fraction vs transmit power."""
-    ps = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
-    rows = []
-    lines = []
-    ok = True
-    for v in variants:
-        p = replace(params, **{variant_axis: v})
-        got = _mc_rows(p, "ps_dbm", ps, "suboptimal",
-                       f"suboptimal/{variant_axis}={v}", trials, seed,
-                       "tau", None, workers)
-        rows.extend(got)
-        vals = [r["value"] for r in got]
-        ok &= _check_trend(f"{variant_axis}={v}: harvest fraction falls with power",
-                           all(a >= b for a, b in zip(vals, vals[1:])), lines)
-    return rows, lines, ok
+def _check_fig4(v, se):
+    out = []
+    for n in (2, 10):
+        pairs = list(zip(v[f"exact/N={n}"], v[f"suboptimal/N={n}"]))
+        out += [(f"N={n}: exact dominates suboptimal", all(e >= s - 1e-12 for e, s in pairs)),
+                (f"N={n}: suboptimal within 3% of exact", all(s >= 0.97 * e for e, s in pairs))]
+    return out
 
 
-def _recipe_fig8(params, trials, seed, workers, metric):
-    """Relay vs direct transmission in the far geometry (alpha = 3)."""
-    params = replace(params, d1=30.0, d2=16.0, d3=16.0, alpha=3.0)
-    tau = 0.5
-    ps = [-45.0, -35.0, -25.0, -10.0, 5.0, 20.0, 35.0] if metric == "throughput" \
-        else [14.0, 17.0, 20.0, 23.0, 26.0, 29.0, 32.0]
-    rows = []
-    for strat in ("mrt-user", "no-relay"):
-        rows.extend(_mc_rows(params, "ps_dbm", ps, strat, strat, trials, seed,
-                             metric, tau, workers))
-    relay = [r["value"] for r in rows if r["strategy"] == "mrt-user"]
-    direct = [r["value"] for r in rows if r["strategy"] == "no-relay"]
-    lines = []
-    if metric == "outage":
-        ok = _check_trend("relay outage never exceeds direct transmission",
-                          all(a <= b + 1e-12 for a, b in zip(relay, direct)), lines)
-    else:
-        ok = _check_trend("relay wins at low power", relay[0] >= direct[0], lines)
-        ok &= _check_trend("direct transmission wins at high power",
-                           direct[-1] >= relay[-1], lines)
-    return rows, lines, ok
+def _check_placement(v, se):
+    return [(f"{tag.split('/', 1)[1]}: relay placement has an optimum",
+             max(vals) >= max(vals[0], vals[-1])) for tag, vals in v.items()]
 
 
-def _recipe_fig9a(params, trials, seed, workers):
-    """Outage vs transmit power with exact and high-power analytic curves."""
-    tau = 0.5
-    ps = [-40.0, -35.0, -30.0, -25.0, -20.0]
-    rows = []
-    lines = []
-    ok = True
+def _check_circuit_power(v, se):
+    free, costly = v["suboptimal/pc=none"], v["suboptimal/pc=-20dBm"]
+    return [(f"pc={pc:g} dBm never beats free circuitry",
+             all(c <= f + 1e-12 for c, f in zip(v[f"suboptimal/pc={pc:g}dBm"], free)))
+            for pc in (-30.0, -20.0)] + [("circuit-power gap shrinks at high power",
+                                          free[-1] - costly[-1] <= free[0] - costly[0])]
+
+
+def _check_harvest_fraction(v, se):
+    return [(f"{tag.split('/', 1)[1]}: harvest fraction falls with power",
+             all(a >= b for a, b in zip(vals, vals[1:]))) for tag, vals in v.items()]
+
+
+def _check_relay_outage(v, se):
+    return [("relay outage never exceeds direct transmission",
+             all(a <= b + 1e-12 for a, b in zip(v["mrt-user"], v["no-relay"])))]
+
+
+def _check_relay_throughput(v, se):
+    relay, direct = v["mrt-user"], v["no-relay"]
+    return [("relay wins at low power", relay[0] >= direct[0]),
+            ("direct transmission wins at high power", direct[-1] >= relay[-1])]
+
+
+def _check_fig9a(v, se):
+    out = []
     for n in (2, 3):
-        p = replace(params, n_antennas=n)
-        mc = _mc_rows(p, "ps_dbm", ps, "mrt-user", f"mrt-user/N={n}",
-                      trials, seed, "outage", tau, workers)
-        ana = _analytic_rows(p, "ps_dbm", ps, f"analytic-exact/N={n}", "outage",
-                             lambda q: analysis.outage_exact(q, tau), seed)
-        hs = _analytic_rows(p, "ps_dbm", ps, f"analytic-high-snr/N={n}", "outage",
-                            lambda q: analysis.outage_high_snr(q, tau), seed)
-        rows.extend(mc + ana + hs)
-        close = True
-        for r_mc, r_an in zip(mc, ana):
-            if r_mc["std_err"] > 0:
-                close &= abs(r_mc["value"] - r_an["value"]) <= 3.5 * r_mc["std_err"]
-        ok &= _check_trend(f"N={n}: analytic outage tracks simulation", close, lines)
-        ok &= _check_trend(f"N={n}: outage falls with power",
-                           all(a >= b for a, b in
-                               zip([r["value"] for r in ana][:-1],
-                                   [r["value"] for r in ana][1:])), lines)
-    return rows, lines, ok
+        mc, ana = f"mrt-user/N={n}", v[f"analytic-exact/N={n}"]
+        close = all(abs(m - a) <= 3.5 * s for m, s, a in zip(v[mc], se[mc], ana) if s > 0)
+        out += [(f"N={n}: analytic outage tracks simulation", close),
+                (f"N={n}: outage falls with power", all(a >= b for a, b in zip(ana, ana[1:])))]
+    return out
 
 
-def _recipe_fig9b(params, trials, seed, workers, m4_mode="moment"):
-    """Mean throughput vs transmit power with the analytic lower bound."""
-    tau = 0.5
-    ps = [20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
-    rows = []
-    lines = []
-    ok = True
-    for n in (5, 10):
-        p = replace(params, n_antennas=n)
-        mc = _mc_rows(p, "ps_dbm", ps, "mrt-user", f"mrt-user/N={n}",
-                      trials, seed, "throughput", tau, workers)
-        lb = _analytic_rows(
-            p, "ps_dbm", ps, f"lower-bound/N={n}", "throughput",
-            lambda q: analysis.throughput_lower_bound(q, tau, m4_mode=m4_mode),
-            seed)
-        rows.extend(mc + lb)
-        below = all(b["value"] <= m["value"] + 3 * m["std_err"]
-                    for b, m in zip(lb, mc))
-        ok &= _check_trend(f"N={n}: lower bound stays below simulation", below, lines)
-    return rows, lines, ok
+def _check_fig9b(v, se):
+    return [(f"N={n}: lower bound stays below simulation",
+             all(b <= m + 3 * s for b, m, s in
+                 zip(v[f"lower-bound/N={n}"], v[f"mrt-user/N={n}"], se[f"mrt-user/N={n}"])))
+            for n in (5, 10)]
 
 
-def _recipe_custom(params, trials, seed, workers, axis, values, strategies,
-                   metric, tau):
+def _check_custom(axis: str, v, se):
+    return [(f"custom sweep over {axis} completed", True)]
+
+
+def _variants(axis: str, values, metric: str) -> tuple:
+    return tuple((f"suboptimal/{axis}={x}", {axis: x}, metric, None) for x in values)
+
+
+def _fig5(base: dict, axis: str, values) -> Recipe:
+    """Suboptimal throughput vs relay->AP distance with d2 + d3 = 12 m."""
+    d2s = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
+    return Recipe(2000, "d2", tuple({"d2": d2, "d3": 12.0 - d2} for d2 in d2s),
+                  _variants(axis, values, "throughput"), _check_placement,
+                  base={"n_antennas": 20, **base})
+
+
+def _fig7(axis: str, values) -> Recipe:
+    """Mean optimized harvest fraction vs transmit power."""
+    return Recipe(2000, "ps_dbm", _points("ps_dbm", (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)),
+                  _variants(axis, values, "tau"), _check_harvest_fraction)
+
+
+def _fig8(metric: str, trials: int, ps, check) -> Recipe:
+    """Relay vs direct transmission in the far geometry (alpha = 3)."""
+    return Recipe(trials, "ps_dbm", _points("ps_dbm", ps),
+                  tuple((s, {}, metric, 0.5) for s in ("mrt-user", "no-relay")), check,
+                  base={"d1": 30.0, "d2": 16.0, "d3": 16.0, "alpha": 3.0})
+
+
+RECIPES = {
+    # Throughput of all four beam designs vs transmit power, N in {2, 10}.
+    "fig4": Recipe(
+        200, "ps_dbm", _points("ps_dbm", (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)),
+        tuple((f"{s}/N={n}", {"n_antennas": n}, "throughput", None) for n in (2, 10)
+              for s in ("exact", "suboptimal", "large-n", "mrt-user")),
+        _check_fig4, base={"d1": 20.0, "d2": 20.0, "d3": 2.0}),
+    "fig5a": _fig5({}, "d1", (6.0, 8.0, 10.0)),
+    "fig5b": _fig5({"d1": 10.0}, "ps_dbm", (10.0, 20.0, 30.0)),
+    # Circuit-power impact on the suboptimal throughput.
+    "fig6": Recipe(
+        2000, "ps_dbm", _points("ps_dbm", (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+        tuple((f"suboptimal/pc={tag}", {"pc_dbm": pc}, "throughput", None)
+              for tag, pc in (("none", None), ("-30dBm", -30.0), ("-20dBm", -20.0))),
+        _check_circuit_power),
+    "fig7a": _fig7("n_antennas", (2, 10, 50)),
+    "fig7b": _fig7("d1", (10.0, 15.0, 20.0)),
+    "fig8a": _fig8("outage", 200000, (14.0, 17.0, 20.0, 23.0, 26.0, 29.0, 32.0),
+                   _check_relay_outage),
+    "fig8b": _fig8("throughput", 20000, (-45.0, -35.0, -25.0, -10.0, 5.0, 20.0, 35.0),
+                   _check_relay_throughput),
+    # Outage vs transmit power with exact and high-power analytic curves.
+    "fig9a": Recipe(
+        400000, "ps_dbm", _points("ps_dbm", (-40.0, -35.0, -30.0, -25.0, -20.0)),
+        tuple((f"{kind}/N={n}", {"n_antennas": n}, "outage", 0.5) for n in (2, 3)
+              for kind in ("mrt-user", "analytic-exact", "analytic-high-snr")),
+        _check_fig9a),
+    # Mean throughput vs transmit power with the analytic lower bound.
+    "fig9b": Recipe(
+        50000, "ps_dbm", _points("ps_dbm", (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)),
+        tuple((f"{kind}/N={n}", {"n_antennas": n}, "throughput", 0.5) for n in (5, 10)
+              for kind in ("mrt-user", "lower-bound")),
+        _check_fig9b),
+}
+
+
+def _custom_recipe(axis: str, values, strategies, metric: str, tau: float | None) -> Recipe:
     if not values:
         raise ValueError("custom recipe needs a non-empty --values list")
     if not strategies:
         raise ValueError("custom recipe needs a non-empty --strategies list")
-    rows = montecarlo.sweep(params, axis, values, strategies, trials, seed,
-                            metric=metric, tau=tau, workers=workers)
-    return rows, [f"[PASS] custom sweep over {axis} completed"], True
-
-
-RECIPES = {
-    "fig4": dict(fn=_recipe_fig4, trials=200),
-    "fig5a": dict(fn=lambda p, t, s, w: _recipe_fig5(p, t, s, w, "d1", [6.0, 8.0, 10.0]),
-                  trials=2000),
-    "fig5b": dict(fn=lambda p, t, s, w: _recipe_fig5(
-        replace_default(p, d1=10.0), t, s, w, "ps_dbm", [10.0, 20.0, 30.0]),
-        trials=2000),
-    "fig6": dict(fn=_recipe_fig6, trials=2000),
-    "fig7a": dict(fn=lambda p, t, s, w: _recipe_fig7(p, t, s, w, "n_antennas",
-                                                     [2, 10, 50]), trials=2000),
-    "fig7b": dict(fn=lambda p, t, s, w: _recipe_fig7(p, t, s, w, "d1",
-                                                     [10.0, 15.0, 20.0]), trials=2000),
-    "fig8a": dict(fn=lambda p, t, s, w: _recipe_fig8(p, t, s, w, "outage"),
-                  trials=200000),
-    "fig8b": dict(fn=lambda p, t, s, w: _recipe_fig8(p, t, s, w, "throughput"),
-                  trials=20000),
-    "fig9a": dict(fn=_recipe_fig9a, trials=400000),
-    "fig9b": dict(fn=_recipe_fig9b, trials=50000),
-}
-
-
-def replace_default(params: SystemParams, **kw) -> SystemParams:
-    return replace(params, **kw)
+    unknown = [s for s in strategies if s not in montecarlo.MC_STRATEGIES]
+    if unknown:  # analytic tags are curves of the figure recipes, not strategies
+        raise ValueError(f"unknown strategies {unknown}; expected some of "
+                         f"{montecarlo.MC_STRATEGIES}")
+    if axis == "n_antennas":
+        if not all(float(v).is_integer() for v in values):
+            raise ValueError(f"n_antennas values must be integers, got {values}")
+        values = [int(v) for v in values]
+    return Recipe(1000, axis, _points(axis, values),
+                  tuple((s, {}, metric, tau) for s in strategies), partial(_check_custom, axis))
 
 
 def run_recipe(name: str, params: SystemParams, trials: int | None, seed: int,
                out: Path, workers: int, custom: dict | None = None
                ) -> tuple[list[str], bool]:
+    """Run a recipe (custom takes its axis, values, strategies, metric and
+    tau from custom), write its CSV to out and return the check lines and
+    whether every check passed. trials None takes the recipe's default."""
     if name == "custom":
-        custom = custom or {}
-        rows, lines, ok = _recipe_custom(params, trials or 1000, seed, workers,
-                                         **custom)
+        recipe = _custom_recipe(**(custom or {}))
     elif name in RECIPES:
-        spec = RECIPES[name]
-        rows, lines, ok = spec["fn"](params, trials or spec["trials"], seed,
-                                     workers)
+        recipe = RECIPES[name]
     else:
         raise ValueError(f"unknown recipe {name!r}")
+    trials = recipe.trials if trials is None else trials
+    if name == "custom":  # axis-major: every strategy at one value, then the next value
+        rows = [row for point in recipe.points
+                for row in _sweep(replace(recipe, points=(point,)), params, trials,
+                                  seed, workers)]
+    else:
+        rows = _sweep(recipe, params, trials, seed, workers)
+    values, std_errs = {}, {}
+    for row in rows:
+        values.setdefault(row["strategy"], []).append(row["value"])
+        std_errs.setdefault(row["strategy"], []).append(row["std_err"])
+    checks = recipe.check(values, std_errs)
     _write_csv(out, rows)
-    return lines, ok
+    return [f"[{'PASS' if ok else 'FAIL'}] {check}" for check, ok in checks], \
+        all(ok for _, ok in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--out", type=Path, default=None)
     rp.add_argument("--config", default=None, help="flat key=value parameter file")
     rp.add_argument("--workers", type=int, default=1)
-    rp.add_argument("--axis", default="ps_dbm", help="custom recipe sweep field")
-    rp.add_argument("--values", default="", help="custom recipe axis values (csv)")
-    rp.add_argument("--strategies", default="", help="custom recipe strategies (csv)")
-    rp.add_argument("--metric", default="throughput", choices=montecarlo.METRICS)
+    # The sweep flags apply to the custom recipe only; None means not given.
+    rp.add_argument("--axis", default=None, choices=[f.name for f in fields(SystemParams)],
+                    help="custom recipe sweep field (default ps_dbm)")
+    rp.add_argument("--values", default=None, help="custom recipe axis values (csv)")
+    rp.add_argument("--strategies", default=None, help="custom recipe strategies (csv)")
+    rp.add_argument("--metric", default=None, choices=montecarlo.METRICS,
+                    help="custom recipe metric (default throughput)")
     rp.add_argument("--tau", type=float, default=None)
 
     vp = sub.add_parser("verify", help="run the cross-check suite")
@@ -412,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     params = default_params(args.config)
     if args.verb == "verify":
         lines, ok = run_verify(params, args.level, args.corrupt_m4)
@@ -421,12 +398,15 @@ def main(argv: list[str] | None = None) -> int:
 
     custom = None
     if args.recipe == "custom":
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-        if args.axis == "n_antennas":
-            values = [int(v) for v in values]
-        strategies = [s for s in args.strategies.split(",") if s.strip()]
-        custom = dict(axis=args.axis, values=values, strategies=strategies,
-                      metric=args.metric, tau=args.tau)
+        custom = dict(axis=args.axis or "ps_dbm",
+                      values=[float(v) for v in (args.values or "").split(",") if v.strip()],
+                      strategies=[s for s in (args.strategies or "").split(",") if s.strip()],
+                      metric=args.metric or "throughput", tau=args.tau)
+    else:
+        given = [f"--{f}" for f in ("axis", "values", "strategies", "metric", "tau")
+                 if getattr(args, f) is not None]
+        if given:
+            parser.error(f"{', '.join(given)} only apply to the custom recipe")
     out = args.out or Path(f"{args.recipe}.csv")
     t0 = time.time()
     lines, ok = run_recipe(args.recipe, params, args.trials, args.seed, out,

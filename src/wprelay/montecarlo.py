@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "PerformanceEstimate",
     "SimulationError",
     "estimate",
-    "sweep",
     "MC_STRATEGIES",
     "METRICS",
 ]
@@ -176,24 +175,3 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
 def _run_chunk_star(a):
     return _run_chunk(*a)
 
-
-def sweep(base_params: SystemParams, axis: str, values, strategies,
-          n_trials: int, master_seed: int, metric: str = "throughput",
-          tau: float | None = None, workers: int = 1,
-          chunk_size: int = _DEFAULT_CHUNK) -> list[dict]:
-    """Estimate a metric over a parameter sweep for several strategies.
-
-    Every (axis value, strategy) cell reuses the same seed, so strategies
-    see common random channels. Rows come back in deterministic order:
-    axis-major, then strategy.
-    """
-    rows = []
-    for v in values:
-        params = replace(base_params, **{axis: v})
-        for s in strategies:
-            est = estimate(params, s, n_trials, master_seed, metric=metric,
-                           tau=tau, workers=workers, chunk_size=chunk_size)
-            rows.append({"axis": v, "strategy": s, "metric": metric,
-                         "value": est.value, "std_err": est.std_err,
-                         "n_trials": est.n_trials, "seed": master_seed})
-    return rows

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from scipy import special
 
 __all__ = [
-    "EULER_GAMMA",
     "QuadratureSpec",
     "IntegrationError",
     "gamma_fn",
@@ -25,8 +24,6 @@ __all__ = [
     "bessel_k",
     "integrate_adaptive",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 class IntegrationError(RuntimeError):

@@ -30,10 +30,8 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _dec(a, b, c, cap_a, cap_c, cap_d):
-    return ChannelDecomposition(a=a, b=b, c=c, cap_a=cap_a, cap_c=cap_c,
-                                cap_d=cap_d, a0=cap_a, b0=cap_c * cap_d,
-                                c0=cap_c, d0=cap_d,
-                                a1=cap_a / (a * a), b1=cap_c, c1=cap_d)
+    return ChannelDecomposition(a=a, b=b, c=c, a0=cap_a, b0=cap_c * cap_d,
+                                c0=cap_c, d0=cap_d)
 
 
 def test_criterion_1_solver_vs_grid():

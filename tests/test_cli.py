@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from wprelay.cli import CSV_HEADER, RECIPES, default_params, main
+from wprelay.channel import SystemParams
+from wprelay.cli import CSV_HEADER, RECIPES, default_params, main, run_recipe
 
 
 def _read_rows(path):
@@ -63,6 +64,61 @@ def test_run_custom_empty_axis_fails(tmp_path):
     with pytest.raises(ValueError):
         main(["run", "custom", "--values", "", "--strategies", "mrt-user",
               "--out", str(out)])
+    assert not out.exists()
+
+
+def test_custom_rows_are_axis_major_and_repeatable(tmp_path):
+    params = SystemParams(n_antennas=4, d1=20.0, d2=15.0, d3=15.0, ps_dbm=30.0)
+    custom = dict(axis="ps_dbm", values=[10.0, 20.0], strategies=["mrt-user", "no-relay"],
+                  metric="throughput", tau=0.5)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run_recipe("custom", params, 2000, 23, a, 1, custom=custom)
+    run_recipe("custom", params, 2000, 23, b, 1, custom=custom)
+    assert [(r["axis"], r["strategy"]) for r in _read_rows(a)] == [
+        ("10.0", "mrt-user"), ("10.0", "no-relay"),
+        ("20.0", "mrt-user"), ("20.0", "no-relay")]
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("recipe", [
+    ["custom", "--values", "10", "--strategies", "mrt-user", "--tau", "0.5"],
+    ["fig8b"],
+])
+def test_zero_trials_fails(tmp_path, recipe):
+    out = tmp_path / "never.csv"
+    with pytest.raises(ValueError, match="n_trials"):
+        main(["run", *recipe, "--trials", "0", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep", [
+    ["--axis", "n_antennas", "--values", "2.7", "--strategies", "mrt-user"],
+    ["--values", "10", "--strategies", "mrt-user,analytic-exact"],
+], ids=["fractional-antenna-count", "analytic-tag-as-strategy"])
+def test_run_custom_bad_sweep_fails(tmp_path, sweep):
+    out = tmp_path / "never.csv"
+    with pytest.raises(ValueError):
+        main(["run", "custom", *sweep, "--tau", "0.5", "--trials", "100",
+              "--out", str(out)])
+    assert not out.exists()
+
+
+def test_run_custom_unknown_axis_fails(tmp_path):
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit):
+        main(["run", "custom", "--axis", "foo", "--values", "1",
+              "--strategies", "mrt-user", "--tau", "0.5", "--trials", "100",
+              "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--axis", "d1"], ["--values", "1"],
+                                  ["--strategies", "exact"], ["--metric", "outage"],
+                                  ["--tau", "0.9"]])
+def test_named_recipe_rejects_custom_flags(tmp_path, flag):
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit):
+        main(["run", "fig8b", "--trials", "4", *flag, "--out", str(out)])
     assert not out.exists()
 
 

@@ -1,5 +1,9 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import wprelay
 
 # Importing the package and its CLI pulls in scipy.special only; the other
 # scipy subpackages (integrate, stats, optimize, ...) cost tenths of a
@@ -14,6 +18,10 @@ print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy')
 
 
 def test_package_import_loads_no_scipy_beyond_special():
+    # The probe imports the same wprelay as this process, installed or not.
+    src = str(Path(wprelay.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                         check=True, timeout=120)
+                         check=True, timeout=120, env=env)
     assert out.stdout.strip() == "[]"

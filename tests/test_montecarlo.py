@@ -5,7 +5,7 @@ import pytest
 
 from wprelay.channel import ChannelState, SystemParams, sample_channel_block
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
-                                SimulationError, _block_values, estimate, sweep)
+                                SimulationError, _block_values, estimate)
 from wprelay.sysmodel import snr_exact, throughput
 
 PARAMS = SystemParams(n_antennas=4, d1=20.0, d2=15.0, d3=15.0, ps_dbm=30.0)
@@ -147,14 +147,3 @@ def test_input_validation():
         with pytest.raises(ValueError, match="workers"):
             estimate(PARAMS, "mrt-user", 100, 1, tau=0.5, workers=workers)
     assert "no-relay" in MC_STRATEGIES and "tau" in METRICS
-
-
-def test_sweep_rows_and_common_randomness():
-    rows = sweep(PARAMS, "ps_dbm", [10.0, 20.0], ["mrt-user", "no-relay"],
-                 2000, 23, metric="throughput", tau=0.5)
-    assert [(r["axis"], r["strategy"]) for r in rows] == [
-        (10.0, "mrt-user"), (10.0, "no-relay"),
-        (20.0, "mrt-user"), (20.0, "no-relay")]
-    again = sweep(PARAMS, "ps_dbm", [10.0, 20.0], ["mrt-user", "no-relay"],
-                  2000, 23, metric="throughput", tau=0.5)
-    assert rows == again
