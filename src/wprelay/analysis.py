@@ -29,16 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln
+from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, kve
 
-from .channel import SystemParams, sample_channel_block
-from .specfun import (QuadratureSpec, digamma, gamma_fn, bessel_k,
-                      integrate_adaptive, upper_incomplete_gamma)
+from .channel import BranchConstants, SystemParams, branch_constants, sample_channel_block
+from .specfun import QuadratureSpec, digamma, integrate_adaptive
 
 __all__ = [
     "BranchConstants",
@@ -53,7 +51,6 @@ __all__ = [
     "arbitrate_mean_relay_gain",
 ]
 
-_CDF_LARGE_SQRT = 600.0
 _OUTAGE_SLOP = 1e-9
 
 # Inner rules: _PANELS Gauss-Legendre panels of _PANEL_NODES nodes each,
@@ -66,29 +63,6 @@ _S_FLOOR = 1e-6  # s in [0, _S_FLOOR] is lumped into one node
 _T_FLOOR = 1e-9  # the t rule lumps at least [0, _T_FLOOR] into one node, so its
 # panels stay narrow as t* -> 0 at the edge of the outage region
 _MAX_ELEMENTS = 65536  # elements of the largest (x, s) temporary
-
-
-@dataclass(frozen=True)
-class BranchConstants:
-    """SNR coefficients of the three branches for one (params, tau) pair."""
-
-    n_antennas: int
-    a1: float
-    b1: float
-    c1: float
-
-
-def branch_constants(params: SystemParams, tau: float) -> BranchConstants:
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    scale = 2.0 * params.eta * tau * params.rho / (1.0 - tau)
-    d1a = params.d1 ** params.alpha
-    return BranchConstants(
-        n_antennas=params.n_antennas,
-        a1=scale / d1a ** 2,
-        b1=scale / (d1a * params.d3 ** params.alpha),
-        c1=scale / params.d2 ** (2 * params.alpha),
-    )
 
 
 @functools.cache
@@ -161,30 +135,24 @@ def branch_cdfs(params: SystemParams, tau: float) -> dict[str, Callable[[float],
     """CDF callables of the three SNR branches, keyed by branch name."""
     bc = branch_constants(params, tau)
     n = bc.n_antennas
-    gamma_n = gamma_fn(float(n))
 
     def cdf_direct(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return 1.0 - upper_incomplete_gamma(float(n), math.sqrt(x / bc.a1)) / gamma_n
+        return float(gammainc(n, math.sqrt(x / bc.a1))) if x > 0.0 else 0.0
 
     def cdf_user_relay(x: float) -> float:
-        # product of a Gamma(N) and an exponential variate
+        # product of a Gamma(N) and an exponential variate: 1 - sum over m < N of
+        # T_m = 2 t^((m+1)/2) K_{m-1}(2 sqrt t) / m!, t = x / b1, K_{-1} = K_1. ln T_m
+        # and r_m = K_m / K_{m-1} run upward (the stable direction for K): 1/m!
+        # underflows from m = 171 and K_m(2 sqrt t) overflows at large m and small t.
         if x <= 0.0:
             return 0.0
-        t = x / bc.b1
-        rt = math.sqrt(t)
-        if 2.0 * rt >= _CDF_LARGE_SQRT:
-            return 1.0
-        acc = 0.0
-        inv_mfact = 1.0
-        tp = rt  # t^((m+1)/2)
+        rt = math.sqrt(x / bc.b1)
+        k0, k1 = kve(0, 2.0 * rt), kve(1, 2.0 * rt)  # K_v(2 rt) e^(2 rt)
+        log_term, ratio, acc = math.log(2.0 * rt * k1) - 2.0 * rt, k0 / k1, 0.0
         for m in range(n):
-            if m > 0:
-                inv_mfact /= m
-            order = abs(m - 1)  # K_{-1} = K_1
-            acc += 2.0 * inv_mfact * tp * bessel_k(order, 2.0 * rt)
-            tp *= rt
+            acc += math.exp(log_term)
+            log_term += math.log(rt * ratio / (m + 1))
+            ratio = 1.0 / ratio + m / rt
         return min(1.0, max(0.0, 1.0 - acc))
 
     def cdf_relay_ap(x: float) -> float:
@@ -197,29 +165,16 @@ def branch_cdfs(params: SystemParams, tau: float) -> dict[str, Callable[[float],
 
 
 def branch_moments(params: SystemParams, tau: float, order: int = 1) -> dict[str, float]:
-    """n-th raw moment of each SNR branch (finite sums and a closed form)."""
+    """n-th raw moment of each SNR branch, in closed form."""
     if order < 1:
         raise ValueError("order must be >= 1")
     bc = branch_constants(params, tau)
     n_ant = bc.n_antennas
     n = order
-
-    acc = 0.0
-    inv_mfact = 1.0
-    for m in range(n_ant):
-        if m > 0:
-            inv_mfact /= m
-        acc += gamma_fn(float(2 * n + m)) * inv_mfact
-    direct = 2.0 * n * bc.a1 ** n * acc
-
-    acc = 0.0
-    inv_mfact = 1.0
-    for m in range(n_ant):
-        if m > 0:
-            inv_mfact /= m
-        acc += gamma_fn(float(m + n)) * inv_mfact
-    user_relay = n * bc.b1 ** n * gamma_fn(float(n + 1)) * acc
-
+    # ||h1||^2 ~ Gamma(N) and |h3|^2 ~ Exp(1): E[y^k] = Gamma(N+k) / Gamma(N), E[mu^n] = n!
+    direct = bc.a1 ** n * math.exp(math.lgamma(n_ant + 2 * n) - math.lgamma(n_ant))
+    user_relay = bc.b1 ** n * math.exp(math.lgamma(n + 1) + math.lgamma(n_ant + n)
+                                       - math.lgamma(n_ant))
     if n_ant >= 2:
         # z = v r^2 with v ~ Beta(1, N-1) and r = ||h2||^2 ~ Gamma(N)
         # independent: E[z^n] = E[v^n] E[r^2n] = n! Gamma(N+2n) / Gamma(N+n).
@@ -288,15 +243,14 @@ def outage_high_snr(params: SystemParams, tau: float) -> float:
     hop stops being the bottleneck. Clipped to 1 where the approximation
     exceeds a probability.
     """
-    n = params.n_antennas
+    bc = branch_constants(params, tau)
+    n = bc.n_antennas
     if n < 2:
         raise ValueError("high-SNR outage needs at least 2 antennas")
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    d1a = params.d1 ** params.alpha
-    base = (1.0 - tau) * d1a * d1a * params.gamma_th / (2.0 * params.eta * tau * params.rho)
-    lead = 2.0 * params.d3 ** params.alpha / (d1a * gamma_fn(float(n)) * (n + 1) * (n - 1))
-    return min(1.0, lead * base ** ((n + 1) / 2.0))
+    # 2 (d3/d1)^alpha / (Gamma(N) (N+1) (N-1)) * (gamma_th / a1)^((N+1)/2), d3^a/d1^a = a1/b1
+    log_val = (math.log(2.0 * bc.a1 / (bc.b1 * (n + 1) * (n - 1))) - math.lgamma(n)
+               + 0.5 * (n + 1) * math.log(params.gamma_th / bc.a1))
+    return 1.0 if log_val >= 0.0 else math.exp(log_val)
 
 
 def mean_relay_gain(params: SystemParams, tau: float, m4_mode: str = "moment") -> float:

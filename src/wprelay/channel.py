@@ -1,4 +1,8 @@
-"""Scenario parameters, Rayleigh channel sampling and geometric decomposition.
+"""Scenario parameters, the branch SNR coefficients, Rayleigh channel
+sampling and geometric decomposition.
+
+Channels come from one counter-based sampler, sample_channel_block: trial t
+of a seed is the same channel whichever block or single draw asks for it.
 
 The downlink beam is a mix of two orthonormal directions derived from the
 user channel h1 and the relay channel h2: the component of h2* along h1*
@@ -21,6 +25,8 @@ __all__ = [
     "DEFAULT_NOISE_DBM",
     "SystemParams",
     "ChannelState",
+    "BranchConstants",
+    "branch_constants",
     "ChannelDecomposition",
     "LinkStats",
     "DegenerateChannelError",
@@ -69,7 +75,14 @@ class SystemParams:
     pc_dbm: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_antennas < 1:
+        n = self.n_antennas
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_antennas must be an integer, got {n!r}")
+        for f in fields(self)[1:]:  # the float fields
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if n < 1:
             raise ValueError("n_antennas must be >= 1")
         for name in ("d1", "d2", "d3"):
             if getattr(self, name) <= 0:
@@ -133,6 +146,33 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
+class BranchConstants:
+    """SNR coefficients of the three branches for one (params, tau) pair:
+    gamma = a1 ||h1||^4 (direct), b1 ||h1||^2 |h3|^2 (user->relay) and
+    c1 |h1^H h2|^2 ||h2||^2 / ||h1||^2 (relay->AP) for the user beam."""
+
+    n_antennas: int
+    a1: float
+    b1: float
+    c1: float
+
+
+def branch_constants(params: SystemParams, tau: float) -> BranchConstants:
+    """The one source of the tau-dependent SNR coefficients: 2 eta tau rho / (1 - tau)
+    over the path losses of each branch."""
+    if not (0.0 < tau < 1.0):
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    scale = 2.0 * params.eta * tau * params.rho / (1.0 - tau)
+    d1a = params.d1 ** params.alpha
+    return BranchConstants(
+        n_antennas=params.n_antennas,
+        a1=scale / d1a ** 2,
+        b1=scale / (d1a * params.d3 ** params.alpha),
+        c1=scale / params.d2 ** (2 * params.alpha),
+    )
+
+
+@dataclass(frozen=True)
 class ChannelState:
     """One block-fading realization: h1 user->AP, h2 relay->AP, h3 user->relay."""
 
@@ -183,7 +223,8 @@ class LinkStats:
     the perpendicular radicand ||h2||^2 - b^2 falls below minus the
     rounding slop. Where the radicand is within that slop of zero it
     cannot tell a small c from none, so c is taken there from the
-    perpendicular vector itself and zeroed with build_beamformer's cut-off.
+    perpendicular vector itself and zeroed below _PERP_TOL times
+    max(||h2||, 1); build_beamformer's parallel-only case is c == 0.
     Indexing applies the index to every field.
     """
 
@@ -235,16 +276,6 @@ class LinkStats:
         return LinkStats(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
-def sample_channel(params: SystemParams, rng: Generator) -> ChannelState:
-    """Draw one realization with i.i.d. CN(0, 1) entries from rng."""
-    n = params.n_antennas
-    z = rng.standard_normal(4 * n + 2)
-    h1 = (z[0:n] + 1j * z[n:2 * n]) / math.sqrt(2.0)
-    h2 = (z[2 * n:3 * n] + 1j * z[3 * n:4 * n]) / math.sqrt(2.0)
-    h3 = complex(z[4 * n], z[4 * n + 1]) / math.sqrt(2.0)
-    return ChannelState(h1=h1, h2=h2, h3=h3)
-
-
 def sample_channel_block(params: SystemParams, master_seed: int, start: int, stop: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channels for trials [start, stop) of a counter-based stream.
@@ -270,18 +301,20 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     return h1, h2, h3
 
 
+def sample_channel(params: SystemParams, seed: int, trial: int = 0) -> ChannelState:
+    """Channel of trial `trial` of the stream keyed by seed: one row of
+    sample_channel_block(params, seed, trial, trial + 1)."""
+    h1, h2, h3 = sample_channel_block(params, seed, trial, trial + 1)
+    return ChannelState(h1=h1[0], h2=h2[0], h3=complex(h3[0]))
+
+
 def decompose_block(params: SystemParams, link: LinkStats, tau: float) -> ChannelDecomposition:
     """Projection scalars plus every SNR coefficient set, per trial."""
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    d1a = params.d1 ** params.alpha
-    d2a = params.d2 ** params.alpha
-    d3a = params.d3 ** params.alpha
-    scale = 2.0 * params.eta * tau * params.rho / (1.0 - tau)
-    c0 = scale * (link.h3_sq / (d1a * d3a))
-    d0 = scale * (link.n2_sq / d2a ** 2)
+    bc = branch_constants(params, tau)
+    c0 = bc.b1 * link.h3_sq
+    d0 = bc.c1 * link.n2_sq
     return ChannelDecomposition(a=link.a, b=link.b, c=link.c,
-                                a0=scale * (link.n1_sq / d1a ** 2), b0=c0 * d0, c0=c0, d0=d0)
+                                a0=bc.a1 * link.n1_sq, b0=c0 * d0, c0=c0, d0=d0)
 
 
 def decompose(params: SystemParams, ch: ChannelState, tau: float) -> ChannelDecomposition:
@@ -298,19 +331,10 @@ def build_beamformer(ch: ChannelState, x_bar: float) -> np.ndarray:
     """
     if not (0.0 <= x_bar <= 1.0):
         raise ValueError(f"x_bar must lie in [0, 1], got {x_bar}")
-    n1_sq = float(np.vdot(ch.h1, ch.h1).real)
-    if n1_sq == 0.0:
-        raise DegenerateChannelError("h1 vanishes; no beam direction exists")
-    inner = complex(np.vdot(ch.h1, ch.h2))  # h1^H h2
-    par = np.conj(ch.h1) * np.conj(inner) / n1_sq  # component of h2* along h1*
-    par_norm = abs(inner) / math.sqrt(n1_sq)
-    if par_norm < 1e-300:
-        u_par = np.conj(ch.h1) / math.sqrt(n1_sq)
-    else:
-        u_par = par / par_norm
-    perp = np.conj(ch.h2) - par
-    perp_norm = float(np.linalg.norm(perp))
-    n2 = float(np.linalg.norm(ch.h2))
-    if perp_norm <= _PERP_TOL * max(n2, 1.0):
+    link = LinkStats.of(ch)[0]
+    par = np.conj(ch.h1) * np.conj(link.inner) / link.n1_sq  # component of h2* along h1*
+    u_par = np.conj(ch.h1) / link.a if link.b < 1e-300 else par / link.b
+    if link.c == 0.0:
         return u_par
-    return x_bar * u_par + math.sqrt(max(0.0, 1.0 - x_bar * x_bar)) * perp / perp_norm
+    perp = np.conj(ch.h2) - par
+    return x_bar * u_par + math.sqrt(max(0.0, 1.0 - x_bar * x_bar)) * perp / np.linalg.norm(perp)

@@ -220,3 +220,55 @@ def test_relay_ap_moments_closed_form_at_large_n():
         assert branch_moments(p, TAU)["relay-ap"] == pytest.approx(c1 * (n + 1), rel=1e-12)
         assert branch_moments(p, TAU, order=2)["relay-ap"] == \
             pytest.approx(2 * c1 ** 2 * (n + 2) * (n + 3), rel=1e-12)
+
+
+def _gamma_oracle(n, f):
+    """E[f(y)] for y ~ Gamma(N), by mpmath quadrature."""
+    with mp.workdps(30):
+        pdf = lambda y: mp.exp((n - 1) * mp.log(y) - y - mp.loggamma(n))
+        return mp.quad(lambda y: pdf(y) * f(y), [0, n - 5 * mp.sqrt(n), n,
+                                                 n + 5 * mp.sqrt(n), mp.inf])
+
+
+@pytest.mark.parametrize("n", [172, 200])
+def test_branch_moments_beyond_factorial_range(n):
+    # Gamma(N) and 1/m! leave the double range from N = 172
+    p = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0)
+    bc = branch_constants(p, TAU)
+    for order in (1, 2):
+        mom = branch_moments(p, TAU, order=order)
+        ey2 = _gamma_oracle(n, lambda y: y ** (2 * order))
+        ey = _gamma_oracle(n, lambda y: y ** order)
+        assert mom["direct"] == pytest.approx(float(bc.a1 ** order * ey2), rel=1e-10)
+        assert mom["user-relay"] == pytest.approx(
+            float(bc.b1 ** order * math.factorial(order) * ey), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [172, 200])
+def test_branch_cdfs_beyond_factorial_range(n):
+    p = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0)
+    bc = branch_constants(p, TAU)
+    cdfs = branch_cdfs(p, TAU)
+    for c in (0.01, 0.5, 1.0, 2.0, 5.0):
+        # ||h1||^4 <= x / a1 and ||h1||^2 |h3|^2 <= x / b1, |h3|^2 ~ Exp(1)
+        y = c * n
+        with mp.workdps(30):
+            direct = float(mp.gammainc(n, 0, mp.sqrt(c) * n, regularized=True))
+        user_relay = float(1 - _gamma_oracle(n, lambda v: mp.exp(-y / v)))
+        assert cdfs["direct"](bc.a1 * y * n) == pytest.approx(direct, abs=1e-12)
+        assert cdfs["user-relay"](bc.b1 * y) == pytest.approx(user_relay, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [172, 200])
+def test_high_snr_outage_beyond_factorial_range(n):
+    # gamma_th puts the approximation at 0.1, where Gamma(N) overflows a double
+    p = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0)
+    bc = branch_constants(p, TAU)
+    with mp.workdps(30):
+        lead = (2 * (mp.mpf(p.d3) / p.d1) ** p.alpha
+                / (mp.gamma(n) * (n + 1) * (n - 1)))
+        base = (mp.mpf("0.1") / lead) ** (mp.mpf(2) / (n + 1))
+        gth_db = float(10 * mp.log10(base * bc.a1))
+    q = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0,
+                     gamma_th_db=gth_db)
+    assert outage_high_snr(q, TAU) == pytest.approx(0.1, rel=1e-9)

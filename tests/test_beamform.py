@@ -21,10 +21,9 @@ def _synthetic_dec(a, b, c, cap_a, cap_c, cap_d):
 
 
 def test_suboptimal_beats_fine_grid():
-    rng = np.random.default_rng(0)
     xs = np.linspace(0.0, 1.0, 50001)
-    for _ in range(300):
-        ch = sample_channel(PARAMS, rng)
+    for k in range(300):
+        ch = sample_channel(PARAMS, 0, k)
         dec = decompose(PARAMS, ch, 0.5)
         x_opt, val, scenario, case = solve_suboptimal_xbar(dec)
         assert 0.0 <= x_opt <= 1.0
@@ -35,8 +34,7 @@ def test_suboptimal_beats_fine_grid():
 
 
 def test_suboptimal_value_is_min_of_branches():
-    rng = np.random.default_rng(1)
-    ch = sample_channel(PARAMS, rng)
+    ch = sample_channel(PARAMS, 1)
     dec = decompose(PARAMS, ch, 0.5)
     x_opt, val, _, _ = solve_suboptimal_xbar(dec)
     assert val == pytest.approx(min(float(branch_user_hop(dec, x_opt)),
@@ -72,8 +70,7 @@ def test_suboptimal_orthogonal_channels():
 
 
 def test_solve_suboptimal_time_split_consistent():
-    rng = np.random.default_rng(2)
-    ch = sample_channel(PARAMS, rng)
+    ch = sample_channel(PARAMS, 2)
     design = solve_suboptimal(PARAMS, ch)
     assert 0.0 < design.tau < 1.0
     # the reported SNR equals the tau-free coefficient scaled by tau/(1-tau)
@@ -83,9 +80,8 @@ def test_solve_suboptimal_time_split_consistent():
 
 
 def test_exact_dominates_everything():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        ch = sample_channel(PARAMS, rng)
+    for k in range(10):
+        ch = sample_channel(PARAMS, 3, k)
         best = solve_exact(PARAMS, ch)
         t_best = throughput(snr_exact(PARAMS, ch, best.w, best.tau).gamma_total,
                             best.tau)
@@ -96,8 +92,7 @@ def test_exact_dominates_everything():
 
 
 def test_exact_result_is_locally_optimal():
-    rng = np.random.default_rng(4)
-    ch = sample_channel(PARAMS, rng)
+    ch = sample_channel(PARAMS, 4)
     d = solve_exact(PARAMS, ch)
     base = throughput(snr_exact(PARAMS, ch, d.w, d.tau).gamma_total, d.tau)
     from wprelay.channel import build_beamformer
@@ -114,10 +109,9 @@ def test_exact_result_is_locally_optimal():
 
 def test_large_n_approaches_exact():
     params = SystemParams(n_antennas=48, d1=20.0, d2=20.0, d3=2.0, ps_dbm=40.0)
-    rng = np.random.default_rng(5)
     te_sum = tl_sum = 0.0
-    for _ in range(40):
-        ch = sample_channel(params, rng)
+    for k in range(40):
+        ch = sample_channel(params, 5, k)
         de = solve_exact(params, ch)
         dl = solve_large_n(params, ch)
         te_sum += throughput(snr_exact(params, ch, de.w, de.tau).gamma_total,
@@ -128,8 +122,7 @@ def test_large_n_approaches_exact():
 
 
 def test_mrt_user_beam_and_tau():
-    rng = np.random.default_rng(6)
-    ch = sample_channel(PARAMS, rng)
+    ch = sample_channel(PARAMS, 6)
     fixed = solve_mrt_user(PARAMS, ch, tau=0.37)
     assert fixed.tau == 0.37
     assert fixed.x_bar == 1.0
@@ -143,8 +136,7 @@ def test_mrt_user_beam_and_tau():
 
 
 def test_solve_dispatch():
-    rng = np.random.default_rng(7)
-    ch = sample_channel(PARAMS, rng)
+    ch = sample_channel(PARAMS, 7)
     for strategy in STRATEGIES:
         d = solve(strategy, PARAMS, ch)
         assert isinstance(d, BeamformerDesign)

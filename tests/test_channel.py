@@ -31,6 +31,17 @@ def test_params_validation():
         SystemParams(n_antennas=2, d1=1, d2=1, d3=1, eta=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_antennas", 2.5), ("n_antennas", 2.0), ("n_antennas", True),
+    ("ps_dbm", math.nan), ("d1", math.nan), ("d3", math.inf), ("alpha", math.nan),
+    ("eta", math.nan), ("noise_dbm", -math.inf), ("gamma_th_db", math.nan),
+    ("pc_dbm", math.inf),
+])
+def test_params_reject_non_integer_antennas_and_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        SystemParams(**{"n_antennas": 2, "d1": 1.0, "d2": 1.0, "d3": 1.0, field: value})
+
+
 def test_params_linear_properties():
     assert PARAMS.rho == pytest.approx(10 ** ((40.0 - PARAMS.noise_dbm) / 10))
     assert PARAMS.gamma_th == pytest.approx(1.0)
@@ -64,11 +75,21 @@ def test_from_config_rejects_unknown_key(tmp_path):
 
 
 def test_sample_channel_statistics():
-    rng = np.random.default_rng(0)
-    h1 = np.array([sample_channel(PARAMS, rng).h1 for _ in range(4000)])
+    h1 = np.array([sample_channel(PARAMS, 0, k).h1 for k in range(4000)])
     assert abs(h1.mean()) < 0.02
     assert np.var(h1.real) == pytest.approx(0.5, abs=0.02)
     assert np.var(h1.imag) == pytest.approx(0.5, abs=0.02)
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_sample_channel_is_a_row_of_the_block(n):
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
+    h1, h2, h3 = sample_channel_block(params, 11, 0, 200)
+    for t in (0, 1, 137):
+        ch = sample_channel(params, 11, t)
+        assert np.array_equal(ch.h1, h1[t]) and np.array_equal(ch.h2, h2[t])
+        assert ch.h3 == h3[t]
+    assert np.array_equal(sample_channel(params, 11).h1, h1[0])
 
 
 def test_block_sampling_chunk_invariant():
@@ -95,9 +116,8 @@ def test_block_sampling_statistics():
 
 
 def test_decompose_identities():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        ch = sample_channel(PARAMS, rng)
+    for k in range(50):
+        ch = sample_channel(PARAMS, 3, k)
         dec = decompose(PARAMS, ch, 0.4)
         assert dec.a == pytest.approx(np.linalg.norm(ch.h1), rel=1e-12)
         assert dec.b <= np.linalg.norm(ch.h2) + 1e-12
@@ -107,17 +127,15 @@ def test_decompose_identities():
 
 
 def test_decompose_rejects_bad_tau():
-    rng = np.random.default_rng(4)
-    ch = sample_channel(PARAMS, rng)
+    ch = sample_channel(PARAMS, 4)
     for tau in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             decompose(PARAMS, ch, tau)
 
 
 def test_beamformer_projection_scalars():
-    rng = np.random.default_rng(5)
-    for x_bar in (0.0, 0.25, 0.6, 1.0):
-        ch = sample_channel(PARAMS, rng)
+    for k, x_bar in enumerate((0.0, 0.25, 0.6, 1.0)):
+        ch = sample_channel(PARAMS, 5, k)
         dec = decompose(PARAMS, ch, 0.5)
         w = build_beamformer(ch, x_bar)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
@@ -137,8 +155,7 @@ def test_beamformer_collinear_channel():
 
 
 def test_beamformer_rejects_bad_inputs():
-    rng = np.random.default_rng(6)
-    ch = sample_channel(PARAMS, rng)
+    ch = sample_channel(PARAMS, 6)
     with pytest.raises(ValueError):
         build_beamformer(ch, 1.5)
     zero = ChannelState(h1=np.zeros(3, complex), h2=np.ones(3, complex), h3=1j)
