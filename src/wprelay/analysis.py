@@ -33,10 +33,10 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, kve
+from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, kve, psi
 
-from .channel import BranchConstants, SystemParams, branch_constants, sample_channel_block
-from .specfun import QuadratureSpec, digamma, integrate_adaptive
+from .channel import BranchConstants, SystemParams, branch_constants
+from .specfun import integrate_adaptive
 
 __all__ = [
     "BranchConstants",
@@ -47,8 +47,6 @@ __all__ = [
     "outage_exact",
     "outage_high_snr",
     "throughput_lower_bound",
-    "mean_relay_gain",
-    "arbitrate_mean_relay_gain",
 ]
 
 _OUTAGE_SLOP = 1e-9
@@ -186,8 +184,7 @@ def branch_moments(params: SystemParams, tau: float, order: int = 1) -> dict[str
     return {"direct": direct, "user-relay": user_relay, "relay-ap": relay_ap}
 
 
-def outage_exact(params: SystemParams, tau: float,
-                 quad: QuadratureSpec | None = None) -> float:
+def outage_exact(params: SystemParams, tau: float) -> float:
     """Outage probability of the user-directed beam at threshold gamma_th.
 
     The direct branch alone clears the threshold unless ||h1||^2 falls
@@ -196,16 +193,16 @@ def outage_exact(params: SystemParams, tau: float,
     the relayed term misses G whenever its first hop b1*y*mu already
     falls short (mu < mu0), or otherwise when the relay->AP mix falls
     below chi = G/c1 + t*/t, with t = mu - mu0 and t* = G(G+1)/(b1 c1 y).
-    The outer integral over y is adaptive (quad); the inner one over t is
-    a fixed rule on panels equally spaced in ln t between the t at which
-    the mix CDF saturates at 1 and exp(-t) becomes negligible.
+    The outer integral over y is adaptive (specfun.integrate_adaptive at its
+    default tolerances); the inner one over t is a fixed rule on panels
+    equally spaced in ln t between the t at which the mix CDF saturates at
+    1 and exp(-t) becomes negligible.
     """
     bc = branch_constants(params, tau)
     n = bc.n_antennas
     if n < 2:
         raise ValueError("outage analysis needs at least 2 antennas")
     gth = params.gamma_th
-    quad = quad or QuadratureSpec()
     y_max = math.sqrt(gth / bc.a1)
     log_gamma_n = math.lgamma(n)
     saturation = _mix_rule(n)[2]
@@ -230,7 +227,7 @@ def outage_exact(params: SystemParams, tau: float,
         second = float(relay_mix_cdf(a + t_star / t, n) @ w)
         return (-math.expm1(-mu0) + math.exp(-mu0) * second) * weight
 
-    val = integrate_adaptive(integrand, 0.0, y_max, quad)
+    val = integrate_adaptive(integrand, 0.0, y_max)
     if val < -_OUTAGE_SLOP or val > 1.0 + _OUTAGE_SLOP:
         raise ValueError(f"outage estimate {val} escapes [0, 1]")
     return min(1.0, max(0.0, val))
@@ -253,67 +250,25 @@ def outage_high_snr(params: SystemParams, tau: float) -> float:
     return 1.0 if log_val >= 0.0 else math.exp(log_val)
 
 
-def mean_relay_gain(params: SystemParams, tau: float, m4_mode: str = "moment") -> float:
-    """First moment of the user->relay branch used inside the throughput bound.
-
-    "moment" is the first raw moment b1 * N of gamma_ur. "printed" keeps
-    an alternative form b1 * N * (N - 1) / 2 that disagrees with the
-    moment for N != 3; it exists so the verification tooling can
-    demonstrate the discrepancy against simulation.
-    """
-    bc = branch_constants(params, tau)
-    n = bc.n_antennas
-    if m4_mode == "moment":
-        return bc.b1 * n
-    if m4_mode == "printed":
-        return bc.b1 * n * (n - 1) / 2.0
-    raise ValueError(f"unknown m4_mode {m4_mode!r}")
-
-
-def arbitrate_mean_relay_gain(params: SystemParams, tau: float,
-                              n_trials: int = 200_000,
-                              master_seed: int = 20260823) -> dict[str, float]:
-    """Simulated first moment of gamma_ur next to both closed-form candidates.
-
-    Returns the estimate, its standard error, both candidate values and
-    the absolute z-scores, so callers can pick the candidate consistent
-    with simulation.
-    """
-    bc = branch_constants(params, tau)
-    h1, _, h3 = sample_channel_block(params, master_seed, 0, n_trials)
-    gains = bc.b1 * np.sum(np.abs(h1) ** 2, axis=1) * np.abs(h3) ** 2
-    est = float(np.mean(gains))
-    se = float(np.std(gains, ddof=1) / math.sqrt(n_trials))
-    cand_moment = mean_relay_gain(params, tau, "moment")
-    cand_printed = mean_relay_gain(params, tau, "printed")
-    return {
-        "estimate": est,
-        "std_err": se,
-        "moment": cand_moment,
-        "printed": cand_printed,
-        "z_moment": abs(est - cand_moment) / se,
-        "z_printed": abs(est - cand_printed) / se,
-    }
-
-
-def throughput_lower_bound(params: SystemParams, tau: float,
-                           m4_mode: str = "moment") -> float:
+def throughput_lower_bound(params: SystemParams, tau: float) -> float:
     """Jensen-type lower bound on the mean throughput of the user beam.
 
     Built from the log-moments of the three branches plus the first
-    moments of the two relay hops; see mean_relay_gain for m4_mode.
+    moments of the two relay hops. The user->relay one is exact:
+    ||h1||^2 ~ Gamma(N) and |h3|^2 ~ Exp(1) are independent, so
+    E[gamma_ur] = b1 * N.
     """
     bc = branch_constants(params, tau)
     n = bc.n_antennas
     if n < 2:
         raise ValueError("throughput bound needs at least 2 antennas")
     harmonic = sum(1.0 / m for m in range(1, n))
-    psi1 = digamma(1.0)
+    psi1 = float(psi(1.0))
     m1 = math.log(bc.a1) + 2.0 * psi1 + 2.0 * harmonic
     m2 = math.log(bc.b1) + 2.0 * psi1 + harmonic
     # E[ln z] = E[ln v] + 2 E[ln r] = psi(1) + psi(N), z = v r^2 as in branch_moments
     m3 = math.log(bc.c1) + 2.0 * psi1 + harmonic
-    m4 = mean_relay_gain(params, tau, m4_mode)
+    m4 = bc.b1 * n
     m5 = branch_moments(params, tau, order=1)["relay-ap"]
     relayed = math.exp(m2 + m3 - math.log1p(m4 + m5))
     return 0.5 * (1.0 - tau) * math.log2(1.0 + math.exp(m1) + relayed)

@@ -57,8 +57,9 @@ _REF_TAU = 0.5  # scale(0.5) = 2*eta*rho, so SNR here equals the tau-free kappa
 # Halving [x_hat, 1] 53 times leaves a bracket of 2**-53, the spacing of
 # doubles just below 1.
 _BISECT_STEPS = 53
+_GRID_POINTS = 256  # x_bar and tau points of the exact grid
 # Elements per temporary array of the exact grid: blocks of trials times
-# tau rows times the x_bar axis (4 x 8 x 256 on the default grid).
+# tau rows times the x_bar axis (4 x 8 x 256).
 _GRID_CELLS = 8192
 _GRID_ROWS = 8
 _TAU_BRACKET = (1e-6, 1.0 - 1e-6)
@@ -234,16 +235,12 @@ def _exact_grid(params: SystemParams, link: LinkStats, xs: np.ndarray,
     return best_x, best_tau
 
 
-def exact_block(params: SystemParams, link: LinkStats,
-                grid: tuple[int, int] = (256, 256)) -> BlockDesign:
+def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     """Joint (x_bar, tau) maximization of the exact throughput.
 
     Grid search over the full rectangle, then alternating golden-section
     refinement in each coordinate.
     """
-    nx, nt = grid
-    if nx < 2 or nt < 2:
-        raise ValueError("grid must have at least 2 points per axis")
     x = np.ones(len(link))
     tau = np.empty(len(link))
     flat = link.c == 0.0
@@ -254,11 +251,11 @@ def exact_block(params: SystemParams, link: LinkStats,
     rest = ~flat
     if np.any(rest):
         sub = link[rest]
-        xs = np.linspace(0.0, 1.0, nx)
-        taus = np.linspace(1e-4, 1.0 - 1e-4, nt)
+        xs = np.linspace(0.0, 1.0, _GRID_POINTS)
+        taus = np.linspace(1e-4, 1.0 - 1e-4, _GRID_POINTS)
         bx, bt = _exact_grid(params, sub, xs, taus)
-        dx = 1.0 / (nx - 1)
-        dt = (taus[-1] - taus[0]) / (nt - 1)
+        dx = 1.0 / (_GRID_POINTS - 1)
+        dt = (taus[-1] - taus[0]) / (_GRID_POINTS - 1)
         for _ in range(6):
             bx, _ = golden_max(
                 lambda v: link_throughput(link_snr(
@@ -367,11 +364,10 @@ def solve_suboptimal(params: SystemParams, ch: ChannelState) -> BeamformerDesign
     return _single("suboptimal", params, link, d, build_beamformer(ch, float(d.x_bar[0])))
 
 
-def solve_exact(params: SystemParams, ch: ChannelState,
-                grid: tuple[int, int] = (256, 256)) -> BeamformerDesign:
+def solve_exact(params: SystemParams, ch: ChannelState) -> BeamformerDesign:
     """Joint (x_bar, tau) maximization of the exact throughput."""
     link = LinkStats.of(ch)
-    d = exact_block(params, link, grid=grid)
+    d = exact_block(params, link)
     return _single("exact", params, link, d, build_beamformer(ch, float(d.x_bar[0])))
 
 
@@ -396,11 +392,11 @@ def solve_mrt_user(params: SystemParams, ch: ChannelState,
 
 
 def solve(strategy: str, params: SystemParams, ch: ChannelState,
-          tau: float | None = None, **kwargs) -> BeamformerDesign:
+          tau: float | None = None) -> BeamformerDesign:
     """Dispatch on strategy name; see module docstring for the catalogue."""
     _check_strategy(strategy, tau)
     if strategy == "exact":
-        return solve_exact(params, ch, **kwargs)
+        return solve_exact(params, ch)
     if strategy == "suboptimal":
         return solve_suboptimal(params, ch)
     if strategy == "large-n":

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,10 @@ def dbm_to_watt(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All scenario constants. Powers in dBm, distances in meters.
@@ -76,7 +81,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         n = self.n_antennas
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not _is_int(n):
             raise ValueError(f"n_antennas must be an integer, got {n!r}")
         for f in fields(self)[1:]:  # the float fields
             value = getattr(self, f.name)
@@ -114,8 +119,11 @@ class SystemParams:
         return 10.0 ** (self.gamma_th_db / 10.0)
 
     def digest(self) -> str:
-        """Stable hash of the parameter set."""
-        payload = ",".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        """Stable hash of the parameter set, equal for sets that compare equal:
+        it hashes int(n_antennas) and float() of the rest (+ 0.0 maps -0.0 to 0.0)."""
+        values = [int(self.n_antennas)] + [None if v is None else float(v) + 0.0
+                                           for v in astuple(self)[1:]]
+        payload = ",".join(f"{f.name}={v!r}" for f, v in zip(fields(self), values))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
@@ -193,7 +201,7 @@ class ChannelDecomposition:
     """Projection scalars and SNR coefficients of one (channel, tau) pair.
 
     a, b, c: user-channel norm, parallel and perpendicular relay components.
-    a0..d0: tau-dependent coefficients of the end-to-end SNR.
+    a0, c0, d0: tau-dependent coefficients of the end-to-end SNR.
     decompose_block fills every field with arrays, one entry per trial.
     """
 
@@ -201,7 +209,6 @@ class ChannelDecomposition:
     b: float
     c: float
     a0: float
-    b0: float
     c0: float
     d0: float
 
@@ -285,12 +292,14 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     reproduces identical channels. Normals come from the inverse CDF of
     the raw uniforms (fixed consumption of one word per draw).
     """
+    if not _is_int(master_seed) or not 0 <= master_seed < 2 ** 128:
+        raise ValueError(f"master_seed must be an int in [0, 2**128), got {master_seed!r}")
+    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop):
+        raise ValueError(f"trials need ints 0 <= start < stop, got [{start!r}, {stop!r})")
     n = params.n_antennas
     draws = 4 * n + 2
     words = -4 * (-draws // 4)  # round up to the 4-word Philox block
     count = stop - start
-    if count <= 0:
-        raise ValueError("empty trial range")
     bg = Philox(key=master_seed, counter=start * words // 4)
     u = Generator(bg).random(count * words).reshape(count, words)[:, :draws]
     z = ndtri(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
@@ -314,7 +323,7 @@ def decompose_block(params: SystemParams, link: LinkStats, tau: float) -> Channe
     c0 = bc.b1 * link.h3_sq
     d0 = bc.c1 * link.n2_sq
     return ChannelDecomposition(a=link.a, b=link.b, c=link.c,
-                                a0=bc.a1 * link.n1_sq, b0=c0 * d0, c0=c0, d0=d0)
+                                a0=bc.a1 * link.n1_sq, c0=c0, d0=d0)
 
 
 def decompose(params: SystemParams, ch: ChannelState, tau: float) -> ChannelDecomposition:

@@ -317,23 +317,16 @@ def _verify_outage(params, trials: int, seed: int) -> tuple[str, bool, str]:
             f"analytic {ana:.4g}, simulated {est.value:.4g} +/- {est.std_err:.2g}")
 
 
-def _verify_throughput_bound(params, trials: int, seed: int,
-                             corrupt_m4: bool) -> tuple[str, bool, str]:
+def _verify_throughput_bound(params, trials: int, seed: int) -> tuple[str, bool, str]:
     tau = 0.5
-    arb = analysis.arbitrate_mean_relay_gain(params, tau, n_trials=trials,
-                                             master_seed=seed)
-    mode = "printed" if corrupt_m4 else (
-        "moment" if arb["z_moment"] <= arb["z_printed"] else "printed")
-    z = arb[f"z_{mode}"]
     est = montecarlo.estimate(params, "mrt-user", trials, seed,
                               metric="throughput", tau=tau)
-    low = analysis.throughput_lower_bound(params, tau, m4_mode=mode)
-    ok = z <= 3.0 and low <= est.value + 3 * est.std_err
-    return ("throughput lower bound and relay-gain constant", ok,
-            f"m4 mode {mode} (z={z:.2f}), bound {low:.4g} vs mean {est.value:.4g}")
+    low = analysis.throughput_lower_bound(params, tau)
+    return ("throughput lower bound vs simulation", low <= est.value + 3 * est.std_err,
+            f"bound {low:.4g} vs mean {est.value:.4g}")
 
 
-def run_verify(params: SystemParams, level: str, corrupt_m4: bool) -> tuple[list[str], bool]:
+def run_verify(params: SystemParams, level: str) -> tuple[list[str], bool]:
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")
     big = level == "full"
@@ -343,8 +336,7 @@ def run_verify(params: SystemParams, level: str, corrupt_m4: bool) -> tuple[list
     ]
     if params.n_antennas >= 2:
         checks.append(_verify_outage(params, 10 ** 6 if big else 2 * 10 ** 5, 99))
-        checks.append(_verify_throughput_bound(
-            params, 10 ** 6 if big else 2 * 10 ** 5, 99, corrupt_m4))
+        checks.append(_verify_throughput_bound(params, 10 ** 6 if big else 2 * 10 ** 5, 99))
     else:
         checks.append(("analytic layer", True, "skipped: needs at least 2 antennas"))
     lines = []
@@ -381,8 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run the cross-check suite")
     vp.add_argument("--level", default="quick", choices=("quick", "full"))
     vp.add_argument("--config", default=None)
-    vp.add_argument("--corrupt-m4", action="store_true",
-                    help="debug: force the mismatched relay-gain constant")
     return ap
 
 
@@ -391,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     params = default_params(args.config)
     if args.verb == "verify":
-        lines, ok = run_verify(params, args.level, args.corrupt_m4)
+        lines, ok = run_verify(params, args.level)
         print("\n".join(lines))
         return 0 if ok else 1
 

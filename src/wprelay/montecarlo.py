@@ -19,14 +19,13 @@ the user transmits directly to the access point for the whole data phase.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import beamform
-from .channel import LinkStats, SystemParams, sample_channel_block
+from .channel import LinkStats, SystemParams, _is_int, sample_channel_block
 from .sysmodel import link_snr, link_throughput
 
 __all__ = [
@@ -139,14 +138,13 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {MC_STRATEGIES}")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if n_trials < 2:
-        raise ValueError("n_trials must be >= 2")
+    if not _is_int(n_trials) or n_trials < 2:
+        raise ValueError(f"n_trials must be an int >= 2, got {n_trials!r}")
     if tau is not None and not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if (isinstance(chunk_size, bool) or not isinstance(chunk_size, numbers.Integral)
-            or chunk_size < 1):
+    if not _is_int(chunk_size) or chunk_size < 1:
         raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
     bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]

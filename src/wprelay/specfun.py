@@ -1,9 +1,12 @@
-"""Special functions and adaptive quadrature.
+"""Upper incomplete gamma and adaptive quadrature.
 
-The special functions are thin validated wrappers over `scipy.special`
-that return Python floats and raise ValueError outside their domain. The
-adaptive Gauss-Kronrod integrator is kept here, with its own tolerance
-spec and error type, for the outer integral of the analytic outage.
+The adaptive Gauss-Kronrod integrator, with its tolerance spec and error
+type, computes the outer integral of analysis.outage_exact. The upper
+incomplete gamma wrapper and its table over integer orders have no
+caller in the package: they stay because the benchmark under perfbench/
+traces the table by name, as it traces the integrator and catches
+IntegrationError. Every other special function comes straight from
+scipy.special.
 """
 from __future__ import annotations
 
@@ -16,12 +19,8 @@ from scipy import special
 __all__ = [
     "QuadratureSpec",
     "IntegrationError",
-    "gamma_fn",
-    "log_gamma",
-    "digamma",
     "upper_incomplete_gamma",
     "upper_incomplete_gamma_table",
-    "bessel_k",
     "integrate_adaptive",
 ]
 
@@ -33,27 +32,6 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real x away from the poles at 0, -1, -2, ..."""
-    if x <= 0 and x == math.floor(x):
-        raise ValueError(f"gamma_fn pole at x={x}")
-    return float(special.gamma(x))
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return float(special.gammaln(x))
-
-
-def digamma(x: float) -> float:
-    """Psi (logarithmic derivative of Gamma) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"digamma requires x > 0, got {x}")
-    return float(special.psi(x))
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:
@@ -79,15 +57,6 @@ def upper_incomplete_gamma_table(s_min: int, s_max: int, x: float) -> dict[int, 
     if s_min > s_max:
         raise ValueError("empty order range")
     return {s: upper_incomplete_gamma(float(s), x) for s in range(s_min, s_max + 1)}
-
-
-def bessel_k(n: int, x: float) -> float:
-    """Modified Bessel function of the second kind, integer order n >= 0."""
-    if x <= 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    if n < 0:
-        raise ValueError(f"bessel_k requires n >= 0, got {n}")
-    return float(special.kv(n, x))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wprelay.analysis import (arbitrate_mean_relay_gain, branch_cdfs,
-                              branch_constants, branch_moments, outage_exact,
-                              outage_high_snr, throughput_lower_bound)
+from wprelay.analysis import (branch_cdfs, branch_constants, branch_moments,
+                              outage_exact, outage_high_snr, throughput_lower_bound)
 from wprelay.beamform import bound_min, solve_suboptimal_xbar
-from wprelay.channel import ChannelDecomposition, SystemParams
+from wprelay.channel import ChannelDecomposition, SystemParams, sample_channel_block
 from wprelay.cli import main as cli_main
 from wprelay.montecarlo import estimate
 from wprelay.timesplit import optimal_tau, rate_upper, search_tau
@@ -30,8 +29,7 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _dec(a, b, c, cap_a, cap_c, cap_d):
-    return ChannelDecomposition(a=a, b=b, c=c, a0=cap_a, b0=cap_c * cap_d,
-                                c0=cap_c, d0=cap_d)
+    return ChannelDecomposition(a=a, b=b, c=c, a0=cap_a, c0=cap_c, d0=cap_d)
 
 
 def test_criterion_1_solver_vs_grid():
@@ -164,14 +162,18 @@ def test_criterion_6_throughput_lower_bound():
     """Analytic bound sits below simulation and stays tight at high power."""
     t0 = time.time()
     tau = 0.5
-    arb = arbitrate_mean_relay_gain(BASE, tau, n_trials=400_000)
-    mode = "moment" if arb["z_moment"] <= arb["z_printed"] else "printed"
-    ok = min(arb["z_moment"], arb["z_printed"]) <= 3.0
+    # the bound's relay-gain constant E[gamma_ur] = b1 N against simulation
+    b1 = branch_constants(BASE, tau).b1
+    h1, _, h3 = sample_channel_block(BASE, 20260823, 0, 400_000)
+    gains = b1 * np.sum(np.abs(h1) ** 2, axis=1) * np.abs(h3) ** 2
+    z = abs(np.mean(gains) - b1 * BASE.n_antennas) / (
+        np.std(gains, ddof=1) / math.sqrt(gains.size))
+    ok = z <= 3.0
     gap_at_top = None
     for n in (5, 10):
         for ps in (20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0):
             p = replace(BASE, n_antennas=n, ps_dbm=ps)
-            low = throughput_lower_bound(p, tau, m4_mode=mode)
+            low = throughput_lower_bound(p, tau)
             mc = estimate(p, "mrt-user", 200_000, 606, tau=tau)
             ok &= low <= mc.value + 3 * mc.std_err
             if n == 10 and ps == 50.0:
@@ -179,7 +181,7 @@ def test_criterion_6_throughput_lower_bound():
     ok &= gap_at_top is not None and gap_at_top <= 0.15
     elapsed = time.time() - t0
     _verdict("criterion 6 (throughput lower bound)", ok,
-             f"m4 mode {mode}, top-point gap {gap_at_top:.3%}, {elapsed:.0f} s")
+             f"relay-gain z {z:.2f}, top-point gap {gap_at_top:.3%}, {elapsed:.0f} s")
     assert ok
 
 

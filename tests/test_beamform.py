@@ -16,8 +16,7 @@ PARAMS = SystemParams(n_antennas=4, d1=20.0, d2=20.0, d3=2.0, ps_dbm=40.0)
 
 def _synthetic_dec(a, b, c, cap_a, cap_c, cap_d):
     """Decomposition with arbitrary projection scalars and coefficients."""
-    return ChannelDecomposition(a=a, b=b, c=c, a0=cap_a, b0=cap_c * cap_d,
-                                c0=cap_c, d0=cap_d)
+    return ChannelDecomposition(a=a, b=b, c=c, a0=cap_a, c0=cap_c, d0=cap_d)
 
 
 def test_suboptimal_beats_fine_grid():

@@ -150,20 +150,13 @@ def test_config_file_override(tmp_path):
 
 def test_verify_quick_passes():
     from wprelay.cli import run_verify
-    lines, ok = run_verify(default_params(n_antennas=4), "quick", False)
+    lines, ok = run_verify(default_params(n_antennas=4), "quick")
     assert ok
     assert all(line.startswith("[PASS]") for line in lines)
 
 
-def test_verify_corrupt_m4_fails():
-    from wprelay.cli import run_verify
-    lines, ok = run_verify(default_params(n_antennas=4), "quick", True)
-    assert not ok
-    assert any("FAIL" in line and "relay-gain" in line for line in lines)
-
-
 def test_verify_single_antenna_skips_analytic_layer():
     from wprelay.cli import run_verify
-    lines, ok = run_verify(default_params(n_antennas=1), "quick", False)
+    lines, ok = run_verify(default_params(n_antennas=1), "quick")
     assert ok
     assert any("skipped" in line for line in lines)

@@ -1,7 +1,11 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import wprelay
 
@@ -25,3 +29,11 @@ def test_package_import_loads_no_scipy_beyond_special():
     out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["wprelay"] + [
+    f"wprelay.{m.name}" for m in pkgutil.iter_modules(wprelay.__path__)])
+def test_every_exported_name_resolves(name):
+    # a stale export of a deleted name would break `from <module> import *`
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -146,4 +146,10 @@ def test_input_validation():
     for workers in (0, -1, 1.5):
         with pytest.raises(ValueError, match="workers"):
             estimate(PARAMS, "mrt-user", 100, 1, tau=0.5, workers=workers)
+    for n_trials in (100.5, 100.0, True, 1):
+        with pytest.raises(ValueError, match="n_trials"):
+            estimate(PARAMS, "mrt-user", n_trials, 1, tau=0.5)
+    for seed in (1.9, True, -1):
+        with pytest.raises(ValueError, match="master_seed"):
+            estimate(PARAMS, "mrt-user", 100, seed, tau=0.5)
     assert "no-relay" in MC_STRATEGIES and "tau" in METRICS

@@ -4,50 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wprelay.specfun import (IntegrationError, QuadratureSpec, bessel_k,
-                             digamma, gamma_fn, integrate_adaptive, log_gamma,
-                             upper_incomplete_gamma,
-                             upper_incomplete_gamma_table)
-
-
-def test_gamma_integer_factorials():
-    for n in range(1, 15):
-        assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-13)
-
-
-def test_gamma_half():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
-def test_gamma_recurrence():
-    for x in (0.3, 1.7, 4.2, 9.9, 21.5):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_log_gamma_consistent_with_gamma():
-    for x in (0.2, 1.0, 3.5, 20.0, 120.0):
-        assert log_gamma(x) == pytest.approx(math.log(gamma_fn(x)), rel=1e-12)
-    # large argument against Stirling series leading terms
-    x = 300.0
-    stirling = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2 * math.pi) + 1 / (12 * x)
-    assert log_gamma(x) == pytest.approx(stirling, rel=1e-10)
-
-
-def test_digamma_recurrence_and_psi_one():
-    for x in (0.4, 1.0, 2.3, 7.7):
-        assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-12)
-    euler = 0.5772156649015329
-    assert digamma(1.0) == pytest.approx(-euler, abs=1e-13)
-    # psi(N) = psi(1) + harmonic(N-1)
-    assert digamma(6.0) == pytest.approx(-euler + sum(1 / m for m in range(1, 6)),
-                                         rel=1e-13)
-
-
-def test_digamma_matches_log_gamma_derivative():
-    h = 1e-6
-    for x in (0.8, 3.0, 12.0):
-        fd = (log_gamma(x + h) - log_gamma(x - h)) / (2 * h)
-        assert digamma(x) == pytest.approx(fd, rel=1e-8)
+from wprelay.specfun import (IntegrationError, QuadratureSpec, integrate_adaptive,
+                             upper_incomplete_gamma, upper_incomplete_gamma_table)
 
 
 def test_upper_gamma_positive_order_against_quadrature():
@@ -94,31 +52,6 @@ def test_upper_gamma_table_deep_negative_order_against_mpmath():
 def test_upper_gamma_rejects_nonpositive_x_for_nonpositive_order():
     with pytest.raises(ValueError):
         upper_incomplete_gamma(-1.0, 0.0)
-
-
-def test_bessel_k_integral_representation():
-    # K_n(x) = int_0^inf exp(-x cosh t) cosh(n t) dt; the tail beyond t=30
-    # is below 1e-300 for every x tested here.
-    for n in range(0, 6):
-        for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-            oracle = integrate_adaptive(
-                lambda t: math.exp(-x * math.cosh(t)) * math.cosh(n * t), 0.0, 30.0)
-            assert bessel_k(n, x) == pytest.approx(oracle, rel=1e-8)
-
-
-def test_bessel_k_recurrence():
-    for x in (0.3, 1.0, 4.0, 15.0):
-        for n in range(1, 8):
-            lhs = bessel_k(n + 1, x)
-            rhs = bessel_k(n - 1, x) + 2 * n / x * bessel_k(n, x)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-def test_bessel_k_rejects_bad_args():
-    with pytest.raises(ValueError):
-        bessel_k(0, 0.0)
-    with pytest.raises(ValueError):
-        bessel_k(-1, 1.0)
 
 
 def test_quadrature_polynomial_exact():
