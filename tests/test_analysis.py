@@ -185,8 +185,21 @@ def test_throughput_bound_below_simulation():
 
 
 def test_mean_relay_gain_candidates():
-    # The bound's E[gamma_ur] = b1 N matches simulation; the form
-    # b1 N (N - 1) / 2 printed alongside it does not.
+    # E[gamma_ur] = b1 E[||h1||^2] E[|h3|^2] = b1 N for unit-power
+    # Rayleigh entries; the form b1 N (N - 1) / 2 printed alongside it
+    # agrees only at N = 3.
+    n = PARAMS.n_antennas
+    h1, _, h3 = sample_channel_block(PARAMS, 20260823, 0, 100_000)
+    assert h1.shape == (100_000, n)
+    assert np.mean(np.sum(np.abs(h1) ** 2, axis=1)) == pytest.approx(n, rel=0.01)
+    assert np.mean(np.abs(h3) ** 2) == pytest.approx(1.0, rel=0.02)
+    bc = branch_constants(PARAMS, TAU)
+    assert bc.b1 * n != pytest.approx(bc.b1 * n * (n - 1) / 2)
+
+
+def test_arbitration_prefers_true_moment():
+    # The bound's E[gamma_ur] = b1 N matches simulation; the printed
+    # b1 N (N - 1) / 2 is many standard errors off.
     bc = branch_constants(PARAMS, TAU)
     n = PARAMS.n_antennas
     h1, _, h3 = sample_channel_block(PARAMS, 20260823, 0, 100_000)
