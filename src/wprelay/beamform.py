@@ -7,8 +7,8 @@ harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
 
 - "exact":      2-D grid search over (x_bar, tau) on the exact throughput,
                 evaluated in bounded blocks of trials and tau rows, then
-                six rounds of alternating golden-section refinement run in
-                lockstep over the block.
+                refined by the same search on ever finer grids centred on
+                each trial's best node.
 - "suboptimal": closed-form x_bar maximizing the min of the two branches
                 of the SNR upper bound (tau-independent; where the branches
                 cross, the crossing is found by a fixed count of bisection
@@ -17,8 +17,9 @@ harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
 - "large-n":    many-antenna limit where h1 and h2 are treated as
                 orthogonal and x_bar depends on channel norms only.
 - "mrt-user":   beam fully toward the user (x_bar = 1); tau from a
-                lockstep golden-section search unless fixed. The other
-                strategies optimize tau and reject a fixed one.
+                lockstep golden-section search that starts at the user's
+                harvest threshold, unless fixed. The other strategies
+                optimize tau and reject a fixed one.
 
 The single-channel functions solve and solve_* run a block of one and
 return a BeamformerDesign with the beam vector itself.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
                       build_beamformer, decompose_block)
-from .sysmodel import link_snr, link_throughput
+from .sysmodel import harvest_threshold, link_snr, link_throughput
 from .timesplit import golden_max, optimal_tau
 
 __all__ = [
@@ -62,6 +63,11 @@ _GRID_POINTS = 256  # x_bar and tau points of the exact grid
 # tau rows times the x_bar axis (4 x 8 x 256).
 _GRID_CELLS = 8192
 _GRID_ROWS = 8
+# Each refinement level of the exact grid spans -2..2 spacings of the
+# level before around the best node, in half steps; 22 halvings take the
+# spacing from 1/255 below 1e-9.
+_ZOOM = np.linspace(-2.0, 2.0, 9)
+_ZOOM_LEVELS = 22
 _TAU_BRACKET = (1e-6, 1.0 - 1e-6)
 _SEARCH_TOL = 1e-9
 
@@ -196,80 +202,69 @@ def suboptimal_block(params: SystemParams, link: LinkStats) -> BlockDesign:
 def golden_tau(params: SystemParams, link: LinkStats, g1, g2, relay: bool = True):
     """Per-trial tau maximizing the exact throughput of fixed beam gains.
 
-    relay=False maximizes the direct-link baseline instead.
+    relay=False maximizes the direct-link baseline instead. The search
+    starts at the user's harvest threshold: below it the rate is 0, a
+    plateau the search would otherwise converge onto.
     """
-    m = len(link)
+    lo, hi = _TAU_BRACKET
+    threshold = harvest_threshold(params, g1, relay)
+    start = np.where(threshold < hi, np.maximum(lo, threshold), lo)
     tau, _ = golden_max(
         lambda t: link_throughput(link_snr(params, link, g1, g2, t, relay), t, relay),
-        np.full(m, _TAU_BRACKET[0]), np.full(m, _TAU_BRACKET[1]), _SEARCH_TOL)
+        start, hi, _SEARCH_TOL)
     return tau
 
 
 def _exact_grid(params: SystemParams, link: LinkStats, xs: np.ndarray,
                 taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best (x_bar, tau) of each trial on the grid xs x taus.
+    """Best (x_bar, tau) of each trial i on its own grid xs[i] x taus[i].
 
-    Ties resolve to the earliest tau row, then the smallest x_bar.
+    xs has shape (m, nx) and taus (m, nt). Ties resolve to the earliest
+    tau row, then the earliest x_bar column.
     """
-    nx = xs.size
-    m = len(link)
+    m, nx = xs.shape
     group = max(1, _GRID_CELLS // (_GRID_ROWS * nx))  # trials per grid block
-    rows = max(1, _GRID_CELLS // (group * nx))  # tau rows per grid block
+    rows = max(1, _GRID_CELLS // (max(1, min(group, m)) * nx))  # tau rows per grid block
     best_val = np.full(m, -1.0)
-    best_x = np.zeros(m)
-    best_tau = np.full(m, taus[0])
+    best_x, best_tau = xs[:, 0].copy(), taus[:, 0].copy()
     for i in range(0, m, group):
         sl = slice(i, i + group)
         blk = link[sl, None, None]
-        g1, g2 = beam_gains(blk.a, blk.b, blk.c, xs)
+        g1, g2 = beam_gains(blk.a, blk.b, blk.c, xs[sl, None, :])
         k = g1.shape[0]
-        for j in range(0, taus.size, rows):
-            t = taus[j:j + rows, None]
+        row, trial = np.arange(k), np.arange(i, i + k)
+        for j in range(0, taus.shape[1], rows):
+            t = taus[sl, j:j + rows, None]
             vals = link_throughput(link_snr(params, blk, g1, g2, t), t).reshape(k, -1)
             idx = np.argmax(vals, axis=1)  # first max, row-major
-            top = vals[np.arange(k), idx]
+            top = vals[row, idx]
             better = top > best_val[sl]
             best_val[sl] = np.where(better, top, best_val[sl])
-            best_x[sl] = np.where(better, xs[idx % nx], best_x[sl])
-            best_tau[sl] = np.where(better, taus[j + idx // nx], best_tau[sl])
+            best_x[sl] = np.where(better, xs[trial, idx % nx], best_x[sl])
+            best_tau[sl] = np.where(better, taus[trial, j + idx // nx], best_tau[sl])
     return best_x, best_tau
 
 
 def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     """Joint (x_bar, tau) maximization of the exact throughput.
 
-    Grid search over the full rectangle, then alternating golden-section
-    refinement in each coordinate.
+    Grid search over the full rectangle, then on _ZOOM_LEVELS grids
+    centred on each trial's best node, each at half the last spacing.
+    x_bar runs from 1 down to 0, so ties go to the larger x_bar and a
+    collinear trial (c = 0), whose rate never rises as x_bar falls, keeps 1.
     """
-    x = np.ones(len(link))
-    tau = np.empty(len(link))
-    flat = link.c == 0.0
-    if np.any(flat):
-        # no perpendicular direction: beam is fixed, only tau matters
-        sub = link[flat]
-        tau[flat] = golden_tau(params, sub, *beam_gains(sub.a, sub.b, sub.c, 1.0))
-    rest = ~flat
-    if np.any(rest):
-        sub = link[rest]
-        xs = np.linspace(0.0, 1.0, _GRID_POINTS)
-        taus = np.linspace(1e-4, 1.0 - 1e-4, _GRID_POINTS)
-        bx, bt = _exact_grid(params, sub, xs, taus)
-        dx = 1.0 / (_GRID_POINTS - 1)
-        dt = (taus[-1] - taus[0]) / (_GRID_POINTS - 1)
-        for _ in range(6):
-            bx, _ = golden_max(
-                lambda v: link_throughput(link_snr(
-                    params, sub, *beam_gains(sub.a, sub.b, sub.c, v), bt), bt),
-                np.maximum(0.0, bx - dx), np.minimum(1.0, bx + dx), _SEARCH_TOL)
-            g1, g2 = beam_gains(sub.a, sub.b, sub.c, bx)
-            bt, _ = golden_max(
-                lambda t: link_throughput(link_snr(params, sub, g1, g2, t), t),
-                np.maximum(1e-7, bt - dt), np.minimum(1.0 - 1e-7, bt + dt), _SEARCH_TOL)
-            dx /= 4.0
-            dt /= 4.0
-        x[rest], tau[rest] = bx, bt
-    g1, g2 = beam_gains(link.a, link.b, link.c, x)
-    return BlockDesign(x_bar=x, tau=tau, g1=g1, g2=g2)
+    m = len(link)
+    xs = np.linspace(1.0, 0.0, _GRID_POINTS)
+    taus = np.linspace(1e-4, 1.0 - 1e-4, _GRID_POINTS)
+    dx, dt = xs[0] - xs[1], taus[1] - taus[0]
+    bx, bt = _exact_grid(params, link, np.broadcast_to(xs, (m, xs.size)),
+                         np.broadcast_to(taus, (m, taus.size)))
+    for _ in range(_ZOOM_LEVELS):
+        bx, bt = _exact_grid(params, link, np.clip(bx[:, None] - _ZOOM * dx, 0.0, 1.0),
+                             np.clip(bt[:, None] + _ZOOM * dt, 1e-7, 1.0 - 1e-7))
+        dx, dt = dx / 2.0, dt / 2.0
+    g1, g2 = beam_gains(link.a, link.b, link.c, bx)
+    return BlockDesign(x_bar=bx, tau=bt, g1=g1, g2=g2)
 
 
 def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:

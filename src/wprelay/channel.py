@@ -128,10 +128,16 @@ class SystemParams:
 
     @classmethod
     def from_config(cls, path: str | Path, **overrides) -> "SystemParams":
-        """Load from a flat key-value text file (key = value per line)."""
+        """Load from a flat key-value text file (key = value per line).
+
+        Each key may appear once. n_antennas takes any integral number
+        ("10" or "10.0"); pc_dbm = none (or empty) means no circuit power.
+        A bad line raises ValueError naming the key, the file and the line.
+        """
         values: dict[str, object] = {}
+        lines: dict[str, int] = {}
         known = {f.name for f in fields(cls)}
-        for raw in Path(path).read_text().splitlines():
+        for num, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -141,14 +147,26 @@ class SystemParams:
                 key, _, val = line.partition(" ")
             key = key.strip()
             val = val.strip()
+            where = f"{path}, line {num}"
             if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            if key == "n_antennas":
-                values[key] = int(val)
-            elif key == "pc_dbm" and val.lower() in ("", "none"):
+                raise ValueError(f"unknown config key {key!r} ({where})")
+            if key in lines:
+                raise ValueError(f"config key {key!r} given twice ({path}, lines "
+                                 f"{lines[key]} and {num})")
+            lines[key] = num
+            if key == "pc_dbm" and val.lower() in ("", "none"):
                 values[key] = None
-            else:
-                values[key] = float(val)
+                continue
+            try:
+                number = float(val)
+            except ValueError:
+                raise ValueError(f"config key {key!r}: {val!r} is not a number "
+                                 f"({where})") from None
+            if key == "n_antennas":
+                if not number.is_integer():
+                    raise ValueError(f"n_antennas must be an integer, got {val!r} ({where})")
+                number = int(number)
+            values[key] = number
         values.update(overrides)
         return cls(**values)
 

@@ -297,8 +297,7 @@ def _verify_lambert(count: int) -> tuple[str, bool, str]:
     for kappa in np.logspace(-3, 8, count):
         t_cf = timesplit.optimal_tau(float(kappa)).tau
         t_gs = timesplit.search_tau(
-            lambda t: timesplit.rate_upper(float(kappa), t), tol=1e-12,
-            kappa=float(kappa)).tau
+            lambda t: timesplit.rate_upper(float(kappa), t), tol=1e-12).tau
         worst = max(worst, abs(t_cf - t_gs))
     return ("closed-form harvest time vs golden search", worst <= 1e-6,
             f"worst |delta tau| {worst:.3g}")

@@ -23,6 +23,7 @@ from .channel import ChannelState, SystemParams
 __all__ = [
     "SnrBreakdown",
     "transmit_powers",
+    "harvest_threshold",
     "link_snr",
     "link_throughput",
     "snr_exact",
@@ -59,6 +60,18 @@ def _powers(params: SystemParams, g1, g2, tau, relay: bool = True):
     pr = scale * g2 / params.d2 ** params.alpha
     pc = params.pc_watt
     return np.maximum(0.0, pu - pc), np.maximum(0.0, pr - pc)
+
+
+def harvest_threshold(params: SystemParams, g1, relay: bool = True):
+    """Smallest tau at which the user's harvested power covers the circuit
+    draw pc_watt; below it _powers floors the user's power, and the rate, at 0.
+
+    With k = tau/(1-tau), pu = c eta Ps g1 k / d1^alpha (c = 2 with the
+    relay, 1 without) reaches pc_watt at k_u = pc d1^alpha / (c eta Ps g1),
+    so the threshold is k_u / (1 + k_u); 0 without a circuit power.
+    """
+    need = params.pc_watt * params.d1 ** params.alpha
+    return need / (need + (2.0 if relay else 1.0) * params.eta * params.ps_watt * g1)
 
 
 def _hop_snrs(params: SystemParams, n1_sq, n2_sq, h3_sq, g1, g2, tau, relay: bool = True):

@@ -102,13 +102,14 @@ def golden_max(f, lo, hi, tol: float):
     return _scalar_or_array(x), _scalar_or_array(np.asarray(f(x)))
 
 
-def search_tau(objective, tol: float = 1e-9, kappa: float = float("nan")) -> TimeSplitResult:
+def search_tau(objective, tol: float = 1e-9) -> TimeSplitResult:
     """Golden-section maximization of objective(tau) on (0, 1).
 
-    Non-unimodal objectives yield a local maximum.
+    Non-unimodal objectives yield a local maximum. The result's kappa is
+    NaN: the search does not know the SNR coefficient behind objective.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     eps = 1e-9
     tau, val = golden_max(objective, eps, 1.0 - eps, tol)
-    return TimeSplitResult(tau=tau, kappa=kappa, method="search", objective=val)
+    return TimeSplitResult(tau=tau, kappa=math.nan, method="search", objective=val)

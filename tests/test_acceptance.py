@@ -73,8 +73,7 @@ def test_criterion_2_lambert_time_split():
     worst = 0.0
     for kappa in np.logspace(-3, 8, 100):
         cf = optimal_tau(float(kappa)).tau
-        gs = search_tau(lambda t: rate_upper(float(kappa), t), tol=1e-10,
-                        kappa=float(kappa)).tau
+        gs = search_tau(lambda t: rate_upper(float(kappa), t), tol=1e-10).tau
         worst = max(worst, abs(cf - gs))
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed <= 1.0

@@ -6,6 +6,7 @@ search over beams from build_beamformer, scored by snr_exact, or against
 the single-channel solver.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from wprelay.beamform import (STRATEGIES, bound_min, solve, solve_block,
 from wprelay.channel import (ChannelState, LinkStats, SystemParams,
                              build_beamformer, decompose, sample_channel_block)
 from wprelay.montecarlo import _block_values
-from wprelay.sysmodel import link_snr, snr_exact, throughput
+from wprelay.sysmodel import link_snr, link_throughput, snr_exact, throughput
 
 N_CHANNELS = 32
 
@@ -61,10 +62,29 @@ def setup(request):
     return (_params(n),) + _channels(n)
 
 
-def test_exact_reaches_dense_grid_maximum(setup):
-    params, link, chans, _ = setup
+def _oracle_id(case):
+    n, ps, pc = case
+    return f"N={n}" if pc is None else f"N={n}-ps={ps:g}-pc={pc:g}"
+
+
+@pytest.fixture(params=[(1, 35.0, None), (2, 35.0, None), (10, 35.0, None),
+                        (1, 0.0, -20.0), (2, 0.0, -30.0), (10, 20.0, -20.0)],
+                ids=_oracle_id)
+def oracle_setup(request):
+    """setup plus circuit-power cases, for the oracles of the exact rate.
+
+    The suboptimal oracle stays on setup: it compares the bound with the
+    circuit power deducted against bound_min, which has none.
+    """
+    n, ps, pc = request.param
+    return (replace(_params(n), ps_dbm=ps, pc_dbm=pc),) + _channels(n)
+
+
+def test_exact_reaches_dense_grid_maximum(oracle_setup):
+    params, link, chans, _ = oracle_setup
     d = solve_block("exact", params, link)
     gamma = link_snr(params, link, d.g1, d.g2, d.tau)
+    assert np.all(d.x_bar[link.c == 0.0] == 1.0)  # collinear: the only beam
     for i, ch in enumerate(chans):
         got = _rate(params, ch, d.x_bar[i], d.tau[i])
         assert throughput(gamma[i], d.tau[i]) == pytest.approx(got, rel=1e-12)
@@ -77,6 +97,16 @@ def test_exact_reaches_dense_grid_maximum(setup):
         ft = np.linspace(max(1e-3, taus[j] - dt), min(1.0 - 1e-3, taus[j] + dt), 21)
         fine = max(_rate(params, ch, x, t) for x in fx for t in ft)
         assert got >= (1.0 - 1e-9) * max(fine, float(vals.max()))
+
+
+def test_exact_ties_go_to_the_larger_x_bar():
+    # a circuit draw that no harvest covers leaves the rate 0 at every
+    # node, so every node ties and x_bar stays at 1
+    params = replace(_params(2), ps_dbm=0.0, pc_dbm=30.0)
+    link, _, _ = _channels(2)
+    d = solve_block("exact", params, link)
+    assert not np.any(link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau))
+    assert np.all(d.x_bar == 1.0)
 
 
 def test_suboptimal_matches_bound_grid(setup):
@@ -102,8 +132,8 @@ def test_suboptimal_matches_bound_grid(setup):
         assert up == pytest.approx(float(bound_min(dec, d.x_bar[i])), rel=1e-9)
 
 
-def test_time_split_of_fixed_beams_matches_dense_grid(setup):
-    params, link, chans, (h1, h2, h3) = setup
+def test_time_split_of_fixed_beams_matches_dense_grid(oracle_setup):
+    params, link, chans, (h1, h2, h3) = oracle_setup
     mrt = solve_block("mrt-user", params, link)
     direct, _ = _block_values(params, "no-relay", None, "tau", h1, h2, h3)
     d1a = params.d1 ** params.alpha

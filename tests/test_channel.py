@@ -86,6 +86,30 @@ def test_from_config_rejects_unknown_key(tmp_path):
         SystemParams.from_config(cfg)
 
 
+def test_from_config_names_key_file_and_line_of_a_bad_value(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_antennas = 4\nps_dbm = forty\n")
+    with pytest.raises(ValueError, match=r"'ps_dbm'.*bad\.cfg, line 2"):
+        SystemParams.from_config(cfg)
+
+
+def test_from_config_takes_an_integral_antenna_count(tmp_path):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("n_antennas = 10.0\nd1 = 20\nd2 = 15\nd3 = 15\n")
+    p = SystemParams.from_config(cfg)
+    assert p.n_antennas == 10 and type(p.n_antennas) is int
+    cfg.write_text("n_antennas = 10.5\nd1 = 20\nd2 = 15\nd3 = 15\n")
+    with pytest.raises(ValueError, match=r"n_antennas.*line 1"):
+        SystemParams.from_config(cfg)
+
+
+def test_from_config_rejects_a_repeated_key(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("n_antennas = 4\nd1 = 20\nd2 = 15\nd1 = 30\nd3 = 15\n")
+    with pytest.raises(ValueError, match=r"'d1'.*lines 2 and 4"):
+        SystemParams.from_config(cfg)
+
+
 def test_sample_channel_statistics():
     h1 = np.array([sample_channel(PARAMS, 0, k).h1 for k in range(4000)])
     assert abs(h1.mean()) < 0.02

@@ -35,8 +35,7 @@ def test_optimal_tau_unit_coefficient():
 def test_optimal_tau_matches_search():
     for kappa in np.logspace(-2, 6, 25):
         cf = optimal_tau(float(kappa))
-        gs = search_tau(lambda t: rate_upper(float(kappa), t), tol=1e-12,
-                        kappa=float(kappa))
+        gs = search_tau(lambda t: rate_upper(float(kappa), t), tol=1e-12)
         assert cf.tau == pytest.approx(gs.tau, abs=1e-7)
         assert cf.objective == pytest.approx(gs.objective, rel=1e-9)
 
