@@ -262,12 +262,11 @@ def throughput_lower_bound(params: SystemParams, tau: float) -> float:
     n = bc.n_antennas
     if n < 2:
         raise ValueError("throughput bound needs at least 2 antennas")
-    harmonic = sum(1.0 / m for m in range(1, n))
-    psi1 = float(psi(1.0))
-    m1 = math.log(bc.a1) + 2.0 * psi1 + 2.0 * harmonic
-    m2 = math.log(bc.b1) + 2.0 * psi1 + harmonic
+    psi1, psi_n = float(psi(1.0)), float(psi(n))
+    m1 = math.log(bc.a1) + 2.0 * psi_n
+    m2 = math.log(bc.b1) + psi1 + psi_n
     # E[ln z] = E[ln v] + 2 E[ln r] = psi(1) + psi(N), z = v r^2 as in branch_moments
-    m3 = math.log(bc.c1) + 2.0 * psi1 + harmonic
+    m3 = math.log(bc.c1) + psi1 + psi_n
     m4 = bc.b1 * n
     m5 = branch_moments(params, tau, order=1)["relay-ap"]
     relayed = math.exp(m2 + m3 - math.log1p(m4 + m5))

@@ -11,8 +11,8 @@ harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
                 each trial's best node.
 - "suboptimal": closed-form x_bar maximizing the min of the two branches
                 of the SNR upper bound (tau-independent; where the branches
-                cross, the crossing is found by a fixed count of bisection
-                steps), then the Lambert-W harvest time for the resulting
+                cross, the crossing is the larger root of a quadratic in
+                x_bar^2), then the Lambert-W harvest time for the resulting
                 SNR coefficient.
 - "large-n":    many-antenna limit where h1 and h2 are treated as
                 orthogonal and x_bar depends on channel norms only.
@@ -55,9 +55,7 @@ SCENARIOS = ("mixed-slope-negative", "mixed-slope-zero", "mixed-slope-positive")
 
 _SLOPE_ZERO_BAND = 1e-9
 _REF_TAU = 0.5  # scale(0.5) = 2*eta*rho, so SNR here equals the tau-free kappa
-# Halving [x_hat, 1] 53 times leaves a bracket of 2**-53, the spacing of
-# doubles just below 1.
-_BISECT_STEPS = 53
+_SLICE = 8192  # x_bar points per slice of bound_min over one channel
 _GRID_POINTS = 256  # x_bar and tau points of the exact grid
 # Elements per temporary array of the exact grid: blocks of trials times
 # tau rows times the x_bar axis (4 x 8 x 256).
@@ -122,8 +120,14 @@ def branch_relay_hop(dec: ChannelDecomposition, x_bar):
 
 
 def bound_min(dec: ChannelDecomposition, x_bar):
-    """min of the two bound branches; the objective of the suboptimal design."""
-    return np.minimum(branch_user_hop(dec, x_bar), branch_relay_hop(dec, x_bar))
+    """min of the two bound branches; the objective of the suboptimal design.
+
+    A long x_bar grid against one channel runs in slices that fit in cache.
+    """
+    x = np.asarray(x_bar, dtype=float)
+    if x.ndim == 1 and x.size > _SLICE and not any(np.ndim(v) for v in vars(dec).values()):
+        return np.concatenate([bound_min(dec, x[i:i + _SLICE]) for i in range(0, x.size, _SLICE)])
+    return np.minimum(branch_user_hop(dec, x), branch_relay_hop(dec, x))
 
 
 def solve_suboptimal_xbar(dec: ChannelDecomposition):
@@ -133,41 +137,37 @@ def solve_suboptimal_xbar(dec: ChannelDecomposition):
     fields of dec are arrays and as plain scalars otherwise. With
     t = x_bar^2:
       f1(x) = S t,                          S = (A0 + C0) a^2,
-      f3(x) = P t + q x sqrt(1 - t) + D0 c^2,
+      f3(x) = P t + q x sqrt(1 - t) + e,    e = D0 c^2,
               P = A0 a^2 + D0 (b^2 - c^2),  q = 2 D0 b c.
     f1 rises from 0 to S; f3 peaks at x_hat (from d/dt = 0). The maximizer
-    of the min is x = 1 when f1 stays below f3 there (case 1), the peak
-    x_hat when f1 already dominates there (case 3), and otherwise the
-    crossing point in between (case 2), found by bisection.
+    of the min is x = 1 when gap = f1(1) - f3(1) = C0 a^2 - D0 b^2 <= 0
+    (case 1). Else f1 is the min below the crossing x_c = sqrt(t_c) and f3
+    above it, where with k = gap + e = S - P and r = sqrt(4 e gap + q^2),
+      t_c = (2 k e + q^2 + q r) / (2 (k^2 + q^2))
+    is the larger root of (k^2 + q^2) t^2 - (2 k e + q^2) t + e^2 = 0, the
+    square of k t - e = q sqrt(t (1 - t)); no term is negative. So the
+    maximizer is x_hat if x_c <= x_hat (case 3) and x_c otherwise (case 2).
     """
     a_sq = dec.a * dec.a
-    s_top = (dec.a0 + dec.c0) * a_sq
     p = dec.a0 * a_sq + dec.d0 * (dec.b * dec.b - dec.c * dec.c)
     q = 2.0 * dec.d0 * dec.b * dec.c
-
+    e = dec.d0 * dec.c * dec.c
+    gap = dec.c0 * a_sq - dec.d0 * dec.b * dec.b
+    k = gap + e
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = np.divide(p, q)
+        ratio = np.divide(p, q)
         x_hat = np.where(q == 0.0, np.where(p >= 0.0, 1.0, 0.0),
-                         np.sqrt(0.5 + k / (2.0 * np.sqrt(1.0 + k * k))))
+                         np.sqrt(0.5 + ratio / (2.0 * np.sqrt(1.0 + ratio * ratio))))
+        t_c = (2.0 * k * e + q * q + q * np.sqrt(4.0 * e * gap + q * q)) / (2.0 * (k * k + q * q))
+        x_c = np.where(gap > 0.0, np.sqrt(t_c), 1.0)
     scenario = np.where(np.abs(p) <= _SLOPE_ZERO_BAND * dec.d0 * dec.b * dec.c, 1,
                         np.where(p > 0, 2, 0))
-
-    # case 1: f1 never exceeds f3 on [0, 1]; min == f1, maximized at the edge
-    case1 = s_top <= branch_relay_hop(dec, 1.0)
-    # case 3: f1 already above f3 at f3's peak; min == f3, maximized at the peak
-    case3 = ~case1 & (s_top * x_hat * x_hat >= branch_relay_hop(dec, x_hat))
-    case2 = ~case1 & ~case3
-    x_opt = np.where(case1, 1.0, x_hat)
-    if np.any(case2):
-        # the branches cross between the peak and the edge
-        lo, hi = x_opt, np.ones_like(x_opt)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = branch_user_hop(dec, mid) < branch_relay_hop(dec, mid)
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        x_opt = np.where(case2, 0.5 * (lo + hi), x_opt)
-    gamma = bound_min(dec, x_opt)
-    case = np.where(case1, 1, np.where(case3, 3, 2))
+    case = np.where(gap <= 0.0, 1, np.where(x_c <= x_hat, 3, 2))
+    # f3 is steep near x = 1, where the double below x_c may score higher
+    x_opt, x_low = np.maximum(x_hat, x_c), np.maximum(x_hat, np.nextafter(x_c, 0.0))
+    gamma, gamma_low = bound_min(dec, x_opt), bound_min(dec, x_low)
+    better = gamma_low > gamma
+    x_opt, gamma = np.where(better, x_low, x_opt), np.where(better, gamma_low, gamma)
     names = np.asarray(SCENARIOS)[scenario]
     if np.ndim(x_opt) == 0:
         return float(x_opt), float(gamma), str(names), int(case)

@@ -140,6 +140,8 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if not _is_int(n_trials) or n_trials < 2:
         raise ValueError(f"n_trials must be an int >= 2, got {n_trials!r}")
+    if tau is not None and strategy not in ("mrt-user", "no-relay"):
+        raise ValueError(f"{strategy} optimizes tau; only mrt-user and no-relay take a fixed tau")
     if tau is not None and not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     if not _is_int(chunk_size) or chunk_size < 1:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wprelay.beamform import (STRATEGIES, BeamformerDesign, bound_min,
                               branch_relay_hop, branch_user_hop, solve,
@@ -66,6 +68,31 @@ def test_suboptimal_orthogonal_channels():
         x_opt, val, _, _ = solve_suboptimal_xbar(dec)
         xs = np.linspace(0.0, 1.0, 200001)
         assert val >= float(np.max(bound_min(dec, xs))) * (1 - 1e-9)
+
+
+def _magnitude(decades):
+    """10**u with u uniform in [-decades, decades]."""
+    return st.floats(-decades, decades).map(lambda u: 10.0 ** u)
+
+
+def _sometimes(value, strategy):
+    """value in about one draw of six, else a draw of strategy."""
+    return st.tuples(st.integers(0, 5), strategy).map(lambda d: value if d[0] == 0 else d[1])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(a=_magnitude(3), b=_sometimes(0.0, _magnitude(3)), c=_sometimes(0.0, _magnitude(3)),
+       a0=_sometimes("zero-slope", _magnitude(6)), c0=_magnitude(6), d0=_magnitude(6))
+@example(a=0.02, b=0.0, c=5.0, a0=2e-6, c0=5e-6, d0=1e6)
+def test_suboptimal_reaches_grid_maximum_over_extreme_decompositions(a, b, c, a0, c0, d0):
+    if a0 == "zero-slope":  # as criterion 1 pins it, with b <= c so that A0 >= 0
+        b, c = min(b, c), max(b, c)
+        a0 = d0 * (c * c - b * b) / (a * a)
+    dec = _synthetic_dec(a, b, c, a0, c0, d0)
+    x_opt, val, _, _ = solve_suboptimal_xbar(dec)
+    assert 0.0 <= x_opt <= 1.0
+    assert math.isfinite(val)
+    assert val >= (1 - 1e-9) * float(np.max(bound_min(dec, np.linspace(0.0, 1.0, 20001))))
 
 
 def test_solve_suboptimal_time_split_consistent():

@@ -153,3 +153,11 @@ def test_input_validation():
         with pytest.raises(ValueError, match="master_seed"):
             estimate(PARAMS, "mrt-user", 100, seed, tau=0.5)
     assert "no-relay" in MC_STRATEGIES and "tau" in METRICS
+
+
+def test_fixed_tau_error_names_both_strategies_that_take_one():
+    for strategy in ("exact", "suboptimal", "large-n"):
+        with pytest.raises(ValueError, match="only mrt-user and no-relay take a fixed tau"):
+            estimate(PARAMS, strategy, 100, 1, tau=0.5)
+    est = estimate(PARAMS, "no-relay", 100, 1, tau=0.5)
+    assert est.n_trials + est.n_failed == 100
