@@ -13,15 +13,16 @@ harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
                 of the SNR upper bound (tau-independent; where the branches
                 cross, the crossing is the larger root of a quadratic in
                 x_bar^2), then the Lambert-W harvest time for the resulting
-                SNR coefficient.
+                SNR coefficient above the user's harvest threshold.
 - "large-n":    many-antenna limit where h1 and h2 are treated as
                 orthogonal and x_bar depends on channel norms only.
-- "mrt-user":   beam fully toward the user (x_bar = 1); tau from a
-                lockstep golden-section search that starts at the user's
-                harvest threshold, unless fixed. The other strategies
-                optimize tau and reject a fixed one.
+- "mrt-user":   beam fully toward the user (x_bar = 1); tau, unless fixed,
+                from the closed form below the relay's harvest threshold or
+                a lockstep golden-section search above both thresholds. The
+                other strategies optimize tau and reject a fixed one.
 
-The single-channel functions solve and solve_* run a block of one and
+direct_tau is the same closed form for the direct-link baseline. The
+single-channel functions solve and solve_* run a block of one and
 return a BeamformerDesign with the beam vector itself.
 """
 from __future__ import annotations
@@ -32,14 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
-                      build_beamformer, decompose_block)
-from .sysmodel import harvest_threshold, link_snr, link_throughput
+                      branch_constants, build_beamformer, decompose_block)
+from .sysmodel import harvest_threshold, link_snr, link_throughput, relay_threshold
 from .timesplit import golden_max, optimal_tau
 
 __all__ = [
     "BeamformerDesign",
     "BlockDesign",
-    "golden_tau",
+    "direct_tau",
     "solve",
     "solve_block",
     "solve_exact",
@@ -174,12 +175,21 @@ def solve_suboptimal_xbar(dec: ChannelDecomposition):
     return x_opt, gamma, names, case
 
 
-def _lambert_tau(kappa: np.ndarray) -> np.ndarray:
-    """optimal_tau on the entries with kappa > 0; NaN elsewhere."""
+def _lambert_tau(params: SystemParams, kappa: np.ndarray, g1: np.ndarray,
+                 relay: bool = True) -> np.ndarray:
+    """tau maximizing log(1 + kappa (k - k_u))/(1 + k), k = tau/(1-tau), above
+    the user's harvest threshold t_u = k_u/(1 + k_u) for beam gain g1; NaN
+    where kappa <= 0. With s = (k - k_u)/(1 + k_u) the objective is the
+    pc-free log(1 + kappa' s)/(1 + s) over 1 + k_u, kappa' = kappa/(1 - t_u),
+    which optimal_tau maximizes in s/(1 + s); so tau = t_u + (1 - t_u)
+    optimal_tau(kappa/(1 - t_u)), and optimal_tau(kappa) when t_u = 0.
+    """
+    t_u = harvest_threshold(params, g1, relay)
     tau = np.full(np.shape(kappa), np.nan)
     good = kappa > 0.0
     if np.any(good):
-        tau[good] = optimal_tau(kappa[good]).tau
+        span = 1.0 - t_u[good]
+        tau[good] = t_u[good] + span * optimal_tau(kappa[good] / span)
     return tau
 
 
@@ -188,31 +198,24 @@ def suboptimal_block(params: SystemParams, link: LinkStats) -> BlockDesign:
 
     The beam maximizing the bound does not depend on tau (every branch
     scales by the same tau factor), so it is computed once at a reference
-    tau and the harvest time follows from the resulting SNR coefficient.
+    tau and the harvest time follows from the resulting SNR coefficient
+    and the user's harvest threshold under that beam.
     """
     dec = decompose_block(params, link, _REF_TAU)
     x_opt, kappa, scenario, case = solve_suboptimal_xbar(dec)
-    tau = _lambert_tau(kappa)
     g1, g2 = beam_gains(link.a, link.b, link.c, x_opt)
+    tau = _lambert_tau(params, kappa, g1)
     return BlockDesign(x_bar=x_opt, tau=tau, g1=g1, g2=g2,
                        gamma_bound=kappa * tau / (1.0 - tau),
                        scenario=scenario, case_index=case)
 
 
-def golden_tau(params: SystemParams, link: LinkStats, g1, g2, relay: bool = True):
-    """Per-trial tau maximizing the exact throughput of fixed beam gains.
-
-    relay=False maximizes the direct-link baseline instead. The search
-    starts at the user's harvest threshold: below it the rate is 0, a
-    plateau the search would otherwise converge onto.
-    """
-    lo, hi = _TAU_BRACKET
-    threshold = harvest_threshold(params, g1, relay)
-    start = np.where(threshold < hi, np.maximum(lo, threshold), lo)
-    tau, _ = golden_max(
-        lambda t: link_throughput(link_snr(params, link, g1, g2, t, relay), t, relay),
-        start, hi, _SEARCH_TOL)
-    return tau
+def direct_tau(params: SystemParams, link: LinkStats) -> np.ndarray:
+    """Per-trial tau maximizing the direct-link baseline's exact throughput:
+    above the user's harvest threshold its SNR is kappa_d (k - k_u), with
+    kappa_d = a1 ||h1||^4 / 2 (half the relay case's harvest scale)."""
+    kappa = 0.5 * branch_constants(params, _REF_TAU).a1 * np.square(link.n1_sq)
+    return _lambert_tau(params, kappa, link.n1_sq, relay=False)
 
 
 def _exact_grid(params: SystemParams, link: LinkStats, xs: np.ndarray,
@@ -252,16 +255,19 @@ def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     centred on each trial's best node, each at half the last spacing.
     x_bar runs from 1 down to 0, so ties go to the larger x_bar and a
     collinear trial (c = 0), whose rate never rises as x_bar falls, keeps 1.
+    Each trial's tau axis starts at its user's harvest threshold under
+    x_bar = 1 (kept inside the axis' ends): no beam gives the user more
+    gain, so every node below it rates 0.
     """
     m = len(link)
     xs = np.linspace(1.0, 0.0, _GRID_POINTS)
-    taus = np.linspace(1e-4, 1.0 - 1e-4, _GRID_POINTS)
-    dx, dt = xs[0] - xs[1], taus[1] - taus[0]
-    bx, bt = _exact_grid(params, link, np.broadcast_to(xs, (m, xs.size)),
-                         np.broadcast_to(taus, (m, taus.size)))
+    taus = np.linspace(np.clip(harvest_threshold(params, link.n1_sq), 1e-4, 1.0 - 1e-4),
+                       1.0 - 1e-4, _GRID_POINTS, axis=1)
+    dx, dt = xs[0] - xs[1], taus[:, 1] - taus[:, 0]
+    bx, bt = _exact_grid(params, link, np.broadcast_to(xs, (m, xs.size)), taus)
     for _ in range(_ZOOM_LEVELS):
         bx, bt = _exact_grid(params, link, np.clip(bx[:, None] - _ZOOM * dx, 0.0, 1.0),
-                             np.clip(bt[:, None] + _ZOOM * dt, 1e-7, 1.0 - 1e-7))
+                             np.clip(bt[:, None] + _ZOOM * dt[:, None], 1e-7, 1.0 - 1e-7))
         dx, dt = dx / 2.0, dt / 2.0
     g1, g2 = beam_gains(link.a, link.b, link.c, bx)
     return BlockDesign(x_bar=bx, tau=bt, g1=g1, g2=g2)
@@ -293,7 +299,7 @@ def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     g2 = np.abs(x_bar * link.inner / link.a + s * n2) ** 2 / norm_sq
     # harvest time from the actual bound value achieved by this beam
     kappa = np.minimum((dec.a0 + dec.c0) * g1, dec.a0 * g1 + dec.d0 * g2)
-    tau = _lambert_tau(np.maximum(kappa, 1e-300))
+    tau = _lambert_tau(params, np.maximum(kappa, 1e-300), g1)
     return BlockDesign(x_bar=x_bar, tau=tau, g1=g1, g2=g2,
                        gamma_bound=kappa * tau / (1.0 - tau))
 
@@ -303,12 +309,25 @@ def mrt_user_block(params: SystemParams, link: LinkStats,
     """Beam all energy toward the user: w = h1*/||h1||.
 
     With tau omitted, the harvest time maximizes the exact throughput of
-    this beam by golden-section search.
+    this beam. Below the relay's harvest threshold t_r only the direct link
+    carries data, at SNR a1 ||h1||^4 (k - k_u), so the closed form capped
+    at t_r is best there; above both thresholds a golden-section search
+    runs, kept off the rate's lower hump. The higher rate wins.
     """
     g1 = link.n1_sq
     g2 = np.abs(link.inner) ** 2 / np.maximum(g1, 1e-300)
     if tau is None:
-        tau = golden_tau(params, link, g1, g2)
+        def rate(t):
+            return link_throughput(link_snr(params, link, g1, g2, t), t)
+
+        lo, hi = _TAU_BRACKET
+        t_r = relay_threshold(params, g2)
+        start = np.maximum(harvest_threshold(params, g1), t_r)
+        tau, top = golden_max(rate, np.where(start < hi, np.maximum(lo, start), lo), hi,
+                              _SEARCH_TOL)
+        kappa = branch_constants(params, _REF_TAU).a1 * np.square(g1)
+        low = np.minimum(_lambert_tau(params, kappa, g1), t_r)
+        tau = np.where(rate(low) > top, low, tau)
     tau = np.broadcast_to(np.asarray(tau, dtype=float), g1.shape)
     return BlockDesign(x_bar=np.ones(g1.shape), tau=tau, g1=g1, g2=g2)
 

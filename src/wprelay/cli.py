@@ -295,9 +295,9 @@ def _verify_solver_vs_grid(params, count: int) -> tuple[str, bool, str]:
 def _verify_lambert(count: int) -> tuple[str, bool, str]:
     worst = 0.0
     for kappa in np.logspace(-3, 8, count):
-        t_cf = timesplit.optimal_tau(float(kappa)).tau
-        t_gs = timesplit.search_tau(
-            lambda t: timesplit.rate_upper(float(kappa), t), tol=1e-12).tau
+        t_cf = timesplit.optimal_tau(float(kappa))
+        t_gs, _ = timesplit.golden_max(
+            lambda t: timesplit.rate_upper(float(kappa), t), 1e-9, 1.0 - 1e-9, 1e-12)
         worst = max(worst, abs(t_cf - t_gs))
     return ("closed-form harvest time vs golden search", worst <= 1e-6,
             f"worst |delta tau| {worst:.3g}")

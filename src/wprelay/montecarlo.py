@@ -75,7 +75,7 @@ def _block_values(params: SystemParams, strategy: str, tau: float | None, metric
         else:
             g1, g2 = link.n1_sq, 0.0
             if tau is None:
-                tau = beamform.golden_tau(params, link, g1, g2, relay=False)
+                tau = beamform.direct_tau(params, link)
         tau = np.broadcast_to(tau, link.n1_sq.shape)
         gamma = link_snr(params, link, g1, g2, tau, relay)
         ok = link.ok & np.isfinite(gamma) & np.isfinite(tau)

@@ -24,6 +24,7 @@ __all__ = [
     "SnrBreakdown",
     "transmit_powers",
     "harvest_threshold",
+    "relay_threshold",
     "link_snr",
     "link_throughput",
     "snr_exact",
@@ -68,10 +69,21 @@ def harvest_threshold(params: SystemParams, g1, relay: bool = True):
 
     With k = tau/(1-tau), pu = c eta Ps g1 k / d1^alpha (c = 2 with the
     relay, 1 without) reaches pc_watt at k_u = pc d1^alpha / (c eta Ps g1),
-    so the threshold is k_u / (1 + k_u); 0 without a circuit power.
+    so the threshold is k_u / (1 + k_u); exactly 0 without a circuit power.
     """
-    need = params.pc_watt * params.d1 ** params.alpha
-    return need / (need + (2.0 if relay else 1.0) * params.eta * params.ps_watt * g1)
+    return _threshold(params, params.d1, g1, 2.0 if relay else 1.0)
+
+
+def relay_threshold(params: SystemParams, g2):
+    """The relay's harvest_threshold, k_r/(1 + k_r) with k_r = pc d2^alpha/(2 eta Ps g2)."""
+    return _threshold(params, params.d2, g2, 2.0)
+
+
+def _threshold(params: SystemParams, d: float, g, c: float):
+    need = params.pc_watt * d ** params.alpha
+    if need == 0.0:
+        return np.zeros(np.shape(g))
+    return need / (need + c * params.eta * params.ps_watt * g)
 
 
 def _hop_snrs(params: SystemParams, n1_sq, n2_sq, h3_sq, g1, g2, tau, relay: bool = True):

@@ -1,35 +1,26 @@
 """Harvest-time optimization: Lambert-W closed form and golden-section search.
 
+optimal_tau maximizes the rate bound rate_upper(kappa, tau) in closed form;
+beamform shifts it onto the circuit-power threshold for every design whose
+SNR is affine in tau/(1-tau). golden_max is the search for the rest.
 Both accept arrays: optimal_tau solves every coefficient at once, and
 golden_max runs one search per array entry in lockstep.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import lambertw
 
 __all__ = [
-    "TimeSplitResult",
-    "lambert_w0",
     "optimal_tau",
-    "search_tau",
     "golden_max",
     "rate_upper",
 ]
 
 _INV_E = math.exp(-1.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class TimeSplitResult:
-    tau: float
-    kappa: float
-    method: str  # "lambert-w" | "search"
-    objective: float
 
 
 def _scalar_or_array(x):
@@ -42,32 +33,21 @@ def rate_upper(kappa, tau):
     return 0.5 * (1.0 - tau) * np.log2(1.0 + kappa * tau / (1.0 - tau))
 
 
-def lambert_w0(x):
-    """Principal branch of the Lambert W function for x >= -1/e.
-
-    Values within rounding slop below the branch point are clamped to it;
-    there W = -1 (scipy returns NaN at the float nearest -1/e).
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -_INV_E - 1e-15):
-        raise ValueError(f"lambert_w0 requires x >= -1/e, got {x.min()}")
-    w = np.where(x <= -_INV_E + 1e-16, -1.0,
-                 lambertw(np.maximum(x, -_INV_E)).real)
-    return _scalar_or_array(w)
-
-
-def optimal_tau(kappa) -> TimeSplitResult:
+def optimal_tau(kappa):
     """Closed-form maximizer of rate_upper(kappa, .) on (0, 1).
 
-    kappa may be an array; the result's fields then are arrays too.
+    tau = (z - 1)/(kappa - 1 + z) with z = exp(W0((kappa - 1)/e) + 1); a
+    float for a float kappa, an array for an array. Arguments of W0 within
+    rounding slop below the branch point -1/e are clamped to it, where
+    W0 = -1 (scipy returns NaN at the float nearest -1/e).
     """
     k = np.asarray(kappa, dtype=float)
     if not np.all(k > 0):
         raise ValueError(f"optimal_tau requires kappa > 0, got {kappa}")
-    z = np.exp(lambert_w0((k - 1.0) / math.e) + 1.0)
-    tau = _scalar_or_array((z - 1.0) / (k - 1.0 + z))
-    return TimeSplitResult(tau=tau, kappa=kappa, method="lambert-w",
-                           objective=_scalar_or_array(rate_upper(k, tau)))
+    x = (k - 1.0) / math.e
+    w = np.where(x <= -_INV_E + 1e-16, -1.0, lambertw(np.maximum(x, -_INV_E)).real)
+    z = np.exp(w + 1.0)
+    return _scalar_or_array((z - 1.0) / (k - 1.0 + z))
 
 
 def golden_max(f, lo, hi, tol: float):
@@ -100,16 +80,3 @@ def golden_max(f, lo, hi, tol: float):
         active = (b - a) > tol
     x = 0.5 * (a + b)
     return _scalar_or_array(x), _scalar_or_array(np.asarray(f(x)))
-
-
-def search_tau(objective, tol: float = 1e-9) -> TimeSplitResult:
-    """Golden-section maximization of objective(tau) on (0, 1).
-
-    Non-unimodal objectives yield a local maximum. The result's kappa is
-    NaN: the search does not know the SNR coefficient behind objective.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    eps = 1e-9
-    tau, val = golden_max(objective, eps, 1.0 - eps, tol)
-    return TimeSplitResult(tau=tau, kappa=math.nan, method="search", objective=val)

@@ -17,7 +17,7 @@ from wprelay.beamform import bound_min, solve_suboptimal_xbar
 from wprelay.channel import ChannelDecomposition, SystemParams, sample_channel_block
 from wprelay.cli import main as cli_main
 from wprelay.montecarlo import estimate
-from wprelay.timesplit import optimal_tau, rate_upper, search_tau
+from wprelay.timesplit import golden_max, optimal_tau, rate_upper
 
 BASE = SystemParams(n_antennas=10, d1=20.0, d2=15.0, d3=15.0, ps_dbm=40.0)
 
@@ -72,8 +72,8 @@ def test_criterion_2_lambert_time_split():
     t0 = time.time()
     worst = 0.0
     for kappa in np.logspace(-3, 8, 100):
-        cf = optimal_tau(float(kappa)).tau
-        gs = search_tau(lambda t: rate_upper(float(kappa), t), tol=1e-10).tau
+        cf = optimal_tau(float(kappa))
+        gs, _ = golden_max(lambda t: rate_upper(float(kappa), t), 1e-9, 1.0 - 1e-9, 1e-10)
         worst = max(worst, abs(cf - gs))
     elapsed = time.time() - t0
     ok = worst <= 1e-6 and elapsed <= 1.0

@@ -154,6 +154,47 @@ def test_time_split_of_fixed_beams_matches_dense_grid(oracle_setup):
         assert abs(direct[i] - best) <= 1e-7
 
 
+def test_closed_form_designs_rate_above_zero_and_at_most_exact(oracle_setup):
+    # the closed-form tau starts at the user's harvest threshold, so a
+    # circuit power no longer floors every trial's rate at 0
+    params, link, _, _ = oracle_setup
+    d = solve_block("exact", params, link)
+    exact = link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+    for strategy in ("suboptimal", "large-n"):
+        d = solve_block(strategy, params, link)
+        rate = link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+        assert np.all(rate > 0.0), strategy
+        assert np.all(rate <= exact * (1.0 + 1e-9)), strategy
+
+
+def _fig4_block(n, seed, start, stop):
+    """Trials [start, stop) of seed at 0 dBm with a -20 dBm circuit draw."""
+    params = replace(_params(n), ps_dbm=0.0, pc_dbm=-20.0)
+    return params, LinkStats.from_block(*sample_channel_block(params, seed, start, stop))
+
+
+def test_mrt_user_tau_finds_the_hump_below_the_relay_threshold():
+    # below the relay's harvest threshold only the direct link carries
+    # data; here its hump is the higher one, 1.2 % above the search's
+    params, link = _fig4_block(4, 5, 90, 91)
+    d = solve_block("mrt-user", params, link)
+    taus = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
+    scan = link_throughput(link_snr(params, link, d.g1, d.g2, taus), taus)
+    got = link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+    assert got[0] >= (1.0 - 1e-9) * scan.max()
+
+
+def test_exact_tau_axis_starts_at_the_user_threshold():
+    # at x_bar = 1 these trials rate above 0 only within one step of the
+    # 256-node axis from 1e-4, so the full pass missed mrt-user's peak
+    params, link = _fig4_block(2, 11, 0, 64)
+    rates = {}
+    for strategy in ("exact", "mrt-user"):
+        d = solve_block(strategy, params, link)
+        rates[strategy] = link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+    assert np.all(rates["exact"][[29, 49]] >= rates["mrt-user"][[29, 49]])
+
+
 def test_block_matches_single_channel_solves(setup):
     params, link, chans, _ = setup
     for strategy in STRATEGIES:

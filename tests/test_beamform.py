@@ -1,17 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wprelay.beamform import (STRATEGIES, BeamformerDesign, bound_min,
+from wprelay.beamform import (STRATEGIES, BeamformerDesign, _lambert_tau, bound_min,
                               branch_relay_hop, branch_user_hop, solve,
                               solve_exact, solve_large_n, solve_mrt_user,
                               solve_suboptimal, solve_suboptimal_xbar)
 from wprelay.channel import (ChannelDecomposition, SystemParams,
                              sample_channel, decompose)
-from wprelay.sysmodel import snr_exact, throughput
+from wprelay.sysmodel import harvest_threshold, snr_exact, throughput
+from wprelay.timesplit import optimal_tau
 
 PARAMS = SystemParams(n_antennas=4, d1=20.0, d2=20.0, d3=2.0, ps_dbm=40.0)
 
@@ -171,3 +173,31 @@ def test_solve_dispatch():
         assert np.linalg.norm(d.w) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         solve("zero-forcing", PARAMS, ch)
+
+
+def _shifted_rate(kappa, t_u, tau):
+    """(1 - tau) ln(1 + kappa (k - k_u)), k = tau/(1 - tau), with k - k_u
+    written as (tau - t_u)/((1 - tau)(1 - t_u)) to keep it accurate near t_u."""
+    gain = np.maximum(tau - t_u, 0.0) / ((1.0 - tau) * (1.0 - t_u))
+    return (1.0 - tau) * np.log1p(kappa * gain)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(log_kappa=st.floats(-3.0, 8.0), t_target=st.floats(0.0, 0.999))
+@example(log_kappa=8.0, t_target=0.999)
+@example(log_kappa=-3.0, t_target=0.0)
+def test_shifted_closed_form_tau_beats_dense_grid(log_kappa, t_target):
+    params = replace(PARAMS, pc_dbm=-20.0)
+    need = params.pc_watt * params.d1 ** params.alpha
+    kappa = np.array([10.0 ** log_kappa])
+    with np.errstate(divide="ignore", over="ignore"):  # t_target near 0 takes g1 to inf
+        g1 = np.divide(need * (1.0 - t_target), 2.0 * params.eta * params.ps_watt * t_target)
+        g1 = np.array([g1])
+        t_u = float(harvest_threshold(params, g1)[0])
+        tau = float(_lambert_tau(params, kappa, g1)[0])
+    assert t_u < tau < 1.0
+    steps = np.concatenate([np.linspace(0.0, 1.0, 20_001)[:-1], np.logspace(-14, -1e-9, 20_001)])
+    grid = t_u + (1.0 - t_u) * steps
+    assert _shifted_rate(kappa, t_u, tau) >= (1.0 - 1e-9) * _shifted_rate(kappa, t_u, grid).max()
+    # without a circuit power the shift is the identity, bit for bit
+    assert _lambert_tau(PARAMS, kappa, g1)[0] == optimal_tau(float(kappa[0]))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from wprelay.channel import SystemParams, build_beamformer, sample_channel
-from wprelay.sysmodel import snr_exact, snr_upper, throughput, transmit_powers
+from wprelay.sysmodel import (harvest_threshold, relay_threshold, snr_exact, snr_upper,
+                              throughput, transmit_powers)
 
 PARAMS = SystemParams(n_antennas=5, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0)
 
@@ -95,3 +96,25 @@ def test_throughput_values():
         throughput(-1.0, 0.5)
     with pytest.raises(ValueError):
         throughput(1.0, 1.0)
+
+
+def test_thresholds_vanish_without_circuit_power():
+    # exactly 0 for any gain, where need/(need + c g) would be 0/0 at g = 0
+    g = np.array([0.0, 1e-300, 1.0, 1e300, np.inf])
+    for relay in (True, False):
+        assert np.array_equal(harvest_threshold(PARAMS, g, relay), np.zeros(5))
+    assert np.array_equal(relay_threshold(PARAMS, g), np.zeros(5))
+    assert harvest_threshold(PARAMS, 0.0) == 0.0
+
+
+def test_thresholds_are_where_the_harvest_covers_the_circuit():
+    ch, w = _draw(6)
+    params = SystemParams(n_antennas=5, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0,
+                          pc_dbm=-20.0)
+    t_u = float(harvest_threshold(params, abs(ch.h1 @ w) ** 2))
+    t_r = float(relay_threshold(params, abs(ch.h2 @ w) ** 2))
+    for t, node in ((t_u, 0), (t_r, 1)):
+        assert 0.0 < t < 1.0
+        assert transmit_powers(params, ch, w, t * (1 - 1e-9))[node] == 0.0
+        assert transmit_powers(params, ch, w, t * (1 + 1e-9))[node] > 0.0
+    assert harvest_threshold(params, 0.0) == relay_threshold(params, 0.0) == 1.0
