@@ -22,8 +22,8 @@ z <= x exactly when e is below the positive root of e^2 + s e - x, so
 an average of terms in [0, 1] that cannot cancel at any N. The average
 over s is a fixed Gauss-Legendre rule on panels equally spaced in ln s,
 which resolves both the sqrt(x) scale near s = 0 and the bulk of the
-Gamma density. outage_exact integrates that CDF over |h3|^2 with the same
-kind of rule, one numpy expression per outer point.
+Gamma density. outage_exact integrates that CDF over |h3|^2 and ||h1||^2
+with the same kind of rule, all nodes of both layers as numpy arrays.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, kve, psi
 
 from .channel import BranchConstants, SystemParams, branch_constants
-from .specfun import integrate_adaptive
 
 __all__ = [
     "BranchConstants",
@@ -51,35 +50,38 @@ __all__ = [
 
 _OUTAGE_SLOP = 1e-9
 
-# Inner rules: _PANELS Gauss-Legendre panels of _PANEL_NODES nodes each,
-# equally spaced in the log of the integration variable (_log_rule).
+# Rules of _PANELS (_OUTER_PANELS per end of outage_exact's y range) Gauss-Legendre
+# panels of _PANEL_NODES nodes, equally spaced in the log of the variable (_log_rule).
 _PANELS = 8
+_OUTER_PANELS = 12
 _PANEL_NODES = 12
 _NEGLIGIBLE_EXP = 40.0  # exp(-40) ~ 4e-18: below the resolution of 1.0
 _GAMMA_TAIL = 1e-17  # Gamma(N-1) mass the s rule leaves off at each end
 _S_FLOOR = 1e-6  # s in [0, _S_FLOOR] is lumped into one node
-_T_FLOOR = 1e-9  # the t rule lumps at least [0, _T_FLOOR] into one node, so its
+_T_FLOOR = 1e-15  # the t rule lumps at least [0, _T_FLOOR] into one node, so its
 # panels stay narrow as t* -> 0 at the edge of the outage region
 _MAX_ELEMENTS = 65536  # elements of the largest (x, s) temporary
+_TOP_FLOOR = 1e-12  # outage_exact leaves off [(1 - _TOP_FLOOR) y_max, y_max]
 
 
 @functools.cache
-def _unit_rule() -> tuple[np.ndarray, np.ndarray]:
+def _unit_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """The composite rule on [0, 1]; built on first use, as leggauss starts
     LAPACK (about 1 MB of resident memory) and most callers never need it."""
     x, w = leggauss(_PANEL_NODES)
-    nodes = ((np.arange(_PANELS)[:, None] + 0.5 * (x + 1.0)) / _PANELS).ravel()
-    weights = np.tile(w / (2 * _PANELS), _PANELS)
+    nodes = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+    weights = np.tile(w / (2 * panels), panels)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def _log_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _log_rule(lo, hi, panels: int = _PANELS) -> tuple[np.ndarray, np.ndarray]:
     """Nodes p and weights w with sum(w f(p)) ~ integral of f over [lo, hi],
-    on _PANELS equal panels in ln p."""
-    nodes, weights = _unit_rule()
-    span = math.log(hi / lo)
+    on equal panels in ln p; array ends give one row of nodes per entry."""
+    nodes, weights = _unit_rule(panels)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    span = np.log(np.asarray(hi, dtype=float)[..., None] / lo)
     p = lo * np.exp(span * nodes)
     return p, span * weights * p
 
@@ -187,16 +189,18 @@ def branch_moments(params: SystemParams, tau: float, order: int = 1) -> dict[str
 def outage_exact(params: SystemParams, tau: float) -> float:
     """Outage probability of the user-directed beam at threshold gamma_th.
 
-    The direct branch alone clears the threshold unless ||h1||^2 falls
-    below sqrt(gamma_th / a1); inside that region the relayed term must
-    make up the deficit G. Conditioned on ||h1||^2 = y and |h3|^2 = mu,
-    the relayed term misses G whenever its first hop b1*y*mu already
-    falls short (mu < mu0), or otherwise when the relay->AP mix falls
-    below chi = G/c1 + t*/t, with t = mu - mu0 and t* = G(G+1)/(b1 c1 y).
-    The outer integral over y is adaptive (specfun.integrate_adaptive at its
-    default tolerances); the inner one over t is a fixed rule on panels
-    equally spaced in ln t between the t at which the mix CDF saturates at
-    1 and exp(-t) becomes negligible.
+    The direct branch alone clears the threshold unless y = ||h1||^2 falls
+    below y_max = sqrt(gamma_th / a1); inside that region the relayed term
+    must make up the deficit G. Conditioned on y and |h3|^2 = mu, the
+    relayed term misses G whenever its first hop b1*y*mu already falls
+    short (mu < mu0), or otherwise when the relay->AP mix falls below
+    chi = G/c1 + t*/t, with t = mu - mu0 and t* = G(G+1)/(b1 c1 y).
+    Below the y_lo where mu0 = _NEGLIGIBLE_EXP outage is certain: [0, y_lo]
+    adds its Gamma(N) mass. Over [y_lo, y_max] y runs on panels equally
+    spaced in ln y (as in ln u, u = (y/y_max)^N, which flattens the y^(N-1)
+    weight) up to the middle and in ln(y_max - y) above it, as the integrand
+    has a kink at y_max; each y has its own t rule in ln t, from where the
+    mix CDF leaves 1 to where exp(-t) becomes negligible.
     """
     bc = branch_constants(params, tau)
     n = bc.n_antennas
@@ -204,33 +208,29 @@ def outage_exact(params: SystemParams, tau: float) -> float:
         raise ValueError("outage analysis needs at least 2 antennas")
     gth = params.gamma_th
     y_max = math.sqrt(gth / bc.a1)
-    log_gamma_n = math.lgamma(n)
-    saturation = _mix_rule(n)[2]
-    t_max = _NEGLIGIBLE_EXP
-
-    def integrand(y: float) -> float:
-        if y <= 0.0 or y >= y_max:
-            return 0.0
-        weight = math.exp((n - 1) * math.log(y) - y - log_gamma_n)
-        g = gth - bc.a1 * y * y
-        mu0 = g / (bc.b1 * y)
-        if mu0 >= 700:
-            return weight
-        # F(chi) = 1 for t <= t*/(saturation - a); [0, t_lo] is one node at its middle.
-        a = g / bc.c1
-        t_star = g * (g + 1.0) / (bc.b1 * bc.c1 * y)
-        t_lo = t_star / (saturation - a) if a < saturation else t_max
-        t_lo = min(max(t_lo, _T_FLOOR), t_max)
-        t, w = _log_rule(t_lo, t_max)
-        t = np.concatenate(([0.5 * t_lo], t))
-        w = np.concatenate(([-math.expm1(-t_lo)], w * np.exp(-t[1:])))
-        second = float(relay_mix_cdf(a + t_star / t, n) @ w)
-        return (-math.expm1(-mu0) + math.exp(-mu0) * second) * weight
-
-    val = integrate_adaptive(integrand, 0.0, y_max)
+    r = _NEGLIGIBLE_EXP * bc.b1  # G = r y at y_lo, the root of a1 y^2 + r y = gamma_th
+    y_lo = 2.0 * gth / (r + math.sqrt(r * r + 4.0 * bc.a1 * gth))
+    y_mid = 0.5 * (y_lo + y_max)
+    yb, wy = _log_rule(y_lo, y_mid, _OUTER_PANELS)
+    d_top, wd = _log_rule(_TOP_FLOOR * y_max, y_max - y_mid, _OUTER_PANELS)
+    y, d = np.concatenate((yb, y_max - d_top)), np.concatenate((y_max - yb, d_top))
+    weight = np.concatenate((wy, wd)) * np.exp((n - 1) * np.log(y) - y - math.lgamma(n))
+    g = bc.a1 * d * (y_max + y)
+    mu0 = g / (bc.b1 * y)
+    # F(chi) = 1 for t <= t*/(saturation - a); [0, t_lo] is one node at its middle.
+    a = g / bc.c1
+    t_star = g * (g + 1.0) / (bc.b1 * bc.c1 * y)
+    gap = _mix_rule(n)[2] - a
+    t_lo = np.maximum(np.divide(t_star, gap, out=np.full(y.size, _NEGLIGIBLE_EXP),
+                                where=gap * _NEGLIGIBLE_EXP > t_star), _T_FLOOR)
+    t, w = _log_rule(t_lo, _NEGLIGIBLE_EXP)
+    t = np.concatenate((0.5 * t_lo[:, None], t), axis=1)
+    w = np.concatenate((-np.expm1(-t_lo)[:, None], w * np.exp(-t[:, 1:])), axis=1)
+    second = (relay_mix_cdf(a[:, None] + t_star[:, None] / t, n) * w).sum(axis=1)
+    val = gammainc(n, y_lo) + weight @ (-np.expm1(-mu0) + np.exp(-mu0) * second)
     if val < -_OUTAGE_SLOP or val > 1.0 + _OUTAGE_SLOP:
         raise ValueError(f"outage estimate {val} escapes [0, 1]")
-    return min(1.0, max(0.0, val))
+    return min(1.0, max(0.0, float(val)))
 
 
 def outage_high_snr(params: SystemParams, tau: float) -> float:

@@ -69,6 +69,7 @@ _ZOOM = np.linspace(-2.0, 2.0, 9)
 _ZOOM_LEVELS = 22
 _TAU_BRACKET = (1e-6, 1.0 - 1e-6)
 _SEARCH_TOL = 1e-9
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,14 @@ def _lambert_tau(params: SystemParams, kappa: np.ndarray, g1: np.ndarray,
     pc-free log(1 + kappa' s)/(1 + s) over 1 + k_u, kappa' = kappa/(1 - t_u),
     which optimal_tau maximizes in s/(1 + s); so tau = t_u + (1 - t_u)
     optimal_tau(kappa/(1 - t_u)), and optimal_tau(kappa) when t_u = 0.
+    Where t_u rounds to 1 no tau gives a rate, and tau is the double below 1.
     """
     t_u = harvest_threshold(params, g1, relay)
     tau = np.full(np.shape(kappa), np.nan)
     good = kappa > 0.0
     if np.any(good):
-        span = 1.0 - t_u[good]
-        tau[good] = t_u[good] + span * optimal_tau(kappa[good] / span)
+        span = np.maximum(1.0 - t_u[good], 1.0 - _BELOW_ONE)
+        tau[good] = np.minimum(t_u[good] + span * optimal_tau(kappa[good] / span), _BELOW_ONE)
     return tau
 
 

@@ -1,12 +1,13 @@
-"""Upper incomplete gamma and adaptive quadrature.
+"""Upper incomplete gamma and adaptive quadrature, called by nothing in the package.
 
-The adaptive Gauss-Kronrod integrator, with its tolerance spec and error
-type, computes the outer integral of analysis.outage_exact. The upper
-incomplete gamma wrapper and its table over integer orders have no
-caller in the package: they stay because the benchmark under perfbench/
-traces the table by name, as it traces the integrator and catches
-IntegrationError. Every other special function comes straight from
-scipy.special.
+analysis.outage_exact integrates with fixed rules of its own, and every
+special function comes straight from scipy.special. This module stays
+only because the benchmark under perfbench/ binds its names:
+perfbench/run.py imports the module; perfbench/layers.py traces
+integrate_adaptive and upper_incomplete_gamma_table (which calls
+upper_incomplete_gamma); perfbench/workloads.py catches IntegrationError;
+perfbench/test_perfbench.py calls integrate_adaptive (whose tolerances
+are a QuadratureSpec). Once those bindings go, so can this file.
 """
 from __future__ import annotations
 

@@ -19,8 +19,13 @@ __all__ = [
     "rate_upper",
 ]
 
-_INV_E = math.exp(-1.0)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+# Below _SERIES_KAPPA, W0 + 1 is the branch-point series sum c_j p^j, p = sqrt(2 kappa)
+# (Corless et al. 1996); truncated after p^8 it is good to 1e-17 there.
+_SERIES_KAPPA = 1e-4
+_W_SERIES = (0.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280, -221 / 8505,
+             680863 / 43545600, -1963 / 204120)
 
 
 def _scalar_or_array(x):
@@ -37,17 +42,21 @@ def optimal_tau(kappa):
     """Closed-form maximizer of rate_upper(kappa, .) on (0, 1).
 
     tau = (z - 1)/(kappa - 1 + z) with z = exp(W0((kappa - 1)/e) + 1); a
-    float for a float kappa, an array for an array. Arguments of W0 within
-    rounding slop below the branch point -1/e are clamped to it, where
-    W0 = -1 (scipy returns NaN at the float nearest -1/e).
+    float for a float kappa, an array for an array. As kappa -> 0,
+    x = (kappa - 1)/e nears W0's branch point -1/e, where 1 + e x = kappa
+    cancels; below _SERIES_KAPPA, W0 + 1 comes instead from the branch-point
+    series in sqrt(2 kappa), and tau = 1 - kappa/(kappa + z - 1) keeps
+    1 - tau ~ sqrt(kappa/2) to full relative accuracy. tau is capped at the
+    largest double below 1.
     """
     k = np.asarray(kappa, dtype=float)
     if not np.all(k > 0):
         raise ValueError(f"optimal_tau requires kappa > 0, got {kappa}")
-    x = (k - 1.0) / math.e
-    w = np.where(x <= -_INV_E + 1e-16, -1.0, lambertw(np.maximum(x, -_INV_E)).real)
-    z = np.exp(w + 1.0)
-    return _scalar_or_array((z - 1.0) / (k - 1.0 + z))
+    z = np.exp(lambertw((k - 1.0) / math.e).real + 1.0)  # NaN below -1/e, unused there
+    z1 = np.expm1(np.polynomial.polynomial.polyval(np.sqrt(2.0 * np.minimum(k, _SERIES_KAPPA)),
+                                                   _W_SERIES))
+    tau = np.where(k < _SERIES_KAPPA, 1.0 - k / (k + z1), (z - 1.0) / (k - 1.0 + z))
+    return _scalar_or_array(np.minimum(tau, _BELOW_ONE))
 
 
 def golden_max(f, lo, hi, tol: float):

@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammainc
 
 from wprelay.analysis import (BranchConstants, branch_cdfs, branch_constants,
                               branch_moments, outage_exact, outage_high_snr,
@@ -125,7 +129,7 @@ def test_outage_matches_simulation_at_large_n(n, ps):
     assert outage_exact(params, 0.5) == pytest.approx(mc.value, abs=3.5 * mc.std_err)
 
 
-def _outage_by_nested_quad(params, tau):
+def _outage_by_nested_quad(params, tau, outer_epsabs=1e-14):
     """outage_exact's double integral with QUADPACK for both layers."""
     bc = branch_constants(params, tau)
     n, gth = bc.n_antennas, params.gamma_th
@@ -139,7 +143,7 @@ def _outage_by_nested_quad(params, tau):
         return (-math.expm1(-mu0) + math.exp(-mu0) * inner) * math.exp(
             (n - 1) * math.log(y) - y - math.lgamma(n))
 
-    return integrate.quad(given_y, 0.0, math.sqrt(gth / bc.a1), epsabs=1e-14,
+    return integrate.quad(given_y, 0.0, math.sqrt(gth / bc.a1), epsabs=outer_epsabs,
                           epsrel=1e-10, limit=200)[0]
 
 
@@ -148,6 +152,28 @@ def test_outage_matches_nested_quadrature(n, ps):
     params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=ps)
     assert outage_exact(params, 0.5) == pytest.approx(_outage_by_nested_quad(params, 0.5),
                                                       rel=1e-8)
+
+
+@pytest.mark.parametrize("n, ps", [(10, -35.0), (64, -60.0), (200, -76.0), (10, 30.0)])
+def test_small_outage_matches_nested_quadrature(n, ps):
+    # outages of 1e-44 to 4e-9, checked relative to their size (outer epsabs = 0)
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=ps)
+    ref = _outage_by_nested_quad(params, 0.5, outer_epsabs=0.0)
+    assert outage_exact(params, 0.5) == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n=st.integers(2, 300), ps=st.floats(-300.0, 300.0) | st.floats(-100.0, 20.0))
+@example(n=300, ps=-85.0)
+@example(n=2, ps=-40.0)
+def test_outage_below_direct_only_and_falls_with_power(n, ps):
+    # ps over any finite power, and more often where the outage lies in (0, 1);
+    # tiny is the smallest normal double: below it neither side keeps relative precision
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=ps)
+    direct = gammainc(n, math.sqrt(params.gamma_th / branch_constants(params, TAU).a1))
+    out, tiny = outage_exact(params, TAU), np.finfo(float).tiny
+    assert 0.0 <= out <= direct * (1.0 + 1e-8) + tiny
+    assert outage_exact(replace(params, ps_dbm=ps + 1.0), TAU) <= out * (1.0 + 1e-8) + tiny
 
 
 def test_outage_bounds_and_errors():

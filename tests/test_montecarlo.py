@@ -122,6 +122,15 @@ def test_no_relay_baseline():
     assert est_opt.value > 0
 
 
+@pytest.mark.parametrize("strategy", ["suboptimal", "no-relay", "large-n", "mrt-user"])
+def test_circuit_power_beyond_any_harvest_rates_zero(strategy):
+    # at pc 140 dBm the user's harvest threshold rounds to tau = 1, where
+    # link_snr divides by 1 - tau: no tau gives a rate, and no trial fails
+    params = SystemParams(n_antennas=2, d1=20.0, d2=20.0, d3=2.0, ps_dbm=0.0, pc_dbm=140.0)
+    est = estimate(params, strategy, 256, 1)
+    assert est.value == 0.0 and est.n_failed == 0
+
+
 def test_outage_standard_error():
     est = estimate(PARAMS, "mrt-user", 50_000,
                    17, metric="outage", tau=0.5)

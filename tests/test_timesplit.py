@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,7 +30,7 @@ def test_optimal_tau_keeps_the_input_shape():
 
 def test_optimal_tau_survives_the_branch_point_clamp():
     # kappa of 1e-16 and 2e-16 put (kappa - 1)/e within 1e-16 of -1/e, where
-    # the clamp takes W0 = -1 (scipy's W0 is NaN at the float nearest -1/e)
+    # scipy's W0 is NaN at the float nearest -1/e; the series takes over there
     kappa = np.array([1e-16, 2e-16])
     for tau in list(optimal_tau(kappa)) + [optimal_tau(float(k)) for k in kappa]:
         assert math.isfinite(tau) and 0.0 <= tau < 1.0
@@ -39,6 +40,20 @@ def test_optimal_tau_monotone_in_kappa():
     taus = [optimal_tau(float(k)) for k in np.logspace(-3, 8, 40)]
     assert all(0.0 < t < 1.0 for t in taus)
     assert all(a >= b for a, b in zip(taus, taus[1:]))
+
+
+def test_optimal_tau_near_the_branch_point_matches_mpmath():
+    # 1 - tau = kappa / (kappa - 1 + z) at 60 digits; as a double below 1, tau
+    # carries 1 - tau only to the spacing 2^-53 of the doubles just below 1
+    kappa = np.logspace(-300, 8, 309)
+    taus = optimal_tau(kappa)
+    assert np.all((taus > 0.0) & (taus < 1.0))
+    assert np.all(np.diff(taus) <= 0.0)
+    with mp.workdps(60):
+        for k, tau in zip(kappa, taus):
+            km = mp.mpf(float(k))
+            gap = float(km / (km - 1 + mp.exp(mp.lambertw((km - 1) / mp.e) + 1)))
+            assert abs((1.0 - tau) - gap) <= 1e-9 * gap + 2.0 ** -53
 
 
 def test_optimal_tau_rejects_nonpositive():
