@@ -35,7 +35,7 @@ import numpy as np
 from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
                       branch_constants, build_beamformer, decompose_block)
 from .sysmodel import harvest_threshold, link_snr, link_throughput, relay_threshold
-from .timesplit import golden_max, optimal_tau
+from .timesplit import _BELOW_ONE, golden_max, optimal_tau
 
 __all__ = [
     "BeamformerDesign",
@@ -69,7 +69,6 @@ _ZOOM = np.linspace(-2.0, 2.0, 9)
 _ZOOM_LEVELS = 22
 _TAU_BRACKET = (1e-6, 1.0 - 1e-6)
 _SEARCH_TOL = 1e-9
-_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,14 @@ def optimal_tau(kappa):
     k = np.asarray(kappa, dtype=float)
     if not np.all(k > 0):
         raise ValueError(f"optimal_tau requires kappa > 0, got {kappa}")
-    z = np.exp(lambertw((k - 1.0) / math.e).real + 1.0)  # NaN below -1/e, unused there
-    z1 = np.expm1(np.polynomial.polynomial.polyval(np.sqrt(2.0 * np.minimum(k, _SERIES_KAPPA)),
-                                                   _W_SERIES))
-    tau = np.where(k < _SERIES_KAPPA, 1.0 - k / (k + z1), (z - 1.0) / (k - 1.0 + z))
-    return _scalar_or_array(np.minimum(tau, _BELOW_ONE))
+    z = np.exp(lambertw((k - 1.0) / math.e).real + 1.0)  # NaN below -1/e, replaced there
+    tau = np.asarray((z - 1.0) / (k - 1.0 + z))
+    small = k < _SERIES_KAPPA
+    if small.any():
+        ks = k[small]
+        z1 = np.expm1(np.polynomial.polynomial.polyval(np.sqrt(2.0 * ks), _W_SERIES))
+        tau[small] = np.minimum(1.0 - ks / (ks + z1), _BELOW_ONE)
+    return _scalar_or_array(tau)
 
 
 def golden_max(f, lo, hi, tol: float):
