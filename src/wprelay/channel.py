@@ -308,7 +308,9 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     Trial t always consumes the same fixed-size block of the Philox
     keystream keyed by master_seed, so any chunking of the trial range
     reproduces identical channels. Normals come from the inverse CDF of
-    the raw uniforms (fixed consumption of one word per draw).
+    the raw uniforms (fixed consumption of one word per draw). The
+    clipping, inverse CDF and scaling run in place on the keystream
+    buffer, so a block holds one buffer besides its three outputs.
     """
     if not _is_int(master_seed) or not 0 <= master_seed < 2 ** 128:
         raise ValueError(f"master_seed must be an int in [0, 2**128), got {master_seed!r}")
@@ -319,12 +321,16 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     words = -4 * (-draws // 4)  # round up to the 4-word Philox block
     count = stop - start
     bg = Philox(key=master_seed, counter=start * words // 4)
-    u = Generator(bg).random(count * words).reshape(count, words)[:, :draws]
-    z = ndtri(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
-    inv = 1.0 / math.sqrt(2.0)
-    h1 = (z[:, 0:n] + 1j * z[:, n:2 * n]) * inv
-    h2 = (z[:, 2 * n:3 * n] + 1j * z[:, 3 * n:4 * n]) * inv
-    h3 = (z[:, 4 * n] + 1j * z[:, 4 * n + 1]) * inv
+    z = Generator(bg).random(count * words).reshape(count, words)
+    np.clip(z, 2.0 ** -55, 1.0 - 2.0 ** -53, out=z)
+    ndtri(z, out=z)
+    z *= 1.0 / math.sqrt(2.0)
+    h1 = np.empty((count, n), dtype=complex)
+    h2 = np.empty((count, n), dtype=complex)
+    h3 = np.empty(count, dtype=complex)
+    h1.real, h1.imag = z[:, 0:n], z[:, n:2 * n]
+    h2.real, h2.imag = z[:, 2 * n:3 * n], z[:, 3 * n:4 * n]
+    h3.real, h3.imag = z[:, 4 * n], z[:, 4 * n + 1]
     return h1, h2, h3
 
 

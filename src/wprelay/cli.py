@@ -359,7 +359,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--seed", type=int, default=20260823)
     rp.add_argument("--out", type=Path, default=None)
     rp.add_argument("--config", default=None, help="flat key=value parameter file")
-    rp.add_argument("--workers", type=int, default=1)
+    rp.add_argument("--workers", type=int, default=1,
+                    help="threads per Monte Carlo cell, each holding one 4096-trial block "
+                         "at a time; used only by cells of more than 32768 trials, and "
+                         "the CSV is the same for any count")
     # The sweep flags apply to the custom recipe only; None means not given.
     rp.add_argument("--axis", default=None, choices=[f.name for f in fields(SystemParams)],
                     help="custom recipe sweep field (default ps_dbm)")
@@ -384,6 +387,12 @@ def main(argv: list[str] | None = None) -> int:
         print("\n".join(lines))
         return 0 if ok else 1
 
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.trials is not None and args.trials < 2:
+        parser.error(f"--trials must be >= 2, got {args.trials}")
+    if not 0 <= args.seed < 2 ** 128:
+        parser.error(f"--seed must lie in [0, 2**128), got {args.seed}")
     custom = None
     if args.recipe == "custom":
         custom = dict(axis=args.axis or "ps_dbm",

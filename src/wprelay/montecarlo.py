@@ -1,12 +1,20 @@
 """Reproducible Monte Carlo estimation of throughput, outage and time split.
 
 Trial t always consumes the same counter-addressed block of the random
-keystream (see channel.sample_channel_block). Trials are evaluated and
-reduced in fixed blocks of _BLOCK consecutive trials: chunks handed to
-workers hold whole blocks only, each block yields (n, sum, M2), and the
-blocks are merged in trial order with the pairwise update of Chan, Golub
-and LeVeque (1983). Estimates are therefore bit-identical for any worker
-count or chunk size.
+keystream (see channel.sample_channel_block), so any thread can sample
+any range of trials by itself. Trials are sampled, evaluated and reduced
+in fixed blocks of _BLOCK consecutive trials, each sampled just before it
+is evaluated: chunks handed to workers hold whole blocks only, each block
+yields (n, sum, M2), and the blocks are merged in trial order with the
+pairwise update of Chan, Golub and LeVeque (1983). Estimates are
+therefore bit-identical for any worker count or chunk size.
+
+Workers are threads of the calling process, each holding one block at a
+time. They overlap where the Philox fill, ndtri and the numpy kernels
+release the interpreter lock, not in Python-level loops such as the
+lockstep golden search of mrt-user with tau optimized. A pool runs only
+when a cell spans more than one chunk (by default more than
+_DEFAULT_CHUNK trials), with no more threads than chunks.
 
 Every strategy solves a whole block at once (see beamform); tau fixed or
 optimized, there is one evaluation path. A trial fails, and is counted
@@ -19,8 +27,11 @@ the user transmits directly to the access point for the whole data phase.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+# ProcessPoolExecutor is unused; perfbench/layers.py patches this binding
+# to count pools, and its traced runs fail without it.
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -94,16 +105,15 @@ def _run_chunk(params: SystemParams, strategy: str, tau: float | None,
     Returns per block (first trial, ok, failed, sum, M2), where M2 is the
     sum of squared deviations from the block mean.
     """
-    h1, h2, h3 = sample_channel_block(params, master_seed, start, stop)
     parts = []
-    for lo in range(0, stop - start, _BLOCK):
-        hi = min(lo + _BLOCK, stop - start)
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
         vals, ok = _block_values(params, strategy, tau, metric,
-                                 h1[lo:hi], h2[lo:hi], h3[lo:hi])
+                                 *sample_channel_block(params, master_seed, lo, hi))
         v = vals[ok]
         total = float(np.sum(v))
         m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
-        parts.append((start + lo, v.size, hi - lo - v.size, total, m2))
+        parts.append((lo, v.size, hi - lo - v.size, total, m2))
     return parts
 
 
@@ -149,13 +159,14 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
-    bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]
-    args = [(params, strategy, tau, metric, master_seed, a, b) for a, b in bounds]
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_chunk_star, args))
+    starts = range(0, n_trials, chunk)
+    stops = [min(s + chunk, n_trials) for s in starts]
+    run = partial(_run_chunk, params, strategy, tau, metric, master_seed)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            chunks = list(pool.map(run, starts, stops))
     else:
-        chunks = [_run_chunk(*a) for a in args]
+        chunks = list(map(run, starts, stops))
     parts = sorted(p for c in chunks for p in c)
     n_err = sum(p[2] for p in parts)
     if n_err > _MAX_ERROR_FRACTION * n_trials:
@@ -170,8 +181,4 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
                                n_trials=n_ok, master_seed=master_seed,
                                strategy=strategy, params_digest=params.digest(),
                                n_failed=n_err)
-
-
-def _run_chunk_star(a):
-    return _run_chunk(*a)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from wprelay.channel import (DEFAULT_NOISE_DBM, ChannelState,
                              DegenerateChannelError, SystemParams,
@@ -134,6 +136,38 @@ def test_block_sampling_chunk_invariant():
         part = sample_channel_block(PARAMS, 123, start, stop)
         for a, b in zip(full, part):
             assert np.array_equal(a[start:stop], b)
+
+
+def _trials_from_raw_philox(n, seed, start, stop):
+    """Trials [start, stop) rebuilt from raw Philox words with the original
+    out-of-place expression. The words are read from the first trial of
+    start's 4096-trial block on, so a range may start mid-way through them."""
+    draws = 4 * n + 2
+    words = -4 * (-draws // 4)
+    origin = start - start % 4096
+    raw = Philox(key=seed, counter=origin * words // 4).random_raw((stop - origin) * words)
+    u = ((raw >> 11) * 2.0 ** -53).reshape(-1, words)[start - origin:, :draws]
+    z = ndtri(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
+    inv = 1.0 / math.sqrt(2.0)
+    return ((z[:, 0:n] + 1j * z[:, n:2 * n]) * inv,
+            (z[:, 2 * n:3 * n] + 1j * z[:, 3 * n:4 * n]) * inv,
+            (z[:, 4 * n] + 1j * z[:, 4 * n + 1]) * inv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_block_sampling_matches_raw_philox_words(n):
+    # pins the stream bit for bit: [4090, 4103) crosses a 4096-trial
+    # boundary, [4101, 4107) starts mid-way through its block's words, and
+    # the last range starts where the low word of the Philox counter carries
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
+    words = -4 * (-(4 * n + 2) // 4)
+    carry = 2 ** 64 // (words // 4) - 1
+    for seed in (0, 123, 2 ** 128 - 1):
+        for start, stop in [(0, 3), (4090, 4103), (4101, 4107), (carry, carry + 3)]:
+            ref = _trials_from_raw_philox(n, seed, start, stop)
+            got = sample_channel_block(params, seed, start, stop)
+            for a, b in zip(ref, got):
+                assert np.array_equal(a.view(float), b.view(float)), (seed, start, stop)
 
 
 def test_block_sampling_seed_sensitivity():

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from wprelay import cli
 from wprelay.channel import SystemParams
 from wprelay.cli import CSV_HEADER, RECIPES, default_params, main, run_recipe
 
@@ -84,10 +85,32 @@ def test_custom_rows_are_axis_major_and_repeatable(tmp_path):
     ["custom", "--values", "10", "--strategies", "mrt-user", "--tau", "0.5"],
     ["fig8b"],
 ])
-def test_zero_trials_fails(tmp_path, recipe):
+def test_zero_trials_fails(tmp_path, recipe, capsys):
     out = tmp_path / "never.csv"
-    with pytest.raises(ValueError, match="n_trials"):
+    with pytest.raises(SystemExit) as exc:
         main(["run", *recipe, "--trials", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "wprelay: error: --trials must be >= 2, got 0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--workers", "0"], "--workers must be >= 1, got 0"),
+    (["--workers", "-3"], "--workers must be >= 1, got -3"),
+    (["--trials", "1"], "--trials must be >= 2, got 1"),
+    (["--seed", "-1"], "--seed must lie in [0, 2**128), got -1"),
+    (["--seed", str(2 ** 128)], f"--seed must lie in [0, 2**128), got {2 ** 128}"),
+])
+def test_run_rejects_bad_numbers_before_any_cell(tmp_path, capsys, monkeypatch, flag, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli.montecarlo, "estimate", never)
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig8b", *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"wprelay: error: {message}"
     assert not out.exists()
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wprelay import montecarlo
 from wprelay.channel import ChannelState, SystemParams, sample_channel_block
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
                                 SimulationError, _block_values, estimate)
@@ -36,6 +39,47 @@ def test_worker_and_chunk_invariance():
             got = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau,
                            workers=workers, chunk_size=chunk)
             assert got == ref, (strategy, metric, workers, chunk)
+
+
+@st.composite
+def _cells(draw):
+    """(strategy, tau, n_trials): a fixed tau only where the strategy takes
+    one; exact, the costly strategy, kept to a few trials; the others
+    often over more than one 4096-trial block, so that a pool runs."""
+    strategy = draw(st.sampled_from(MC_STRATEGIES))
+    fixed = strategy in ("mrt-user", "no-relay") and draw(st.booleans())
+    tau = draw(st.floats(0.05, 0.95)) if fixed else None
+    if strategy == "exact":
+        return strategy, tau, draw(st.integers(2, 8))
+    return strategy, tau, draw(st.integers(2, 4096) | st.integers(4097, 3 * 4096 + 7))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(cell=_cells(), metric=st.sampled_from(METRICS), workers=st.sampled_from([1, 2, 3, 8]),
+       chunk_size=st.integers(1, 3 * 4096))
+def test_estimate_independent_of_workers_and_chunk_size(cell, metric, workers, chunk_size):
+    strategy, tau, n = cell
+    ref = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau)
+    got = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau,
+                   workers=workers, chunk_size=chunk_size)
+    assert repr(got) == repr(ref)  # repr tells every float apart, -0.0 from 0.0 too
+
+
+def test_pool_never_has_more_workers_than_chunks(monkeypatch):
+    pools = []
+
+    class Recording(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+    kw = dict(metric="outage", tau=0.5, chunk_size=4096)
+    ref = estimate(PARAMS, "mrt-user", 4096 + 10, 3, **kw)
+    assert estimate(PARAMS, "mrt-user", 4096 + 10, 3, workers=8, **kw) == ref
+    assert pools == [2]
+    estimate(PARAMS, "mrt-user", 4096, 3, workers=8, **kw)  # one chunk: no pool
+    assert pools == [2]
 
 
 def test_failed_trials_are_masked_and_counted():
