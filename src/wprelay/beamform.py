@@ -5,10 +5,12 @@ channel statistics (channel.LinkStats) and returns a BlockDesign: per
 trial, the mixing coefficient x_bar of the two-direction beam, the
 harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
 
-- "exact":      2-D grid search over (x_bar, tau) on the exact throughput,
-                evaluated in bounded blocks of trials and tau rows, then
-                refined by the same search on ever finer grids centred on
-                each trial's best node.
+- "exact":      joint (x_bar, tau) maximum of the exact throughput: a
+                branch-and-bound over x_bar bounds each interval by the tau
+                profile at the interval's largest beam gains, certifies
+                every trial to 1e-3 (BlockDesign.rate_bound), then refines
+                each basin that could still win to about 1e-9 by Newton
+                steps in (x_bar, tau).
 - "suboptimal": closed-form x_bar maximizing the min of the two branches
                 of the SNR upper bound (tau-independent; where the branches
                 cross, the crossing is the larger root of a quadratic in
@@ -17,9 +19,13 @@ harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
 - "large-n":    many-antenna limit where h1 and h2 are treated as
                 orthogonal and x_bar depends on channel norms only.
 - "mrt-user":   beam fully toward the user (x_bar = 1); tau, unless fixed,
-                from the closed form below the relay's harvest threshold or
-                a lockstep golden-section search above both thresholds. The
-                other strategies optimize tau and reject a fixed one.
+                from the tau profile. The other strategies optimize tau and
+                reject a fixed one.
+
+The tau profile (tau_profile) is the best harvest fraction of fixed beam
+gains: the better of the Lambert-W closed form below the relay's harvest
+threshold and a bracketing grid plus lockstep golden-section search above
+both thresholds.
 
 direct_tau is the same closed form for the direct-link baseline. The
 single-channel functions solve and solve_* run a block of one and
@@ -48,6 +54,7 @@ __all__ = [
     "solve_suboptimal_xbar",
     "solve_large_n",
     "solve_mrt_user",
+    "tau_profile",
     "STRATEGIES",
 ]
 
@@ -57,18 +64,20 @@ SCENARIOS = ("mixed-slope-negative", "mixed-slope-zero", "mixed-slope-positive")
 _SLOPE_ZERO_BAND = 1e-9
 _REF_TAU = 0.5  # scale(0.5) = 2*eta*rho, so SNR here equals the tau-free kappa
 _SLICE = 8192  # x_bar points per slice of bound_min over one channel
-_GRID_POINTS = 256  # x_bar and tau points of the exact grid
-# Elements per temporary array of the exact grid: blocks of trials times
-# tau rows times the x_bar axis (4 x 8 x 256).
-_GRID_CELLS = 8192
-_GRID_ROWS = 8
-# Each refinement level of the exact grid spans -2..2 spacings of the
-# level before around the best node, in half steps; 22 halvings take the
-# spacing from 1/255 below 1e-9.
-_ZOOM = np.linspace(-2.0, 2.0, 9)
-_ZOOM_LEVELS = 22
-_TAU_BRACKET = (1e-6, 1.0 - 1e-6)
-_SEARCH_TOL = 1e-9
+_S_NODES = 25  # s nodes of tau_profile's bracketing pass
+_S_GRID = np.arange(_S_NODES) / _S_NODES
+_LANES = 1024  # lanes per slice of that pass, which bounds its temporaries
+_SEARCH_TOL = 1e-9  # s tolerance of mrt-user's tau_profile
+_BOUND_TOL = 1e-3  # s tolerance of tau_profile inside exact's branch-and-bound
+_CERT = 1e-3  # relative certificate of exact
+_INTERVALS = 32  # starting x_bar intervals of exact
+_MAX_ROUNDS = 40  # interval halvings at most; 32 * 2**40 intervals span 1e-14
+_GROUP = 256  # trials per branch-and-bound pass, which bounds its lane arrays
+_NEWTON_STEPS = 6
+_FD_STEP = 1e-5
+_TRUST = 0.1  # first trust radius of _refine in theta and in v
+# (theta, v) offsets of _refine's 3 x 3 stencil, centre at index 4
+_STENCIL = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")).reshape(2, 9)
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,10 @@ class BlockDesign:
     g1 = |h1^T w|^2 and g2 = |h2^T w|^2 are the gains of the beam w.
     gamma_bound is the SNR upper bound that the suboptimal and large-n
     designs maximize; scenario and case_index are filled by the suboptimal
-    design only.
+    design only. rate_bound, filled by the exact design only, is each
+    trial's certificate: no (x_bar, tau) rates above it, up to the
+    tolerance of the tau search that computes it, and it is at most 1e-3
+    above the trial's own rate.
     """
 
     x_bar: np.ndarray
@@ -99,6 +111,7 @@ class BlockDesign:
     gamma_bound: np.ndarray | None = None
     scenario: np.ndarray | None = None
     case_index: np.ndarray | None = None
+    rate_bound: np.ndarray | None = None
 
 
 def beam_gains(a, b, c, x_bar):
@@ -219,59 +232,205 @@ def direct_tau(params: SystemParams, link: LinkStats) -> np.ndarray:
     return _lambert_tau(params, kappa, link.n1_sq, relay=False)
 
 
-def _exact_grid(params: SystemParams, link: LinkStats, xs: np.ndarray,
-                taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best (x_bar, tau) of each trial i on its own grid xs[i] x taus[i].
+def tau_profile(params: SystemParams, link: LinkStats, g1: np.ndarray, g2: np.ndarray,
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best harvest fraction for the beam gains (g1, g2) of each lane, its rate,
+    and the best harvest fraction above both thresholds.
 
-    xs has shape (m, nx) and taus (m, nt). Ties resolve to the earliest
-    tau row, then the earliest x_bar column.
+    Lane i sees the channel link[i]. Below the relay's harvest threshold
+    t_r only the direct link carries data, at SNR kappa (k - k_u) with
+    kappa = a1 g1 ||h1||^2, so the Lambert-W tau capped at t_r is best
+    there. Above t0 = max(t_u, t_r) the rate has one hump in
+    s = (tau - t0)/(1 - t0): one link_snr call on _S_NODES values of s
+    brackets it, and golden_max narrows the bracket to a width of tol in s.
+    The higher of the two rates wins. The lanes run in lockstep, each on
+    its own values only.
     """
-    m, nx = xs.shape
-    group = max(1, _GRID_CELLS // (_GRID_ROWS * nx))  # trials per grid block
-    rows = max(1, _GRID_CELLS // (max(1, min(group, m)) * nx))  # tau rows per grid block
-    best_val = np.full(m, -1.0)
-    best_x, best_tau = xs[:, 0].copy(), taus[:, 0].copy()
-    for i in range(0, m, group):
-        sl = slice(i, i + group)
-        blk = link[sl, None, None]
-        g1, g2 = beam_gains(blk.a, blk.b, blk.c, xs[sl, None, :])
-        k = g1.shape[0]
-        row, trial = np.arange(k), np.arange(i, i + k)
-        for j in range(0, taus.shape[1], rows):
-            t = taus[sl, j:j + rows, None]
-            vals = link_throughput(link_snr(params, blk, g1, g2, t), t).reshape(k, -1)
-            idx = np.argmax(vals, axis=1)  # first max, row-major
-            top = vals[row, idx]
-            better = top > best_val[sl]
-            best_val[sl] = np.where(better, top, best_val[sl])
-            best_x[sl] = np.where(better, xs[trial, idx % nx], best_x[sl])
-            best_tau[sl] = np.where(better, taus[trial, j + idx // nx], best_tau[sl])
-    return best_x, best_tau
+    t_r = relay_threshold(params, g2)
+    t0 = np.maximum(harvest_threshold(params, g1), t_r)
+    span = np.maximum(1.0 - t0, 1.0 - _BELOW_ONE)
+
+    def rate(lk, x1, x2, t):
+        return link_throughput(link_snr(params, lk, x1, x2, t), t)
+
+    def upper(s):
+        return rate(link, g1, g2, np.minimum(t0 + span * s, _BELOW_ONE))
+
+    def peak(sl):  # the best s node of lanes sl
+        t = np.minimum(t0[sl, None] + span[sl, None] * _S_GRID, _BELOW_ONE)
+        return np.argmax(rate(link[sl, None], g1[sl, None], g2[sl, None], t), axis=1)
+
+    j = np.concatenate([peak(slice(i, i + _LANES)) for i in range(0, max(g1.size, 1), _LANES)])
+    lo = np.clip(j - 1, 0, _S_NODES - 2) / _S_NODES
+    s, top = golden_max(upper, lo, lo + 2.0 / _S_NODES, tol)
+    tau_up = np.minimum(t0 + span * s, _BELOW_ONE)
+    if params.pc_watt == 0.0:  # t_r = 0: no tau lies below it
+        return tau_up, top, tau_up
+    kappa = branch_constants(params, _REF_TAU).a1 * g1 * link.n1_sq
+    low = np.minimum(_lambert_tau(params, kappa, g1), t_r)
+    r_low = rate(link, g1, g2, low)
+    better = r_low > top
+    return np.where(better, low, tau_up), np.where(better, r_low, top), tau_up
+
+
+def _g2_max(b, c, lo, hi):
+    """Largest |h2^T w|^2 = (b x + c sqrt(1 - x^2))^2 over x_bar in [lo, hi]: at an
+    end, or at x = b/sqrt(b^2 + c^2), where it is b^2 + c^2."""
+    g2 = np.maximum(beam_gains(0.0, b, c, lo)[1], beam_gains(0.0, b, c, hi)[1])
+    with np.errstate(invalid="ignore"):
+        peak = b / np.hypot(b, c)
+    return np.where((lo <= peak) & (peak <= hi), np.maximum(g2, b * b + c * c), g2)
+
+
+def _refine(params: SystemParams, link: LinkStats, theta: np.ndarray,
+            tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton ascent of the rate from x_bar = cos(theta) and tau, lane by lane;
+    returns the best (theta, tau) found.
+
+    The rate is smooth in theta, continued through theta = 0 by a signed
+    sin(theta), and in v, where tau = tau0 + (1 - tau0) v, away from the
+    harvest thresholds. Each step takes the gradient and Hessian from
+    central differences on a 3 x 3 stencil of spacing _FD_STEP, then moves
+    to the maximum of that model, or up the gradient where the model is
+    not concave, within a trust radius. A point that does not raise the
+    rate is dropped and the radius cut to a quarter of the step; one that
+    does doubles it.
+    """
+    lk = link[:, None]
+    a, b, c = link.a[:, None], link.b[:, None], link.c[:, None]
+    tau0, span = tau[:, None], 1.0 - tau[:, None]
+
+    def rate(th, v):
+        t = np.minimum(tau0 + span * v, _BELOW_ONE)
+        cos, sin = np.cos(th), np.sin(th)
+        return link_throughput(link_snr(params, lk, np.square(a * cos),
+                                        np.square(b * cos + c * sin), t), t)
+
+    h = _FD_STEP
+    th, v = theta, np.zeros_like(theta)  # the point proposed
+    best_th, best_v = th, v
+    fb = np.full((theta.size, 9), -np.inf)  # the stencil around the best point
+    radius = np.full_like(theta, _TRUST)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            f = rate(th[:, None] + h * _STENCIL[0], v[:, None] + h * _STENCIL[1])
+            up = f[:, 4] > fb[:, 4]
+            step = np.maximum(np.abs(th - best_th), np.abs(v - best_v))
+            best_th, best_v = np.where(up, th, best_th), np.where(up, v, best_v)
+            fb = np.where(up[:, None], f, fb)
+            radius = np.where(up, 2.0 * radius, 0.25 * step)
+            gt, gv = (fb[:, 7] - fb[:, 1]) / (2 * h), (fb[:, 5] - fb[:, 3]) / (2 * h)
+            htt = (fb[:, 7] - 2 * fb[:, 4] + fb[:, 1]) / h ** 2
+            hvv = (fb[:, 5] - 2 * fb[:, 4] + fb[:, 3]) / h ** 2
+            htv = (fb[:, 8] - fb[:, 6] - fb[:, 2] + fb[:, 0]) / (4 * h * h)
+            det = htt * hvv - htv * htv
+            newton = (htt < 0.0) & (det > 0.0)
+            gmax = np.maximum(np.abs(gt), np.abs(gv))
+            dt = np.where(newton, (htv * gv - hvv * gt) / det, np.where(gmax > 0, gt / gmax, 0.0))
+            dv = np.where(newton, (htv * gt - htt * gv) / det, np.where(gmax > 0, gv / gmax, 0.0))
+            scale = np.minimum(1.0, radius / np.maximum(np.abs(dt), np.abs(dv)))
+            scale = np.where(np.isfinite(scale), scale, 0.0)
+            th, v = best_th + scale * dt, best_v + scale * dv
+    return best_th, np.minimum(tau + (1.0 - tau) * best_v, _BELOW_ONE)
+
+
+def _exact_group(params: SystemParams, link: LinkStats
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x_bar, tau and rate bound of each trial of link; see exact_block."""
+    m = len(link)
+    t = np.repeat(np.arange(m), _INTERVALS)
+    hi = np.tile(np.arange(1, _INTERVALS + 1) / _INTERVALS, m)
+    lo = hi - 1.0 / _INTERVALS
+    nt, nx = t, hi  # nodes still to rate: every right end (x_bar = 0 rates 0)
+    best = np.zeros(m)
+    nodes, leaves = [], []
+    for rnd in range(_MAX_ROUNDS):
+        g1, g2 = beam_gains(link.a[nt], link.b[nt], link.c[nt], nx)
+        tau, val, tau_up = tau_profile(
+            params, link[np.concatenate([nt, t])], np.concatenate([g1, np.square(link.a[t] * hi)]),
+            np.concatenate([g2, _g2_max(link.b[t], link.c[t], lo, hi)]), _BOUND_TOL)
+        n = nt.size
+        nodes.append((nt, nx, tau[:n], val[:n], tau_up[:n]))
+        np.fmax.at(best, nt, val[:n])
+        bound = val[n:]
+        split = bound > best[t] * (1.0 + _CERT)  # a NaN bound never splits
+        if rnd == _MAX_ROUNDS - 1:
+            split[:] = False
+        leaves.append((t[~split], hi[~split], bound[~split]))
+        t, lo, hi = t[split], lo[split], hi[split]
+        if not t.size:
+            break
+        nt, nx = t, 0.5 * (lo + hi)
+        t, lo, hi = np.concatenate([t, t]), np.concatenate([lo, nx]), np.concatenate([nx, hi])
+    # every leaf ends at a node, so sorted by trial and x_bar the two line up
+    nt, nx, ntau, nval, nup = map(np.concatenate, zip(*nodes))
+    order = np.lexsort((nx, nt))
+    nt, nx, ntau, nval, nup = nt[order], nx[order], ntau[order], nval[order], nup[order]
+    lt, lhi, lbound = (np.concatenate(v) for v in zip(*leaves))
+    lorder = np.lexsort((lhi, lt))
+    same = nt[1:] == nt[:-1]  # node i + 1 is of node i's trial
+    left = np.concatenate([[0.0], np.where(same, nval[:-1], 0.0)])
+    right = np.concatenate([np.where(same, nval[1:], -np.inf), [-np.inf]])
+    adj = lbound[lorder]
+    adj = np.fmax(adj, np.concatenate([np.where(same, adj[1:], -np.inf), [-np.inf]]))
+    near = adj > best[nt] * (1.0 - _CERT)
+    start = ((nval >= left) & (nval >= right) & near) | (nx == 1.0)
+    # Every start climbs from its tau above both thresholds. At x_bar = 1 the
+    # direct link's closed form can win below the relay's threshold, whose
+    # k_r = t_r/(1 - t_r) falls as 1/g2 while the beam turns towards the
+    # relay: the relay starts to harvest at the direct link's k = tau/(1 - tau)
+    # where (b cos(theta) + c sin(theta))^2 = b^2 k_r/k. Climb from there too.
+    one = nx == 1.0
+    b, c, k = link.b[nt[one]], link.c[nt[one]], ntau[one] / (1.0 - ntau[one])
+    t_r = relay_threshold(params, b * b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on = np.sqrt(t_r / ((1.0 - t_r) * k)) * b / np.hypot(b, c)
+        theta_on = np.arctan2(c, b) - np.arccos(np.minimum(on, 1.0))
+    st = np.concatenate([nt[start], nt[one]])
+    lanes = link[st]
+    theta, tau = _refine(params, lanes,
+                         np.concatenate([np.arccos(nx[start]),
+                                         np.maximum(theta_on, 0.0) + 4.0 * _FD_STEP]),
+                         np.concatenate([nup[start], ntau[one]]))
+    x = np.cos(np.clip(theta, 0.0, 0.5 * math.pi))
+    g1, g2 = beam_gains(lanes.a, lanes.b, lanes.c, x)
+    val = link_throughput(link_snr(params, lanes, g1, g2, tau), tau)
+    # the starts themselves compete too, so no trial ends below its best node
+    st, x = np.concatenate([st, nt[start]]), np.concatenate([x, nx[start]])
+    tau, val = np.concatenate([tau, ntau[start]]), np.concatenate([val, nval[start]])
+    order = np.lexsort((-x, -val, st))  # per trial the best rate, ties to the larger x_bar
+    first = order[np.diff(st[order], prepend=-1) != 0]
+    bound = val[first]
+    np.fmax.at(bound, lt, lbound)
+    return x[first], tau[first], bound
 
 
 def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
-    """Joint (x_bar, tau) maximization of the exact throughput.
+    """Joint (x_bar, tau) maximization of the exact throughput, with a certificate.
 
-    Grid search over the full rectangle, then on _ZOOM_LEVELS grids
-    centred on each trial's best node, each at half the last spacing.
-    x_bar runs from 1 down to 0, so ties go to the larger x_bar and a
-    collinear trial (c = 0), whose rate never rises as x_bar falls, keeps 1.
-    Each trial's tau axis starts at its user's harvest threshold under
-    x_bar = 1 (kept inside the axis' ends): no beam gives the user more
-    gain, so every node below it rates 0.
+    A branch-and-bound over x_bar: link_snr rises in g1 and in g2 at every
+    tau, so on an interval [lo, hi] of x_bar the tau profile at g1 = a^2 hi^2
+    and at the interval's largest g2 (_g2_max) bounds the rate. It starts
+    from _INTERVALS intervals and rates each interval's right end with the
+    profile of that beam; every interval whose bound exceeds the best rate
+    so far by more than _CERT relative is halved, until none is. These
+    profiles search tau to _BOUND_TOL in s.
+
+    _refine then climbs from each local maximum of the rated ends next to
+    an interval whose bound comes within _CERT of the best (a basin that
+    could still win), from x_bar = 1, and from the beam near x_bar = 1 at
+    which the relay starts to harvest at the direct link's tau. Starts and
+    refined points compete: the best rate wins, ties to the larger x_bar,
+    so a collinear trial (c = 0) keeps x_bar = 1. rate_bound is the larger
+    of that rate and the largest interval bound, so it lies within
+    (1 + _CERT) of the rate. Trials run in groups of _GROUP; each trial's
+    result depends on its own channel only.
     """
-    m = len(link)
-    xs = np.linspace(1.0, 0.0, _GRID_POINTS)
-    taus = np.linspace(np.clip(harvest_threshold(params, link.n1_sq), 1e-4, 1.0 - 1e-4),
-                       1.0 - 1e-4, _GRID_POINTS, axis=1)
-    dx, dt = xs[0] - xs[1], taus[:, 1] - taus[:, 0]
-    bx, bt = _exact_grid(params, link, np.broadcast_to(xs, (m, xs.size)), taus)
-    for _ in range(_ZOOM_LEVELS):
-        bx, bt = _exact_grid(params, link, np.clip(bx[:, None] - _ZOOM * dx, 0.0, 1.0),
-                             np.clip(bt[:, None] + _ZOOM * dt[:, None], 1e-7, 1.0 - 1e-7))
-        dx, dt = dx / 2.0, dt / 2.0
-    g1, g2 = beam_gains(link.a, link.b, link.c, bx)
-    return BlockDesign(x_bar=bx, tau=bt, g1=g1, g2=g2)
+    x, tau, bound = (np.concatenate(v) for v in zip(*(
+        _exact_group(params, link[i:i + _GROUP])
+        for i in range(0, max(len(link), 1), _GROUP))))
+    g1, g2 = beam_gains(link.a, link.b, link.c, x)
+    return BlockDesign(x_bar=x, tau=tau, g1=g1, g2=g2, rate_bound=bound)
 
 
 def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:
@@ -310,25 +469,12 @@ def mrt_user_block(params: SystemParams, link: LinkStats,
     """Beam all energy toward the user: w = h1*/||h1||.
 
     With tau omitted, the harvest time maximizes the exact throughput of
-    this beam. Below the relay's harvest threshold t_r only the direct link
-    carries data, at SNR a1 ||h1||^4 (k - k_u), so the closed form capped
-    at t_r is best there; above both thresholds a golden-section search
-    runs, kept off the rate's lower hump. The higher rate wins.
+    this beam: tau_profile at x_bar = 1, searched to _SEARCH_TOL in s.
     """
     g1 = link.n1_sq
     g2 = np.abs(link.inner) ** 2 / np.maximum(g1, 1e-300)
     if tau is None:
-        def rate(t):
-            return link_throughput(link_snr(params, link, g1, g2, t), t)
-
-        lo, hi = _TAU_BRACKET
-        t_r = relay_threshold(params, g2)
-        start = np.maximum(harvest_threshold(params, g1), t_r)
-        tau, top = golden_max(rate, np.where(start < hi, np.maximum(lo, start), lo), hi,
-                              _SEARCH_TOL)
-        kappa = branch_constants(params, _REF_TAU).a1 * np.square(g1)
-        low = np.minimum(_lambert_tau(params, kappa, g1), t_r)
-        tau = np.where(rate(low) > top, low, tau)
+        tau = tau_profile(params, link, g1, g2, _SEARCH_TOL)[0]
     tau = np.broadcast_to(np.asarray(tau, dtype=float), g1.shape)
     return BlockDesign(x_bar=np.ones(g1.shape), tau=tau, g1=g1, g2=g2)
 

@@ -12,8 +12,8 @@ therefore bit-identical for any worker count or chunk size.
 Workers are threads of the calling process, each holding one block at a
 time. They overlap where the Philox fill, ndtri and the numpy kernels
 release the interpreter lock, not in Python-level loops such as the
-lockstep golden search of mrt-user with tau optimized. A pool runs only
-when a cell spans more than one chunk (by default more than
+lockstep searches of exact and of mrt-user with tau optimized. A pool
+runs only when a cell spans more than one chunk (by default more than
 _DEFAULT_CHUNK trials), with no more threads than chunks.
 
 Every strategy solves a whole block at once (see beamform); tau fixed or

@@ -2,9 +2,12 @@
 
 optimal_tau maximizes the rate bound rate_upper(kappa, tau) in closed form;
 beamform shifts it onto the circuit-power threshold for every design whose
-SNR is affine in tau/(1-tau). golden_max is the search for the rest.
-Both accept arrays: optimal_tau solves every coefficient at once, and
-golden_max runs one search per array entry in lockstep.
+SNR is affine in tau/(1-tau). golden_max is the search for the rest:
+beamform.tau_profile runs it on the rate of fixed beam gains above both
+harvest thresholds, for mrt-user and for every bound and node of the
+exact design's branch-and-bound. Both accept arrays: optimal_tau solves
+every coefficient at once, and golden_max runs one search per array
+entry in lockstep.
 """
 from __future__ import annotations
 
@@ -80,15 +83,19 @@ def golden_max(f, lo, hi, tol: float):
         left = fc >= fd  # the maximum lies in [a, d]
         a1 = np.where(left, a, c)
         b1 = np.where(left, d, b)
-        probe = np.where(left, b1 - _GOLDEN * (b1 - a1), a1 + _GOLDEN * (b1 - a1))
+        step = _GOLDEN * (b1 - a1)
+        probe = np.where(left, b1 - step, a1 + step)
         fp = np.asarray(f(probe))
         c1 = np.where(left, probe, d)
         fc1 = np.where(left, fp, fd)
         d1 = np.where(left, c, probe)
         fd1 = np.where(left, fc, fp)
-        a, b = np.where(active, a1, a), np.where(active, b1, b)
-        c, fc = np.where(active, c1, c), np.where(active, fc1, fc)
-        d, fd = np.where(active, d1, d), np.where(active, fd1, fd)
+        if active.all():
+            a, b, c, fc, d, fd = a1, b1, c1, fc1, d1, fd1
+        else:
+            a, b = np.where(active, a1, a), np.where(active, b1, b)
+            c, fc = np.where(active, c1, c), np.where(active, fc1, fc)
+            d, fd = np.where(active, d1, d), np.where(active, fd1, fd)
         active = (b - a) > tol
     x = 0.5 * (a + b)
     return _scalar_or_array(x), _scalar_or_array(np.asarray(f(x)))

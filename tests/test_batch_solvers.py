@@ -10,8 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wprelay.beamform import (STRATEGIES, bound_min, solve, solve_block,
+from wprelay.beamform import (STRATEGIES, beam_gains, bound_min, solve, solve_block,
                               solve_suboptimal)
 from wprelay.channel import (ChannelState, LinkStats, SystemParams,
                              build_beamformer, decompose, sample_channel_block)
@@ -100,13 +102,67 @@ def test_exact_reaches_dense_grid_maximum(oracle_setup):
 
 
 def test_exact_ties_go_to_the_larger_x_bar():
-    # a circuit draw that no harvest covers leaves the rate 0 at every
-    # node, so every node ties and x_bar stays at 1
-    params = replace(_params(2), ps_dbm=0.0, pc_dbm=30.0)
+    # at pc 140 dBm the user's harvest threshold rounds to tau = 1, so the
+    # rate is 0 at every (x_bar, tau), every beam ties and x_bar stays at 1
+    params = replace(_params(2), ps_dbm=0.0, pc_dbm=140.0)
     link, _, _ = _channels(2)
     d = solve_block("exact", params, link)
     assert not np.any(link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau))
     assert np.all(d.x_bar == 1.0)
+
+
+@pytest.mark.parametrize("pc", [20.0, 30.0, 40.0])
+def test_exact_reaches_a_harvest_threshold_near_one(pc):
+    # at 0 dBm these circuit draws put the user's threshold within 1e-4 of
+    # tau = 1, yet every trial has a positive rate above it
+    params = replace(_params(2), ps_dbm=0.0, pc_dbm=pc)
+    link, _, _ = _channels(2)
+    rates = {}
+    for strategy in ("exact", "suboptimal", "mrt-user"):
+        d = solve_block(strategy, params, link)
+        rates[strategy] = link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+    assert np.all(rates["suboptimal"] > 0.0)
+    for strategy in ("suboptimal", "mrt-user"):
+        assert np.all(rates["exact"] >= (1.0 - 1e-9) * rates[strategy]), strategy
+
+
+def _drawn_block(n, ps, pc, seed):
+    """Four trials of seed at N = n antennas, ps and pc dBm, in setup's geometry."""
+    params = replace(_params(n), ps_dbm=ps, pc_dbm=pc)
+    return params, LinkStats.from_block(*sample_channel_block(params, seed, 0, 4))
+
+
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+_DRAWS = dict(n=st.integers(1, 12), ps=st.floats(-10.0, 50.0),
+              pc=st.none() | st.floats(-40.0, -20.0), seed=st.integers(0, 2 ** 32))
+
+
+@_SETTINGS
+@given(**_DRAWS)
+def test_exact_rate_bound_certifies_the_rate(n, ps, pc, seed):
+    params, link = _drawn_block(n, ps, pc, seed)
+    d = solve_block("exact", params, link)
+    rate = link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+    assert np.all(rate <= d.rate_bound)
+    assert np.all(d.rate_bound <= rate * (1.0 + 1e-3))
+    x = np.linspace(0.0, 1.0, 41)
+    taus = np.linspace(0.0, 1.0, 43)[1:-1, None, None]
+    g1, g2 = beam_gains(link.a[:, None], link.b[:, None], link.c[:, None], x)
+    grid = link_throughput(link_snr(params, link[:, None], g1, g2, taus), taus)
+    assert np.all(grid.max(axis=(0, 2)) <= d.rate_bound)
+
+
+@_SETTINGS
+@given(**_DRAWS)
+def test_exact_dominates_every_design(n, ps, pc, seed):
+    params, link = _drawn_block(n, ps, pc, seed)
+    rates = {}
+    for strategy in STRATEGIES:
+        d = solve_block(strategy, params, link)
+        rates[strategy] = link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+    assert np.all(rates["exact"] >= rates["suboptimal"] - 1e-12)
+    for strategy in ("large-n", "mrt-user"):
+        assert np.all(rates["exact"] >= (1.0 - 1e-9) * rates[strategy]), strategy
 
 
 def test_suboptimal_matches_bound_grid(setup):
@@ -185,8 +241,9 @@ def test_mrt_user_tau_finds_the_hump_below_the_relay_threshold():
 
 
 def test_exact_tau_axis_starts_at_the_user_threshold():
-    # at x_bar = 1 these trials rate above 0 only within one step of the
-    # 256-node axis from 1e-4, so the full pass missed mrt-user's peak
+    # at x_bar = 1 these trials rate above 0 only above the user's threshold
+    # (tau > 0.994 on trial 29) and peak within 1e-4 of it, so a tau search
+    # that does not start at that threshold misses mrt-user's peak
     params, link = _fig4_block(2, 11, 0, 64)
     rates = {}
     for strategy in ("exact", "mrt-user"):
