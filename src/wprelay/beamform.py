@@ -27,9 +27,9 @@ gains: the better of the Lambert-W closed form below the relay's harvest
 threshold and a bracketing grid plus lockstep golden-section search above
 both thresholds.
 
-direct_tau is the same closed form for the direct-link baseline. The
-single-channel functions solve and solve_* run a block of one and
-return a BeamformerDesign with the beam vector itself.
+direct_tau is the same closed form for the direct-link baseline. solve
+is the one single-channel entry point: it runs solve_block on a block of
+one and returns that trial's BeamformerDesign with the beam vector itself.
 """
 from __future__ import annotations
 
@@ -49,11 +49,7 @@ __all__ = [
     "direct_tau",
     "solve",
     "solve_block",
-    "solve_exact",
-    "solve_suboptimal",
     "solve_suboptimal_xbar",
-    "solve_large_n",
-    "solve_mrt_user",
     "tau_profile",
     "STRATEGIES",
 ]
@@ -483,28 +479,43 @@ _BLOCK_SOLVERS = {"exact": exact_block, "suboptimal": suboptimal_block,
                   "large-n": large_n_block}
 
 
-def _check_strategy(strategy: str, tau: float | None) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if tau is not None and strategy != "mrt-user":
-        raise ValueError(f"{strategy} optimizes tau; only mrt-user takes a fixed tau")
-
-
 def solve_block(strategy: str, params: SystemParams, link: LinkStats,
                 tau: float | None = None) -> BlockDesign:
     """Solve every trial of link; tau fixes the harvest time of mrt-user."""
-    _check_strategy(strategy, tau)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "mrt-user":
         return mrt_user_block(params, link, tau=tau)
+    if tau is not None:
+        raise ValueError(f"{strategy} optimizes tau; only mrt-user takes a fixed tau")
     return _BLOCK_SOLVERS[strategy](params, link)
 
 
-def _single(strategy: str, params: SystemParams, link: LinkStats, design: BlockDesign,
-            w: np.ndarray) -> BeamformerDesign:
-    """The first trial of design as a BeamformerDesign with beam w.
+def _beam(strategy: str, ch: ChannelState, link: LinkStats, x_bar: float) -> np.ndarray:
+    """The unit beam vector of strategy's design with mix x_bar on channel ch,
+    whose statistics are link."""
+    if strategy == "mrt-user":
+        return np.conj(ch.h1) / link.a[0]
+    if strategy == "large-n":  # the raw h1* and h2* directions, renormalized
+        w = x_bar * np.conj(ch.h1) / np.linalg.norm(ch.h1)
+        n2 = float(np.linalg.norm(ch.h2))
+        if n2 > 0.0:
+            w = w + math.sqrt(max(0.0, 1.0 - x_bar * x_bar)) * np.conj(ch.h2) / n2
+        return w / np.linalg.norm(w)
+    return build_beamformer(ch, x_bar)
+
+
+def solve(strategy: str, params: SystemParams, ch: ChannelState,
+          tau: float | None = None) -> BeamformerDesign:
+    """Solve one channel: trial 0 of solve_block on a block of one, plus its
+    beam vector w; see the module docstring for the strategies.
 
     gamma_max is the design's bound where it has one, else the exact SNR.
     """
+    link = LinkStats.of(ch)
+    design = solve_block(strategy, params, link, tau=tau)
+    x_bar = float(design.x_bar[0])
+    w = _beam(strategy, ch, link, x_bar)
     tau = float(design.tau[0])
     if design.gamma_bound is None:
         gamma = float(link_snr(params, link, design.g1, design.g2, design.tau)[0])
@@ -513,53 +524,25 @@ def _single(strategy: str, params: SystemParams, link: LinkStats, design: BlockD
     if not (math.isfinite(tau) and math.isfinite(gamma)):
         raise ValueError(f"{strategy}: no finite design for this channel")
     return BeamformerDesign(
-        strategy=strategy, x_bar=float(design.x_bar[0]), w=w, gamma_max=gamma, tau=tau,
+        strategy=strategy, x_bar=x_bar, w=w, gamma_max=gamma, tau=tau,
         scenario=None if design.scenario is None else str(design.scenario[0]),
         case_index=None if design.case_index is None else int(design.case_index[0]))
 
 
-def solve_suboptimal(params: SystemParams, ch: ChannelState) -> BeamformerDesign:
-    """Closed-form beam plus Lambert-W harvest time on the SNR upper bound."""
-    link = LinkStats.of(ch)
-    d = suboptimal_block(params, link)
-    return _single("suboptimal", params, link, d, build_beamformer(ch, float(d.x_bar[0])))
-
-
+# The package calls none of these four; perfbench/layers.py traces them by
+# name, and a traced run raises AttributeError without them.
 def solve_exact(params: SystemParams, ch: ChannelState) -> BeamformerDesign:
-    """Joint (x_bar, tau) maximization of the exact throughput."""
-    link = LinkStats.of(ch)
-    d = exact_block(params, link)
-    return _single("exact", params, link, d, build_beamformer(ch, float(d.x_bar[0])))
+    return solve("exact", params, ch)
+
+
+def solve_suboptimal(params: SystemParams, ch: ChannelState) -> BeamformerDesign:
+    return solve("suboptimal", params, ch)
 
 
 def solve_large_n(params: SystemParams, ch: ChannelState) -> BeamformerDesign:
-    """Many-antenna beam mixing the raw h1* and h2* directions."""
-    link = LinkStats.of(ch)
-    d = large_n_block(params, link)
-    x_bar = float(d.x_bar[0])
-    w = x_bar * np.conj(ch.h1) / np.linalg.norm(ch.h1)
-    n2 = float(np.linalg.norm(ch.h2))
-    if n2 > 0.0:
-        w = w + math.sqrt(max(0.0, 1.0 - x_bar * x_bar)) * np.conj(ch.h2) / n2
-    return _single("large-n", params, link, d, w / np.linalg.norm(w))
+    return solve("large-n", params, ch)
 
 
 def solve_mrt_user(params: SystemParams, ch: ChannelState,
                    tau: float | None = None) -> BeamformerDesign:
-    """Beam all energy toward the user: w = h1*/||h1||."""
-    link = LinkStats.of(ch)
-    d = mrt_user_block(params, link, tau=tau)
-    return _single("mrt-user", params, link, d, np.conj(ch.h1) / math.sqrt(link.n1_sq[0]))
-
-
-def solve(strategy: str, params: SystemParams, ch: ChannelState,
-          tau: float | None = None) -> BeamformerDesign:
-    """Dispatch on strategy name; see module docstring for the catalogue."""
-    _check_strategy(strategy, tau)
-    if strategy == "exact":
-        return solve_exact(params, ch)
-    if strategy == "suboptimal":
-        return solve_suboptimal(params, ch)
-    if strategy == "large-n":
-        return solve_large_n(params, ch)
-    return solve_mrt_user(params, ch, tau=tau)
+    return solve("mrt-user", params, ch, tau=tau)

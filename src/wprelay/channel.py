@@ -132,7 +132,8 @@ class SystemParams:
 
         Each key may appear once. n_antennas takes any integral number
         ("10" or "10.0"); pc_dbm = none (or empty) means no circuit power.
-        A bad line raises ValueError naming the key, the file and the line.
+        A bad line, one without "=" among them, raises ValueError naming
+        the file and the line, and the key where there is one.
         """
         values: dict[str, object] = {}
         lines: dict[str, int] = {}
@@ -141,13 +142,12 @@ class SystemParams:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-            else:
-                key, _, val = line.partition(" ")
+            where = f"{path}, line {num}"
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"config line {line!r} is not 'key = value' ({where})")
             key = key.strip()
             val = val.strip()
-            where = f"{path}, line {num}"
             if key not in known:
                 raise ValueError(f"unknown config key {key!r} ({where})")
             if key in lines:

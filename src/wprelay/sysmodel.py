@@ -9,12 +9,13 @@ One kernel computes that SNR: it takes the per-trial channel statistics
 (channel.LinkStats), the beam gains g1 = |h1^T w|^2 and g2 = |h2^T w|^2,
 and tau, as numpy arrays that broadcast against each other. relay=False
 gives the direct-link baseline, where the user transmits for the whole
-(1-tau)*T. The single-channel functions below wrap the same kernel.
+(1-tau)*T. snr_exact evaluates one channel under a beam vector w through
+the same hop SNRs, and throughput is the rate of one SNR.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +23,11 @@ from .channel import ChannelState, SystemParams
 
 __all__ = [
     "SnrBreakdown",
-    "transmit_powers",
     "harvest_threshold",
     "relay_threshold",
     "link_snr",
     "link_throughput",
     "snr_exact",
-    "snr_upper",
     "throughput",
 ]
 
@@ -107,44 +106,20 @@ def link_throughput(gamma, tau, relay: bool = True):
     return (0.5 if relay else 1.0) * (1.0 - tau) * np.log2(1.0 + gamma)
 
 
-def _check_beam(w: np.ndarray, tau: float) -> None:
+def snr_exact(params: SystemParams, ch: ChannelState, w: np.ndarray,
+              tau: float) -> SnrBreakdown:
+    """Exact post-MRC SNR of the two-phase transmission under beam w."""
     nw = float(np.linalg.norm(w))
     if abs(nw - 1.0) > _NORM_TOL:
         raise ValueError(f"beam must be unit norm, got |w| = {nw}")
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-
-
-def _channel_terms(params: SystemParams, ch: ChannelState, w: np.ndarray, tau: float):
-    _check_beam(w, tau)
-    return _hop_snrs(params, float(np.vdot(ch.h1, ch.h1).real),
-                     float(np.vdot(ch.h2, ch.h2).real), abs(ch.h3) ** 2,
-                     abs(ch.h1 @ w) ** 2, abs(ch.h2 @ w) ** 2, tau)
-
-
-def transmit_powers(params: SystemParams, ch: ChannelState, w: np.ndarray,
-                    tau: float) -> tuple[float, float]:
-    """Average user and relay transmit powers in watts for beam w."""
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    pu, pr = _powers(params, abs(ch.h1 @ w) ** 2, abs(ch.h2 @ w) ** 2, tau)
-    return float(pu), float(pr)
-
-
-def snr_exact(params: SystemParams, ch: ChannelState, w: np.ndarray,
-              tau: float) -> SnrBreakdown:
-    """Exact post-MRC SNR of the two-phase transmission under beam w."""
-    gd, xu, xr = (float(v) for v in _channel_terms(params, ch, w, tau))
+    gd, xu, xr = (float(v) for v in _hop_snrs(
+        params, float(np.vdot(ch.h1, ch.h1).real), float(np.vdot(ch.h2, ch.h2).real),
+        abs(ch.h3) ** 2, abs(ch.h1 @ w) ** 2, abs(ch.h2 @ w) ** 2, tau))
     gr = xu * xr / (xu + xr + 1.0)
     return SnrBreakdown(gamma_direct=gd, gamma_relay=gr,
                         gamma_total=gd + gr, gamma_upper=gd + min(xu, xr))
-
-
-def snr_upper(params: SystemParams, ch: ChannelState, w: np.ndarray,
-              tau: float) -> float:
-    """Upper bound gamma_direct + min(hop SNRs), ignoring circuit power."""
-    gd, xu, xr = _channel_terms(replace(params, pc_dbm=None), ch, w, tau)
-    return float(gd + min(xu, xr))
 
 
 def throughput(gamma: float, tau: float) -> float:

@@ -195,6 +195,21 @@ def test_high_snr_approximation_converges():
     assert ratios[-1] == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 30, 40])
+def test_high_snr_outage_bounds_the_exact_one_and_shares_its_diversity(n):
+    # the approximation lies above the exact outage by a gap that closes at
+    # least 5x per 20 dB, and the exact outage falls by 10^(N + 1) per 20 dB:
+    # the paper's diversity order (N + 1)/2
+    exact, gap = [], []
+    for ps in (0.0, 20.0, 40.0):
+        p = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0, ps_dbm=ps)
+        exact.append(outage_exact(p, 0.5))
+        gap.append(1.0 - exact[-1] / outage_high_snr(p, 0.5))
+    assert all(g > 0.0 for g in gap)
+    assert gap[1] <= gap[0] / 5.0 and gap[2] <= gap[1] / 5.0
+    assert math.log10(exact[1] / exact[2]) == pytest.approx(n + 1, abs=0.01)
+
+
 def test_high_snr_independent_of_relay_distance():
     near = SystemParams(n_antennas=3, d1=20.0, d2=5.0, d3=15.0, ps_dbm=-20.0)
     far = SystemParams(n_antennas=3, d1=20.0, d2=50.0, d3=15.0, ps_dbm=-20.0)

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wprelay.beamform import (STRATEGIES, beam_gains, bound_min, solve, solve_block,
-                              solve_suboptimal)
+from wprelay.beamform import STRATEGIES, beam_gains, bound_min, solve, solve_block
 from wprelay.channel import (ChannelState, LinkStats, SystemParams,
                              build_beamformer, decompose, sample_channel_block)
 from wprelay.montecarlo import _block_values
@@ -253,17 +252,18 @@ def test_exact_tau_axis_starts_at_the_user_threshold():
 
 
 def test_block_matches_single_channel_solves(setup):
+    # solve's beam vector is a unit beam with the gains of the block design
     params, link, chans, _ = setup
     for strategy in STRATEGIES:
         d = solve_block(strategy, params, link)
         for i, ch in enumerate(chans):
             one = solve(strategy, params, ch)
             assert (one.x_bar, one.tau) == (d.x_bar[i], d.tau[i]), (strategy, i)
-    d = solve_block("suboptimal", params, link)
-    for i, ch in enumerate(chans):
-        one = solve_suboptimal(params, ch)
-        assert one.case_index == d.case_index[i]
-        assert one.scenario == d.scenario[i]
+            assert np.linalg.norm(one.w) == pytest.approx(1.0, rel=1e-12), (strategy, i)
+            assert abs(ch.h1 @ one.w) ** 2 == pytest.approx(d.g1[i], rel=1e-12), (strategy, i)
+            assert abs(ch.h2 @ one.w) ** 2 == pytest.approx(d.g2[i], rel=1e-12), (strategy, i)
+            if strategy == "suboptimal":
+                assert (one.case_index, one.scenario) == (d.case_index[i], d.scenario[i])
 
 
 @pytest.mark.parametrize("n", [2, 10])

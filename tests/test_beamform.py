@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from wprelay.beamform import (STRATEGIES, BeamformerDesign, _lambert_tau, bound_min,
                               branch_relay_hop, branch_user_hop, solve,
-                              solve_exact, solve_large_n, solve_mrt_user,
-                              solve_suboptimal, solve_suboptimal_xbar)
+                              solve_suboptimal_xbar)
 from wprelay.channel import (ChannelDecomposition, SystemParams,
                              sample_channel, decompose)
 from wprelay.sysmodel import harvest_threshold, snr_exact, throughput
@@ -99,7 +98,7 @@ def test_suboptimal_reaches_grid_maximum_over_extreme_decompositions(a, b, c, a0
 
 def test_solve_suboptimal_time_split_consistent():
     ch = sample_channel(PARAMS, 2)
-    design = solve_suboptimal(PARAMS, ch)
+    design = solve("suboptimal", PARAMS, ch)
     assert 0.0 < design.tau < 1.0
     # the reported SNR equals the tau-free coefficient scaled by tau/(1-tau)
     dec = decompose(PARAMS, ch, design.tau)
@@ -110,7 +109,7 @@ def test_solve_suboptimal_time_split_consistent():
 def test_exact_dominates_everything():
     for k in range(10):
         ch = sample_channel(PARAMS, 3, k)
-        best = solve_exact(PARAMS, ch)
+        best = solve("exact", PARAMS, ch)
         t_best = throughput(snr_exact(PARAMS, ch, best.w, best.tau).gamma_total,
                             best.tau)
         for strategy in ("suboptimal", "large-n", "mrt-user"):
@@ -121,7 +120,7 @@ def test_exact_dominates_everything():
 
 def test_exact_result_is_locally_optimal():
     ch = sample_channel(PARAMS, 4)
-    d = solve_exact(PARAMS, ch)
+    d = solve("exact", PARAMS, ch)
     base = throughput(snr_exact(PARAMS, ch, d.w, d.tau).gamma_total, d.tau)
     from wprelay.channel import build_beamformer
     for dx in (-1e-3, 1e-3):
@@ -140,8 +139,8 @@ def test_large_n_approaches_exact():
     te_sum = tl_sum = 0.0
     for k in range(40):
         ch = sample_channel(params, 5, k)
-        de = solve_exact(params, ch)
-        dl = solve_large_n(params, ch)
+        de = solve("exact", params, ch)
+        dl = solve("large-n", params, ch)
         te_sum += throughput(snr_exact(params, ch, de.w, de.tau).gamma_total,
                              de.tau)
         tl_sum += throughput(snr_exact(params, ch, dl.w, dl.tau).gamma_total,
@@ -151,11 +150,11 @@ def test_large_n_approaches_exact():
 
 def test_mrt_user_beam_and_tau():
     ch = sample_channel(PARAMS, 6)
-    fixed = solve_mrt_user(PARAMS, ch, tau=0.37)
+    fixed = solve("mrt-user", PARAMS, ch, tau=0.37)
     assert fixed.tau == 0.37
     assert fixed.x_bar == 1.0
     np.testing.assert_allclose(fixed.w, np.conj(ch.h1) / np.linalg.norm(ch.h1))
-    free = solve_mrt_user(PARAMS, ch)
+    free = solve("mrt-user", PARAMS, ch)
     t_free = throughput(snr_exact(PARAMS, ch, free.w, free.tau).gamma_total,
                         free.tau)
     t_fixed = throughput(snr_exact(PARAMS, ch, fixed.w, fixed.tau).gamma_total,

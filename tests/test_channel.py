@@ -95,6 +95,13 @@ def test_from_config_names_key_file_and_line_of_a_bad_value(tmp_path):
         SystemParams.from_config(cfg)
 
 
+def test_from_config_rejects_a_line_without_equals(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("d1 = 20\nn_antennas 4\nd2 = 15\nd3 = 15\n")
+    with pytest.raises(ValueError, match=r"'n_antennas 4'.*bad\.cfg, line 2"):
+        SystemParams.from_config(cfg)
+
+
 def test_from_config_takes_an_integral_antenna_count(tmp_path):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("n_antennas = 10.0\nd1 = 20\nd2 = 15\nd3 = 15\n")

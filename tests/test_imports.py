@@ -37,3 +37,16 @@ def test_every_exported_name_resolves(name):
     # a stale export of a deleted name would break `from <module> import *`
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_every_name_the_benchmark_patches_resolves(monkeypatch):
+    # perfbench/layers.py patches package attributes by name, some of which
+    # nothing in the package uses (beamform's four solve_* forwards,
+    # montecarlo.ProcessPoolExecutor); deleting one makes every traced
+    # benchmark run raise AttributeError.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    run, layers, tracer = (importlib.import_module(m) for m in ("run", "layers", "tracer"))
+    for m in run.MODULES:
+        importlib.import_module(f"wprelay.{m}")
+    with tracer.Tracer().installed(layers.install):
+        pass
