@@ -60,6 +60,12 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_seed(master_seed) -> None:
+    """Reject anything but an int in [0, 2**128); True and 1.0 equal 1 but are rejected."""
+    if not _is_int(master_seed) or not 0 <= master_seed < 2 ** 128:
+        raise ValueError(f"master_seed must be an int in [0, 2**128), got {master_seed!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All scenario constants. Powers in dBm, distances in meters.
@@ -312,8 +318,7 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     clipping, inverse CDF and scaling run in place on the keystream
     buffer, so a block holds one buffer besides its three outputs.
     """
-    if not _is_int(master_seed) or not 0 <= master_seed < 2 ** 128:
-        raise ValueError(f"master_seed must be an int in [0, 2**128), got {master_seed!r}")
+    _check_seed(master_seed)
     if not (_is_int(start) and _is_int(stop) and 0 <= start < stop):
         raise ValueError(f"trials need ints 0 <= start < stop, got [{start!r}, {stop!r})")
     n = params.n_antennas

@@ -3,18 +3,25 @@
 Trial t always consumes the same counter-addressed block of the random
 keystream (see channel.sample_channel_block), so any thread can sample
 any range of trials by itself. Trials are sampled, evaluated and reduced
-in fixed blocks of _BLOCK consecutive trials, each sampled just before it
-is evaluated: chunks handed to workers hold whole blocks only, each block
-yields (n, sum, M2), and the blocks are merged in trial order with the
-pairwise update of Chan, Golub and LeVeque (1983). Estimates are
-therefore bit-identical for any worker count or chunk size.
+in fixed blocks of _BLOCK consecutive trials: chunks handed to workers
+hold whole blocks only, each block yields (n, sum, M2), and the blocks
+are merged in trial order with the pairwise update of Chan, Golub and
+LeVeque (1983). Estimates are therefore bit-identical for any worker
+count or chunk size.
 
-Workers are threads of the calling process, each holding one block at a
-time. They overlap where the Philox fill, ndtri and the numpy kernels
-release the interpreter lock, not in Python-level loops such as the
-lockstep searches of exact and of mrt-user with tau optimized. A pool
-runs only when a cell spans more than one chunk (by default more than
-_DEFAULT_CHUNK trials), with no more threads than chunks.
+A channel depends only on (master_seed, n_antennas, trial), so _memo keeps
+the LinkStats of the last such stream's blocks for the next cells of a
+sweep. Cells of at most _CACHE_TRIALS trials store their blocks, and at
+most _CACHE_TRIALS trials (about 4.3 MB at 65 B per trial) are kept.
+Kept arrays are read-only, and an estimate has the same bits whether its
+blocks were kept or sampled.
+
+Workers are threads of the calling process. They overlap where the Philox
+fill, ndtri and the numpy kernels release the interpreter lock, not in
+Python-level loops such as the lockstep searches of exact and of mrt-user
+with tau optimized. A pool runs only when a cell spans more than one
+chunk (by default more than _DEFAULT_CHUNK trials), with no more threads
+than chunks.
 
 Every strategy solves a whole block at once (see beamform); tau fixed or
 optimized, there is one evaluation path. A trial fails, and is counted
@@ -27,16 +34,17 @@ the user transmits directly to the access point for the whole data phase.
 from __future__ import annotations
 
 import math
+import threading
 # ProcessPoolExecutor is unused; perfbench/layers.py patches this binding
 # to count pools, and its traced runs fail without it.
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from . import beamform
-from .channel import LinkStats, SystemParams, _is_int, sample_channel_block
+from .channel import LinkStats, SystemParams, _check_seed, _is_int, sample_channel_block
 from .sysmodel import link_snr, link_throughput
 
 __all__ = [
@@ -53,6 +61,8 @@ METRICS = ("throughput", "outage", "tau")
 _MAX_ERROR_FRACTION = 1e-3
 _BLOCK = 4096  # trials per reduction block; divides _DEFAULT_CHUNK
 _DEFAULT_CHUNK = 32768
+_CACHE_TRIALS = 2 * _DEFAULT_CHUNK  # largest cell that stores, and most trials kept
+_PIECE = 1024  # trials per sampling call when a block is stored
 
 
 class SimulationError(RuntimeError):
@@ -73,11 +83,67 @@ class PerformanceEstimate:
     n_failed: int = 0
 
 
+def _stored_block(params: SystemParams, master_seed: int, lo: int, hi: int) -> LinkStats:
+    """LinkStats of trials [lo, hi) in read-only arrays, sampled _PIECE
+    trials at a time. Sampling and from_block work row by row, so the
+    fields are the bits of one call over the whole range."""
+    out: dict[str, np.ndarray] = {}
+    for p in range(lo, hi, _PIECE):
+        q = min(p + _PIECE, hi)
+        piece = LinkStats.from_block(*sample_channel_block(params, master_seed, p, q))
+        if not out:
+            out = {f.name: np.empty(hi - lo, getattr(piece, f.name).dtype)
+                   for f in fields(piece)}
+        for name, v in out.items():
+            v[p - lo:q - lo] = getattr(piece, name)
+    for v in out.values():
+        v.flags.writeable = False
+    return LinkStats(**out)
+
+
+class _BlockMemo:
+    """LinkStats of the blocks of one stream, the last (master_seed,
+    n_antennas) asked for, keyed (master_seed, n_antennas, lo, hi)."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.stream: tuple[int, int] | None = None
+        self.blocks: dict[tuple[int, int, int, int], LinkStats] = {}
+
+    def link(self, params: SystemParams, master_seed: int, lo: int, hi: int,
+             store: bool) -> LinkStats:
+        """LinkStats of trials [lo, hi): kept ones if there are, else sampled,
+        and kept if store and no other stream came in meanwhile. The oldest
+        blocks go first so that at most _CACHE_TRIALS trials are kept."""
+        stream = (master_seed, params.n_antennas)
+        key = stream + (lo, hi)
+        with self.lock:
+            if self.stream != stream:
+                self.blocks.clear()
+                self.stream = stream
+            link = self.blocks.get(key)
+        if link is not None:
+            return link
+        if not store:
+            return LinkStats.from_block(*sample_channel_block(params, master_seed, lo, hi))
+        link = _stored_block(params, master_seed, lo, hi)
+        with self.lock:
+            if self.stream == stream and key not in self.blocks:
+                held = sum(map(len, self.blocks.values()))
+                for old in list(self.blocks):  # oldest first
+                    if held + len(link) <= _CACHE_TRIALS:
+                        break
+                    held -= len(self.blocks.pop(old))
+                self.blocks[key] = link
+        return link
+
+
+_memo = _BlockMemo()
+
+
 def _block_values(params: SystemParams, strategy: str, tau: float | None, metric: str,
-                  h1: np.ndarray, h2: np.ndarray, h3: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  link: LinkStats) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial metric values of one block and the mask of trials that count."""
-    link = LinkStats.from_block(h1, h2, h3)
     relay = strategy != "no-relay"
     with np.errstate(all="ignore"):  # failed trials are masked below
         if relay:
@@ -98,7 +164,7 @@ def _block_values(params: SystemParams, strategy: str, tau: float | None, metric
 
 
 def _run_chunk(params: SystemParams, strategy: str, tau: float | None,
-               metric: str, master_seed: int, start: int, stop: int
+               metric: str, master_seed: int, store: bool, start: int, stop: int
                ) -> list[tuple[int, int, int, float, float]]:
     """Trials [start, stop), a whole number of blocks except at the end.
 
@@ -109,7 +175,7 @@ def _run_chunk(params: SystemParams, strategy: str, tau: float | None,
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
         vals, ok = _block_values(params, strategy, tau, metric,
-                                 *sample_channel_block(params, master_seed, lo, hi))
+                                 _memo.link(params, master_seed, lo, hi, store))
         v = vals[ok]
         total = float(np.sum(v))
         m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
@@ -158,10 +224,12 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
         raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
+    _check_seed(master_seed)  # before the memo: True and 1.0 would find seed 1's blocks
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
     starts = range(0, n_trials, chunk)
     stops = [min(s + chunk, n_trials) for s in starts]
-    run = partial(_run_chunk, params, strategy, tau, metric, master_seed)
+    run = partial(_run_chunk, params, strategy, tau, metric, master_seed,
+                  n_trials <= _CACHE_TRIALS)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(pool.map(run, starts, stops))

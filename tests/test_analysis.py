@@ -88,6 +88,20 @@ def test_relay_mix_cdf_array_matches_scalar():
     assert isinstance(relay_mix_cdf(2.0, 3), float)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 300),
+       x=st.lists(st.floats(1e-12, 1e4) | st.floats(0.0, 1e300), min_size=1, max_size=40))
+@example(n=2, x=[0.0, 1e-300, 1e-12, 1.0, 1e4, 1e300])
+@example(n=300, x=[0.0, 1e-300, 1e-12, 1.0, 1e4, 1e300])
+def test_relay_mix_cdf_is_a_cdf_over_the_whole_range(n, x):
+    # in [0, 1], never falling in x, and the same whether x comes as an array or one by one
+    x = np.sort(np.array(x))
+    got = relay_mix_cdf(x, n)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.array_equal(got, [relay_mix_cdf(float(v), n) for v in x])
+
+
 def test_branch_cdfs_match_simulation():
     gus, gur, grs = _branch_samples(PARAMS, TAU, 200_000)
     cdfs = branch_cdfs(PARAMS, TAU)

@@ -190,7 +190,8 @@ def test_suboptimal_matches_bound_grid(setup):
 def test_time_split_of_fixed_beams_matches_dense_grid(oracle_setup):
     params, link, chans, (h1, h2, h3) = oracle_setup
     mrt = solve_block("mrt-user", params, link)
-    direct, _ = _block_values(params, "no-relay", None, "tau", h1, h2, h3)
+    direct, _ = _block_values(params, "no-relay", None, "tau",
+                              LinkStats.from_block(h1, h2, h3))
     d1a = params.d1 ** params.alpha
     for i, ch in enumerate(chans):
         w = np.conj(ch.h1) / np.linalg.norm(ch.h1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
@@ -69,6 +71,48 @@ def test_digest_equal_for_equal_parameter_sets():
     # an already canonical set keeps the digest it always had
     assert canonical.digest() == "4722fa42b872255e"
     assert {v.digest() for v in variants} == {"4722fa42b872255e"}
+
+
+def _spellings(v) -> list:
+    """Values equal to v as int, float, numpy scalar and signed zero."""
+    out = [float(v), np.float64(v)]
+    if float(v).is_integer():
+        out += [int(v), np.int64(int(v))]
+    if v == 0:
+        out += [-0.0, np.float64(-0.0)]
+    return out
+
+
+@st.composite
+def _equal_params(draw):
+    """Two SystemParams with the same values, each field spelled independently."""
+    finite = st.integers(-200, 200) | st.floats(-200.0, 200.0)
+    values = {"n_antennas": draw(st.integers(1, 400)),
+              "d1": draw(st.integers(1, 100) | st.floats(1e-3, 1e3)),
+              "d2": draw(st.integers(1, 100) | st.floats(1e-3, 1e3)),
+              "d3": draw(st.integers(1, 100) | st.floats(1e-3, 1e3)),
+              "alpha": draw(st.integers(2, 6) | st.floats(2.0, 6.0)),
+              "eta": draw(st.just(1) | st.floats(1e-3, 1.0)),
+              "ps_dbm": draw(finite), "noise_dbm": draw(finite),
+              "gamma_th_db": draw(finite), "pc_dbm": draw(st.none() | finite)}
+
+    def spelled():
+        out = {"n_antennas": draw(st.sampled_from(
+            [int, np.int64, np.int32, np.uint16]))(values["n_antennas"])}
+        for name, v in values.items():
+            if name != "n_antennas":
+                out[name] = None if v is None else draw(st.sampled_from(_spellings(v)))
+        return SystemParams(**out)
+
+    return spelled(), spelled()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pair=_equal_params())
+def test_equal_parameter_sets_have_equal_digests(pair):
+    a, b = pair
+    assert a == b
+    assert a.digest() == b.digest()
 
 
 def test_from_config_roundtrip(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wprelay import montecarlo
-from wprelay.channel import ChannelState, SystemParams, sample_channel_block
+from wprelay.cli import default_params, run_recipe
+from wprelay.channel import ChannelState, LinkStats, SystemParams, sample_channel_block
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
                                 SimulationError, _block_values, estimate)
 from wprelay.sysmodel import snr_exact, throughput
@@ -94,16 +98,19 @@ def test_failed_trials_are_masked_and_counted():
         bad = [7] if strategy == "no-relay" else [7, 9]
         for metric in METRICS:
             tau = 0.4 if strategy in ("mrt-user", "no-relay") else None
-            clean, ok = _block_values(PARAMS, strategy, tau, metric, h1, h2, h3)
+            clean, ok = _block_values(PARAMS, strategy, tau, metric,
+                                      LinkStats.from_block(h1, h2, h3))
             assert ok.all()
-            vals, ok = _block_values(PARAMS, strategy, tau, metric, bad_h1, h2, bad_h3)
+            vals, ok = _block_values(PARAMS, strategy, tau, metric,
+                                     LinkStats.from_block(bad_h1, h2, bad_h3))
             assert np.flatnonzero(~ok).tolist() == bad, (strategy, metric)
             # the other trials of the block do not see the bad ones
             np.testing.assert_array_equal(vals[ok], np.delete(clean, bad))
     # a vanishing user channel is degenerate, whatever the metric
     zero_h1 = h1.copy()
     zero_h1[3] = 0.0
-    _, ok = _block_values(PARAMS, "mrt-user", 0.5, "outage", zero_h1, h2, h3)
+    _, ok = _block_values(PARAMS, "mrt-user", 0.5, "outage",
+                          LinkStats.from_block(zero_h1, h2, h3))
     assert np.flatnonzero(~ok).tolist() == [3]
     est = estimate(PARAMS, "mrt-user", 500, 5, metric="outage", tau=0.5)
     assert est.n_failed == 0 and est.n_trials == 500
@@ -214,3 +221,132 @@ def test_fixed_tau_error_names_both_strategies_that_take_one():
             estimate(PARAMS, strategy, 100, 1, tau=0.5)
     est = estimate(PARAMS, "no-relay", 100, 1, tau=0.5)
     assert est.n_trials + est.n_failed == 100
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """An empty memo, so that a test sees its own cells' blocks only."""
+    monkeypatch.setattr(montecarlo, "_memo", montecarlo._BlockMemo())
+
+
+def _held_trials() -> int:
+    return sum(len(link) for link in montecarlo._memo.blocks.values())
+
+
+def test_warm_estimates_equal_cold_ones(cold):
+    # a memo hit must give the bits of a fresh sample, for every strategy and metric
+    for strategy in MC_STRATEGIES:
+        n = 6 if strategy == "exact" else 4096 + 300
+        tau = 0.4 if strategy in ("mrt-user", "no-relay") else None
+        for metric in METRICS:
+            montecarlo._memo.blocks.clear()
+            cold_est = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau)
+            assert _held_trials() == n
+            warm = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau, workers=2,
+                            chunk_size=4096)
+            assert repr(warm) == repr(cold_est), (strategy, metric)
+
+
+@pytest.mark.parametrize("n", [1, 10])
+def test_stored_block_equals_one_call(n):
+    # at N = 1 every trial takes from_block's near-radicand branch for c
+    params = replace(PARAMS, n_antennas=n)
+    lo, hi = 8192, 8192 + 4096
+    whole = LinkStats.from_block(*sample_channel_block(params, 7, lo, hi))
+    if n == 1:
+        assert np.all(whole.c == 0.0)
+    pieced = montecarlo._stored_block(params, 7, lo, hi)
+    for f in fields(LinkStats):
+        a, b = getattr(pieced, f.name), getattr(whole, f.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
+def test_only_cells_within_the_cap_store_their_blocks(cold):
+    cap = montecarlo._CACHE_TRIALS
+    kw = dict(metric="outage", tau=0.5)
+    estimate(PARAMS, "mrt-user", cap + 1, 3, **kw)
+    assert _held_trials() == 0
+    estimate(PARAMS, "mrt-user", 100, 3, **kw)  # dropped once the memo is full
+    estimate(PARAMS, "mrt-user", cap, 3, **kw)
+    assert _held_trials() == cap
+    for link in montecarlo._memo.blocks.values():
+        for f in fields(LinkStats):
+            assert not getattr(link, f.name).flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        next(iter(montecarlo._memo.blocks.values())).a[0] = 1.0
+    # a cell on another stream empties the memo
+    estimate(replace(PARAMS, n_antennas=2), "mrt-user", cap + 1, 3, **kw)
+    assert _held_trials() == 0
+
+
+def test_cells_on_two_streams_in_two_threads_give_the_serial_results(cold):
+    # three streams, each cell pooled over four threads: twelve threads on
+    # a memo that every cell on another stream empties
+    cells = [(PARAMS, 3), (PARAMS, 4), (replace(PARAMS, n_antennas=2), 3)]
+    kw = dict(metric="throughput", tau=0.5, workers=4, chunk_size=4096)
+    serial = [estimate(p, "mrt-user", 4 * 4096, seed, **kw) for p, seed in cells]
+    montecarlo._memo.blocks.clear()
+    barrier = threading.Barrier(3)
+    got: dict[int, list] = {i: [] for i in range(3)}
+
+    def run(i):
+        barrier.wait()
+        for k in range(4):
+            j = (i + k) % len(cells)
+            p, seed = cells[j]
+            got[i].append((j, estimate(p, "mrt-user", 4 * 4096, seed, **kw)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results in got.values():
+        assert len(results) == 4
+        assert all(est == serial[j] for j, est in results)
+    assert len({key[:2] for key in montecarlo._memo.blocks}) <= 1
+    assert _held_trials() <= montecarlo._CACHE_TRIALS
+
+
+def test_channels_depend_on_the_antenna_count_only():
+    # the memo keys a block by (master_seed, n_antennas, lo, hi) alone
+    other = SystemParams(n_antennas=PARAMS.n_antennas, d1=3.0, d2=7.0, d3=9.0, alpha=3.5,
+                         eta=0.25, ps_dbm=-10.0, noise_dbm=-90.0, gamma_th_db=3.0,
+                         pc_dbm=-30.0)
+    assert all(getattr(other, f.name) != getattr(PARAMS, f.name)
+               for f in fields(SystemParams)[1:])
+    for a, b in zip(sample_channel_block(PARAMS, 9, 5, 300),
+                    sample_channel_block(other, 9, 5, 300)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_seed_is_checked_before_the_memo(cold):
+    estimate(PARAMS, "mrt-user", 100, 1, tau=0.5)
+    for seed in (True, 1.0, -1, 2 ** 128):
+        with pytest.raises(ValueError, match="master_seed"):
+            estimate(PARAMS, "mrt-user", 100, seed, tau=0.5)
+
+
+def test_a_sweep_samples_each_trial_once(cold, monkeypatch, tmp_path):
+    sampled = []
+    real = montecarlo.sample_channel_block
+
+    def counting(params, master_seed, start, stop):
+        sampled.append(stop - start)
+        return real(params, master_seed, start, stop)
+
+    monkeypatch.setattr(montecarlo, "sample_channel_block", counting)
+    base = default_params()
+    for _ in range(2):
+        # a cell at another N first, so that no run finds the last run's blocks
+        estimate(replace(base, n_antennas=3), "mrt-user", 100, 5, tau=0.5)
+        sampled.clear()
+        run_recipe("fig8b", base, 2000, 5, tmp_path / "fig8b.csv", 1)
+        assert len((tmp_path / "fig8b.csv").read_text().splitlines()) == 1 + 14
+        assert sum(sampled) == 2000
