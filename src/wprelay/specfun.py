@@ -1,4 +1,4 @@
-"""Upper incomplete gamma and adaptive quadrature, called by nothing in the package.
+"""Thin wrappers over scipy.integrate.quad and scipy.special, called by nothing in the package.
 
 analysis.outage_exact integrates with fixed rules of its own, and every
 special function comes straight from scipy.special. This module stays
@@ -11,7 +11,6 @@ are a QuadratureSpec). Once those bindings go, so can this file.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -75,80 +74,35 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-# 15-point Kronrod nodes/weights with embedded 7-point Gauss rule.
-_XGK = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-)
-_WGK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-)
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469)
-
-
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    ik = _WGK[7] * fc
-    ig = _WG[3] * fc
-    for j in range(7):
-        dx = half * _XGK[j]
-        fa = f(mid - dx)
-        fb = f(mid + dx)
-        ik += _WGK[j] * (fa + fb)
-        if j % 2 == 1:
-            ig += _WG[j // 2] * (fa + fb)
-    ik *= half
-    ig *= half
-    return ik, abs(ik - ig)
-
-
 def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> float:
-    """Adaptive Gauss-Kronrod integral of f over [lo, hi].
+    """Integral of f over [lo, hi] by QUADPACK's adaptive qags (scipy.integrate.quad).
 
-    A semi-infinite upper limit is handled with the substitution
-    t = u / (1 - u), mapping [lo, inf) onto (0, 1).
+    lo must be finite, hi finite or +inf, and lo <= hi. An infinite upper
+    limit is mapped onto [0, 1] by t = lo + u / (1 - u), and the mapped
+    integrand is integrated by a second call. At most
+    spec.max_subdivisions splits are made; if QUADPACK stops short of the
+    tolerances, IntegrationError carries its estimate and error bound.
     """
+    if not (math.isfinite(lo) and lo <= hi):
+        raise ValueError(f"integration bounds need finite lo <= hi, hi finite or +inf; "
+                         f"got lo={lo}, hi={hi}")
     spec = spec or QuadratureSpec()
-    if math.isinf(hi):
-        base = lo
-
+    if hi == math.inf:
         def g(u: float) -> float:
             r = 1.0 - u
-            return f(base + u / r) / (r * r)
+            return f(lo + u / r) / (r * r)
 
         return integrate_adaptive(g, 0.0, 1.0, spec)
-    if not (lo < hi):
-        if lo == hi:
-            return 0.0
-        raise ValueError("integration bounds must satisfy lo <= hi")
+    # scipy.integrate is imported here so that importing this module loads
+    # only scipy.special
+    from scipy.integrate import quad
 
-    val, err = _gk15(f, lo, hi)
-    segs = [(-err, 0, lo, hi, val, err)]
-    total = val
-    total_err = err
-    count = 0
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total
-        neg_err, _, a, b, v, e = heapq.heappop(segs)
-        m = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - e
-        count += 1
-        heapq.heappush(segs, (-e1, 2 * count, a, m, v1, e1))
-        heapq.heappush(segs, (-e2, 2 * count + 1, m, b, v2, e2))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-        return total
-    raise IntegrationError(
-        f"quadrature did not converge after {spec.max_subdivisions} subdivisions "
-        f"(estimate {total:.6e}, error bound {total_err:.3e})",
-        estimate=total,
-        error_bound=total_err,
-    )
+    # n splits make n + 1 pieces, and QUADPACK's limit counts pieces
+    val, err, _, *failed = quad(f, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                                limit=spec.max_subdivisions + 1, full_output=1)
+    if failed:
+        reason = failed[0].splitlines()[0].strip()
+        raise IntegrationError(f"quadrature did not converge: {reason} "
+                               f"(estimate {val:.6e}, error bound {err:.3e})",
+                               estimate=val, error_bound=err)
+    return val

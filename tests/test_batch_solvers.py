@@ -6,7 +6,7 @@ search over beams from build_beamformer, scored by snr_exact, or against
 the single-channel solver.
 """
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -265,6 +265,39 @@ def test_block_matches_single_channel_solves(setup):
             assert abs(ch.h2 @ one.w) ** 2 == pytest.approx(d.g2[i], rel=1e-12), (strategy, i)
             if strategy == "suboptimal":
                 assert (one.case_index, one.scenario) == (d.case_index[i], d.scenario[i])
+
+
+def _assert_rows_solve_alone(params, link, rows):
+    """Every field of each strategy's block design, at each of rows, has the
+    bytes of solve_block on that trial alone."""
+    for strategy in STRATEGIES:
+        d = solve_block(strategy, params, link)
+        for i in rows:
+            one = solve_block(strategy, params, link[i:i + 1])
+            for f in fields(d):
+                got, alone = getattr(d, f.name), getattr(one, f.name)
+                assert (got is None) == (alone is None), (strategy, i, f.name)
+                if got is not None:
+                    got = np.ascontiguousarray(got[i:i + 1])
+                    assert got.dtype == alone.dtype, (strategy, i, f.name)
+                    assert got.tobytes() == np.ascontiguousarray(alone).tobytes(), \
+                        (strategy, i, f.name)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(**_DRAWS, start=st.integers(0, 10 ** 6), size=st.integers(2, 8))
+def test_block_design_equals_each_trial_solved_alone(n, ps, pc, seed, start, size):
+    params = replace(_params(n), ps_dbm=ps, pc_dbm=pc)
+    link = LinkStats.from_block(*sample_channel_block(params, seed, start, start + size))
+    _assert_rows_solve_alone(params, link, range(size))
+
+
+def test_block_design_across_groups_equals_trials_solved_alone():
+    # 300 trials span two of exact's _GROUP = 256 passes, rows 255 and 256
+    # sit on either side of the split, and the first pass sends up to
+    # 16 384 lanes through tau_profile, sixteen of its _LANES = 1024 slices
+    params, link = _fig4_block(6, 3, 0, 300)
+    _assert_rows_solve_alone(params, link, [0, 255, 256, 299])
 
 
 @pytest.mark.parametrize("n", [2, 10])

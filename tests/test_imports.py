@@ -9,14 +9,14 @@ import pytest
 
 import wprelay
 
-# Importing the package and its CLI pulls in scipy.special only; the other
-# scipy subpackages (integrate, stats, optimize, ...) cost tenths of a
-# second of start-up each.
+# Importing the package, its CLI and specfun (which perfbench/run.py imports
+# in every run) pulls in scipy.special only; the other scipy subpackages
+# (integrate, stats, optimize, ...) cost tenths of a second of start-up each.
 PROBE = """
 import sys
 import scipy.special
 before = set(sys.modules)
-import wprelay, wprelay.cli, wprelay.analysis
+import wprelay, wprelay.cli, wprelay.analysis, wprelay.specfun
 print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy'))
 """
 

@@ -72,10 +72,14 @@ def test_quadrature_integrable_singularity():
 
 
 def test_quadrature_reports_failure():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
-    with pytest.raises(IntegrationError) as exc:
-        integrate_adaptive(lambda t: 1.0 / math.sqrt(abs(t - 0.377)), 0.0, 1.0, spec)
-    assert exc.value.error_bound > 0
+    cusp = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
+    # sin(1/t) oscillates without end toward 0: no subdivision budget converges
+    for f, lo, spec in [(lambda t: 1.0 / math.sqrt(abs(t - 0.377)), 0.0, cusp),
+                        (lambda t: math.sin(1.0 / t), 1e-9, QuadratureSpec())]:
+        with pytest.raises(IntegrationError) as exc:
+            integrate_adaptive(f, lo, 1.0, spec)
+        assert math.isfinite(exc.value.estimate)
+        assert exc.value.error_bound > 0
 
 
 def test_quadrature_spec_validation():
@@ -87,5 +91,8 @@ def test_quadrature_spec_validation():
 
 def test_quadrature_empty_and_reversed_interval():
     assert integrate_adaptive(lambda t: t, 1.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        integrate_adaptive(lambda t: t, 2.0, 1.0)
+    # lo must be finite, hi finite or +inf, and lo <= hi
+    for lo, hi in [(2.0, 1.0), (0.0, -math.inf), (math.inf, math.inf), (-math.inf, 0.0),
+                   (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="bounds"):
+            integrate_adaptive(lambda t: math.exp(-t), lo, hi)
