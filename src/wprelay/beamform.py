@@ -1,16 +1,17 @@
 """Energy-beam and harvest-time optimization strategies.
 
 Every strategy solves a whole block of trials at once from the per-trial
-channel statistics (channel.LinkStats) and returns a BlockDesign: per
-trial, the mixing coefficient x_bar of the two-direction beam, the
-harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
+channel statistics (channel.LinkStats), read through their SNR coefficients
+(channel.ChannelDecomposition, built once per block), and returns a
+BlockDesign: per trial, the mixing coefficient x_bar of the two-direction
+beam, the harvest fraction tau, and the beam gains that the SNR needs:
 
 - "exact":      joint (x_bar, tau) maximum of the exact throughput: a
                 branch-and-bound over x_bar bounds each interval by the tau
                 profile at the interval's largest beam gains, certifies
-                every trial to 1e-3 (BlockDesign.rate_bound), then refines
-                each basin that could still win to about 1e-9 by Newton
-                steps in (x_bar, tau).
+                every trial to 1e-3 (BlockDesign.rate_bound), then climbs
+                the profile's rate in x_bar by Newton steps in each basin
+                that could still win.
 - "suboptimal": closed-form x_bar maximizing the min of the two branches
                 of the SNR upper bound (tau-independent; where the branches
                 cross, the crossing is the larger root of a quadratic in
@@ -24,8 +25,8 @@ harvest fraction tau, and the beam gains that sysmodel.link_snr needs:
 
 The tau profile (tau_profile) is the best harvest fraction of fixed beam
 gains: the better of the Lambert-W closed form below the relay's harvest
-threshold and a bracketing grid plus lockstep golden-section search above
-both thresholds.
+threshold and, above both thresholds, the root of the rate's stationarity
+condition, by bracketed Newton steps on the SNR's analytic derivatives.
 
 direct_tau is the same closed form for the direct-link baseline. solve
 is the one single-channel entry point: it runs solve_block on a block of
@@ -39,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
-                      branch_constants, build_beamformer, decompose_block)
-from .sysmodel import harvest_threshold, link_snr, link_throughput, relay_threshold
-from .timesplit import _BELOW_ONE, golden_max, optimal_tau
+                      build_beamformer)
+from .sysmodel import (coefficient_snr, harvest_threshold, link_snr, link_throughput,
+                       relay_threshold)
+from .timesplit import _BELOW_ONE, optimal_tau
 
 __all__ = [
     "BeamformerDesign",
@@ -58,22 +60,18 @@ STRATEGIES = ("exact", "suboptimal", "large-n", "mrt-user")
 SCENARIOS = ("mixed-slope-negative", "mixed-slope-zero", "mixed-slope-positive")
 
 _SLOPE_ZERO_BAND = 1e-9
-_REF_TAU = 0.5  # scale(0.5) = 2*eta*rho, so SNR here equals the tau-free kappa
 _SLICE = 8192  # x_bar points per slice of bound_min over one channel
-_S_NODES = 25  # s nodes of tau_profile's bracketing pass
-_S_GRID = np.arange(_S_NODES) / _S_NODES
-_LANES = 1024  # lanes per slice of that pass, which bounds its temporaries
-_SEARCH_TOL = 1e-9  # s tolerance of mrt-user's tau_profile
-_BOUND_TOL = 1e-3  # s tolerance of tau_profile inside exact's branch-and-bound
+_K_MAX = 2.0 ** 53  # k = tau/(1 - tau) past which tau rounds to 1
+_TOL = 1e-10  # a profile lane stops once its step in k is at most this times 1 + k
+_MAX_STEPS = 100  # profile steps at most
 _CERT = 1e-3  # relative certificate of exact
 _INTERVALS = 32  # starting x_bar intervals of exact
 _MAX_ROUNDS = 40  # interval halvings at most; 32 * 2**40 intervals span 1e-14
 _GROUP = 256  # trials per branch-and-bound pass, which bounds its lane arrays
 _NEWTON_STEPS = 6
 _FD_STEP = 1e-5
-_TRUST = 0.1  # first trust radius of _refine in theta and in v
-# (theta, v) offsets of _refine's 3 x 3 stencil, centre at index 4
-_STENCIL = np.stack(np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij")).reshape(2, 9)
+_TRUST = 0.1  # first trust radius of _refine
+_STENCIL = np.array([-1.0, 0.0, 1.0]) * _FD_STEP  # theta offsets of _refine's differences
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,8 @@ class BlockDesign:
     gamma_bound is the SNR upper bound that the suboptimal and large-n
     designs maximize; scenario and case_index are filled by the suboptimal
     design only. rate_bound, filled by the exact design only, is each
-    trial's certificate: no (x_bar, tau) rates above it, up to the
-    tolerance of the tau search that computes it, and it is at most 1e-3
-    above the trial's own rate.
+    trial's certificate: no (x_bar, tau) rates above it, up to rounding,
+    and it is at most 1e-3 above the trial's own rate.
     """
 
     x_bar: np.ndarray
@@ -184,17 +181,14 @@ def solve_suboptimal_xbar(dec: ChannelDecomposition):
     return x_opt, gamma, names, case
 
 
-def _lambert_tau(params: SystemParams, kappa: np.ndarray, g1: np.ndarray,
+def _lambert_tau(dec: ChannelDecomposition, kappa: np.ndarray, g1: np.ndarray,
                  relay: bool = True) -> np.ndarray:
     """tau maximizing log(1 + kappa (k - k_u))/(1 + k), k = tau/(1-tau), above
     the user's harvest threshold t_u = k_u/(1 + k_u) for beam gain g1; NaN
-    where kappa <= 0. With s = (k - k_u)/(1 + k_u) the objective is the
-    pc-free log(1 + kappa' s)/(1 + s) over 1 + k_u, kappa' = kappa/(1 - t_u),
-    which optimal_tau maximizes in s/(1 + s); so tau = t_u + (1 - t_u)
-    optimal_tau(kappa/(1 - t_u)), and optimal_tau(kappa) when t_u = 0.
-    Where t_u rounds to 1 no tau gives a rate, and tau is the double below 1.
-    """
-    t_u = harvest_threshold(params, g1, relay)
+    where kappa <= 0. In s = (k - k_u)/(1 + k_u) that is the pc-free rate of
+    kappa/(1 - t_u), so tau = t_u + (1 - t_u) optimal_tau(kappa/(1 - t_u)),
+    or the double below 1 where t_u rounds to 1."""
+    t_u = harvest_threshold(dec, g1, relay)
     tau = np.full(np.shape(kappa), np.nan)
     good = kappa > 0.0
     if np.any(good):
@@ -207,14 +201,14 @@ def suboptimal_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     """Closed-form beam plus Lambert-W harvest time on the SNR upper bound.
 
     The beam maximizing the bound does not depend on tau (every branch
-    scales by the same tau factor), so it is computed once at a reference
-    tau and the harvest time follows from the resulting SNR coefficient
-    and the user's harvest threshold under that beam.
+    scales by the same tau factor), so it is computed once from the
+    coefficients at k = 1 and the harvest time follows from the resulting
+    SNR coefficient and the user's harvest threshold under that beam.
     """
-    dec = decompose_block(params, link, _REF_TAU)
+    dec = ChannelDecomposition.of(params, link)
     x_opt, kappa, scenario, case = solve_suboptimal_xbar(dec)
     g1, g2 = beam_gains(link.a, link.b, link.c, x_opt)
-    tau = _lambert_tau(params, kappa, g1)
+    tau = _lambert_tau(dec, kappa, g1)
     return BlockDesign(x_bar=x_opt, tau=tau, g1=g1, g2=g2,
                        gamma_bound=kappa * tau / (1.0 - tau),
                        scenario=scenario, case_index=case)
@@ -223,50 +217,71 @@ def suboptimal_block(params: SystemParams, link: LinkStats) -> BlockDesign:
 def direct_tau(params: SystemParams, link: LinkStats) -> np.ndarray:
     """Per-trial tau maximizing the direct-link baseline's exact throughput:
     above the user's harvest threshold its SNR is kappa_d (k - k_u), with
-    kappa_d = a1 ||h1||^4 / 2 (half the relay case's harvest scale)."""
-    kappa = 0.5 * branch_constants(params, _REF_TAU).a1 * np.square(link.n1_sq)
-    return _lambert_tau(params, kappa, link.n1_sq, relay=False)
+    kappa_d = a0 ||h1||^2 / 2 (half the relay case's harvest scale)."""
+    dec = ChannelDecomposition.of(params, link)
+    return _lambert_tau(dec, 0.5 * dec.a0 * link.n1_sq, link.n1_sq, relay=False)
 
 
-def tau_profile(params: SystemParams, link: LinkStats, g1: np.ndarray, g2: np.ndarray,
-                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best harvest fraction for the beam gains (g1, g2) of each lane, its rate,
-    and the best harvest fraction above both thresholds.
+def tau_profile(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Best harvest fraction for the beam gains (g1, g2) of each lane of dec,
+    and its rate.
 
-    Lane i sees the channel link[i]. Below the relay's harvest threshold
-    t_r only the direct link carries data, at SNR kappa (k - k_u) with
-    kappa = a1 g1 ||h1||^2, so the Lambert-W tau capped at t_r is best
-    there. Above t0 = max(t_u, t_r) the rate has one hump in
-    s = (tau - t0)/(1 - t0): one link_snr call on _S_NODES values of s
-    brackets it, and golden_max narrows the bracket to a width of tol in s.
-    The higher of the two rates wins. The lanes run in lockstep, each on
-    its own values only.
+    Below the relay's threshold only the direct link carries data, so the
+    Lambert-W tau capped there is best. Above k0 = max(k_u, k_r), gamma(k) =
+    a (k - k_u) + xu xr/(xu + xr + 1) with xu = c (k - k_u), xr = d (k - k_r),
+    and the rate log(1 + gamma)/(1 + k) has one hump (observed and pinned by
+    the tests; gamma is not concave in k) where phi = gamma' (1 + k) -
+    (1 + gamma) ln(1 + gamma) changes sign. Lanes with phi(k0) <= 0, NaN
+    lanes and lanes past _K_MAX take k0; the others start at k0 + (1 + k0) k_LW
+    (optimal_tau's k for the large-k slope a + c d/(c + d)) and take Newton
+    steps on phi within the bracket its signs give. A step that would leave
+    the bracket bisects it instead, or doubles 1 + k while it has no upper
+    end. A lane stops once its step is at most _TOL (1 + k). The higher
+    rate wins.
     """
-    t_r = relay_threshold(params, g2)
-    t0 = np.maximum(harvest_threshold(params, g1), t_r)
-    span = np.maximum(1.0 - t0, 1.0 - _BELOW_ONE)
-
-    def rate(lk, x1, x2, t):
-        return link_throughput(link_snr(params, lk, x1, x2, t), t)
-
-    def upper(s):
-        return rate(link, g1, g2, np.minimum(t0 + span * s, _BELOW_ONE))
-
-    def peak(sl):  # the best s node of lanes sl
-        t = np.minimum(t0[sl, None] + span[sl, None] * _S_GRID, _BELOW_ONE)
-        return np.argmax(rate(link[sl, None], g1[sl, None], g2[sl, None], t), axis=1)
-
-    j = np.concatenate([peak(slice(i, i + _LANES)) for i in range(0, max(g1.size, 1), _LANES)])
-    lo = np.clip(j - 1, 0, _S_NODES - 2) / _S_NODES
-    s, top = golden_max(upper, lo, lo + 2.0 / _S_NODES, tol)
-    tau_up = np.minimum(t0 + span * s, _BELOW_ONE)
-    if params.pc_watt == 0.0:  # t_r = 0: no tau lies below it
-        return tau_up, top, tau_up
-    kappa = branch_constants(params, _REF_TAU).a1 * g1 * link.n1_sq
-    low = np.minimum(_lambert_tau(params, kappa, g1), t_r)
-    r_low = rate(link, g1, g2, low)
+    with np.errstate(all="ignore"):
+        coef = np.broadcast_arrays(dec.a0 * g1, dec.c0 * g1, dec.d0 * g2, *(
+            np.divide(need, g) if need else np.zeros(np.shape(g))
+            for need, g in ((dec.need_u, g1), (dec.need_r, g2))))  # a, c, d, k_u, k_r
+        k = np.maximum(coef[3], coef[4])
+        live = np.flatnonzero((_phi(*coef, k)[0] > 0.0) & (k < _K_MAX))
+        a, c, d, k_u, k_r, lo = (v[live] for v in (*coef, k))
+        kappa = a + c * d / (c + d)
+        t = optimal_tau(np.where(kappa > 0.0, kappa, 1.0))
+        x, hi = lo + (1.0 + lo) * t / (1.0 - t), np.full(live.size, np.inf)
+        for _ in range(_MAX_STEPS):
+            if not live.size:
+                break
+            phi, dphi = _phi(a, c, d, k_u, k_r, x)
+            lo, hi = np.where(phi > 0.0, x, lo), np.where(phi > 0.0, hi, x)
+            step = x - phi / dphi
+            k[live] = step = np.where((step >= lo) & (step <= hi), step,
+                                      np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * x + 1.0))
+            going = np.abs(step - x) > _TOL * (1.0 + x)
+            live, a, c, d, k_u, k_r, lo, hi, x = (
+                v[going] for v in (live, a, c, d, k_u, k_r, lo, hi, step))
+        k = np.minimum(k, _K_MAX)
+    tau_up = np.minimum(k / (1.0 + k), _BELOW_ONE)
+    top = link_throughput(coefficient_snr(dec, g1, g2, tau_up), tau_up)
+    if dec.need_r == 0.0:  # no tau lies below the relay's threshold
+        return tau_up, top
+    low = np.minimum(_lambert_tau(dec, coef[0], g1), relay_threshold(dec, g2))
+    r_low = link_throughput(coefficient_snr(dec, g1, g2, low), low)
     better = r_low > top
-    return np.where(better, low, tau_up), np.where(better, r_low, top), tau_up
+    return np.where(better, low, tau_up), np.where(better, r_low, top)
+
+
+def _phi(a, c, d, k_u, k_r, k):
+    """phi of tau_profile and its slope at k, from the analytic gamma' and gamma''."""
+    xu, xr = c * (k - k_u), d * (k - k_r)
+    s = xu + xr + 1.0
+    gamma = a * (k - k_u) + xu * xr / s
+    d1 = a + (c * xr * (xr + 1.0) + d * xu * (xu + 1.0)) / (s * s)
+    u = c * d * (k_u - k_r)  # c xr - d xu
+    d2 = 2.0 * (c * d + (d - c) * u - u * u) / (s * s * s)
+    log = np.log1p(gamma)
+    return d1 * (1.0 + k) - (1.0 + gamma) * log, d2 * (1.0 + k) - d1 * log
 
 
 def _g2_max(b, c, lo, hi):
@@ -278,62 +293,45 @@ def _g2_max(b, c, lo, hi):
     return np.where((lo <= peak) & (peak <= hi), np.maximum(g2, b * b + c * c), g2)
 
 
-def _refine(params: SystemParams, link: LinkStats, theta: np.ndarray,
-            tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton ascent of the rate from x_bar = cos(theta) and tau, lane by lane;
-    returns the best (theta, tau) found.
+def _refine(dec: ChannelDecomposition, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton ascent of the tau profile's rate in theta, x_bar = cos(theta),
+    lane by lane; returns the best theta found and its harvest fraction.
 
-    The rate is smooth in theta, continued through theta = 0 by a signed
-    sin(theta), and in v, where tau = tau0 + (1 - tau0) v, away from the
-    harvest thresholds. Each step takes the gradient and Hessian from
-    central differences on a 3 x 3 stencil of spacing _FD_STEP, then moves
-    to the maximum of that model, or up the gradient where the model is
-    not concave, within a trust radius. A point that does not raise the
-    rate is dropped and the radius cut to a quarter of the step; one that
-    does doubles it.
+    theta continues through 0 by a signed sin(theta). Each step fits a
+    parabola to central differences of spacing _FD_STEP and moves to its top,
+    or up the slope where it is not concave, within a trust radius that
+    doubles after a step that raises the rate and otherwise shrinks to a
+    quarter of the step, which is then dropped.
     """
-    lk = link[:, None]
-    a, b, c = link.a[:, None], link.b[:, None], link.c[:, None]
-    tau0, span = tau[:, None], 1.0 - tau[:, None]
+    lanes = dec[np.repeat(np.arange(theta.size), _STENCIL.size)]
 
-    def rate(th, v):
-        t = np.minimum(tau0 + span * v, _BELOW_ONE)
+    def profile(th):  # rates around each th, and the tau at th
+        th = (th[:, None] + _STENCIL).ravel()
         cos, sin = np.cos(th), np.sin(th)
-        return link_throughput(link_snr(params, lk, np.square(a * cos),
-                                        np.square(b * cos + c * sin), t), t)
+        tau, rate = tau_profile(lanes, np.square(lanes.a * cos),
+                                np.square(lanes.b * cos + lanes.c * sin))
+        return rate.reshape(-1, _STENCIL.size), tau.reshape(-1, _STENCIL.size)[:, 1]
 
-    h = _FD_STEP
-    th, v = theta, np.zeros_like(theta)  # the point proposed
-    best_th, best_v = th, v
-    fb = np.full((theta.size, 9), -np.inf)  # the stencil around the best point
+    th = best = theta  # the point proposed and the best one
+    fb, tau = np.full((theta.size, _STENCIL.size), -np.inf), np.zeros_like(theta)
     radius = np.full_like(theta, _TRUST)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            f = rate(th[:, None] + h * _STENCIL[0], v[:, None] + h * _STENCIL[1])
-            up = f[:, 4] > fb[:, 4]
-            step = np.maximum(np.abs(th - best_th), np.abs(v - best_v))
-            best_th, best_v = np.where(up, th, best_th), np.where(up, v, best_v)
+            f, t = profile(th)
+            up = f[:, 1] > fb[:, 1]
+            radius = np.where(up, 2.0 * radius, 0.25 * np.abs(th - best))
+            best, tau = np.where(up, th, best), np.where(up, t, tau)
             fb = np.where(up[:, None], f, fb)
-            radius = np.where(up, 2.0 * radius, 0.25 * step)
-            gt, gv = (fb[:, 7] - fb[:, 1]) / (2 * h), (fb[:, 5] - fb[:, 3]) / (2 * h)
-            htt = (fb[:, 7] - 2 * fb[:, 4] + fb[:, 1]) / h ** 2
-            hvv = (fb[:, 5] - 2 * fb[:, 4] + fb[:, 3]) / h ** 2
-            htv = (fb[:, 8] - fb[:, 6] - fb[:, 2] + fb[:, 0]) / (4 * h * h)
-            det = htt * hvv - htv * htv
-            newton = (htt < 0.0) & (det > 0.0)
-            gmax = np.maximum(np.abs(gt), np.abs(gv))
-            dt = np.where(newton, (htv * gv - hvv * gt) / det, np.where(gmax > 0, gt / gmax, 0.0))
-            dv = np.where(newton, (htv * gt - htt * gv) / det, np.where(gmax > 0, gv / gmax, 0.0))
-            scale = np.minimum(1.0, radius / np.maximum(np.abs(dt), np.abs(dv)))
-            scale = np.where(np.isfinite(scale), scale, 0.0)
-            th, v = best_th + scale * dt, best_v + scale * dv
-    return best_th, np.minimum(tau + (1.0 - tau) * best_v, _BELOW_ONE)
+            slope = (fb[:, 2] - fb[:, 0]) / (2 * _FD_STEP)
+            curve = (fb[:, 2] - 2 * fb[:, 1] + fb[:, 0]) / _FD_STEP ** 2
+            step = np.where(curve < 0.0, -slope / curve, np.sign(slope) * radius)
+            th = best + np.clip(np.where(np.isfinite(step), step, 0.0), -radius, radius)
+    return best, tau
 
 
-def _exact_group(params: SystemParams, link: LinkStats
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x_bar, tau and rate bound of each trial of link; see exact_block."""
-    m = len(link)
+def _exact_group(dec: ChannelDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x_bar, tau and rate bound of each trial of dec; see exact_block."""
+    m = dec.a.size
     t = np.repeat(np.arange(m), _INTERVALS)
     hi = np.tile(np.arange(1, _INTERVALS + 1) / _INTERVALS, m)
     lo = hi - 1.0 / _INTERVALS
@@ -341,12 +339,12 @@ def _exact_group(params: SystemParams, link: LinkStats
     best = np.zeros(m)
     nodes, leaves = [], []
     for rnd in range(_MAX_ROUNDS):
-        g1, g2 = beam_gains(link.a[nt], link.b[nt], link.c[nt], nx)
-        tau, val, tau_up = tau_profile(
-            params, link[np.concatenate([nt, t])], np.concatenate([g1, np.square(link.a[t] * hi)]),
-            np.concatenate([g2, _g2_max(link.b[t], link.c[t], lo, hi)]), _BOUND_TOL)
+        g1, g2 = beam_gains(dec.a[nt], dec.b[nt], dec.c[nt], nx)
+        tau, val = tau_profile(
+            dec[np.concatenate([nt, t])], np.concatenate([g1, np.square(dec.a[t] * hi)]),
+            np.concatenate([g2, _g2_max(dec.b[t], dec.c[t], lo, hi)]))
         n = nt.size
-        nodes.append((nt, nx, tau[:n], val[:n], tau_up[:n]))
+        nodes.append((nt, nx, tau[:n], val[:n]))
         np.fmax.at(best, nt, val[:n])
         bound = val[n:]
         split = bound > best[t] * (1.0 + _CERT)  # a NaN bound never splits
@@ -359,9 +357,9 @@ def _exact_group(params: SystemParams, link: LinkStats
         nt, nx = t, 0.5 * (lo + hi)
         t, lo, hi = np.concatenate([t, t]), np.concatenate([lo, nx]), np.concatenate([nx, hi])
     # every leaf ends at a node, so sorted by trial and x_bar the two line up
-    nt, nx, ntau, nval, nup = map(np.concatenate, zip(*nodes))
+    nt, nx, ntau, nval = map(np.concatenate, zip(*nodes))
     order = np.lexsort((nx, nt))
-    nt, nx, ntau, nval, nup = nt[order], nx[order], ntau[order], nval[order], nup[order]
+    nt, nx, ntau, nval = nt[order], nx[order], ntau[order], nval[order]
     lt, lhi, lbound = (np.concatenate(v) for v in zip(*leaves))
     lorder = np.lexsort((lhi, lt))
     same = nt[1:] == nt[:-1]  # node i + 1 is of node i's trial
@@ -371,26 +369,24 @@ def _exact_group(params: SystemParams, link: LinkStats
     adj = np.fmax(adj, np.concatenate([np.where(same, adj[1:], -np.inf), [-np.inf]]))
     near = adj > best[nt] * (1.0 - _CERT)
     start = ((nval >= left) & (nval >= right) & near) | (nx == 1.0)
-    # Every start climbs from its tau above both thresholds. At x_bar = 1 the
-    # direct link's closed form can win below the relay's threshold, whose
-    # k_r = t_r/(1 - t_r) falls as 1/g2 while the beam turns towards the
-    # relay: the relay starts to harvest at the direct link's k = tau/(1 - tau)
-    # where (b cos(theta) + c sin(theta))^2 = b^2 k_r/k. Climb from there too.
+    # At x_bar = 1 the direct link's closed form can win below the relay's
+    # threshold, whose k_r = t_r/(1 - t_r) falls as 1/g2 while the beam turns
+    # towards the relay: the relay starts to harvest at the direct link's
+    # k = tau/(1 - tau) where (b cos(theta) + c sin(theta))^2 = b^2 k_r/k: climb
+    # from there too.
     one = nx == 1.0
-    b, c, k = link.b[nt[one]], link.c[nt[one]], ntau[one] / (1.0 - ntau[one])
-    t_r = relay_threshold(params, b * b)
+    b, c, k = dec.b[nt[one]], dec.c[nt[one]], ntau[one] / (1.0 - ntau[one])
+    t_r = relay_threshold(dec, b * b)
     with np.errstate(divide="ignore", invalid="ignore"):
         on = np.sqrt(t_r / ((1.0 - t_r) * k)) * b / np.hypot(b, c)
         theta_on = np.arctan2(c, b) - np.arccos(np.minimum(on, 1.0))
     st = np.concatenate([nt[start], nt[one]])
-    lanes = link[st]
-    theta, tau = _refine(params, lanes,
-                         np.concatenate([np.arccos(nx[start]),
-                                         np.maximum(theta_on, 0.0) + 4.0 * _FD_STEP]),
-                         np.concatenate([nup[start], ntau[one]]))
+    lanes = dec[st]
+    theta, tau = _refine(lanes, np.concatenate([np.arccos(nx[start]),
+                                                np.maximum(theta_on, 0.0) + 4.0 * _FD_STEP]))
     x = np.cos(np.clip(theta, 0.0, 0.5 * math.pi))
     g1, g2 = beam_gains(lanes.a, lanes.b, lanes.c, x)
-    val = link_throughput(link_snr(params, lanes, g1, g2, tau), tau)
+    val = link_throughput(coefficient_snr(lanes, g1, g2, tau), tau)
     # the starts themselves compete too, so no trial ends below its best node
     st, x = np.concatenate([st, nt[start]]), np.concatenate([x, nx[start]])
     tau, val = np.concatenate([tau, ntau[start]]), np.concatenate([val, nval[start]])
@@ -409,22 +405,21 @@ def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     and at the interval's largest g2 (_g2_max) bounds the rate. It starts
     from _INTERVALS intervals and rates each interval's right end with the
     profile of that beam; every interval whose bound exceeds the best rate
-    so far by more than _CERT relative is halved, until none is. These
-    profiles search tau to _BOUND_TOL in s.
+    so far by more than _CERT relative is halved, until none is. Each
+    profile is converged, so each bound holds up to rounding.
 
     _refine then climbs from each local maximum of the rated ends next to
     an interval whose bound comes within _CERT of the best (a basin that
     could still win), from x_bar = 1, and from the beam near x_bar = 1 at
-    which the relay starts to harvest at the direct link's tau. Starts and
-    refined points compete: the best rate wins, ties to the larger x_bar,
-    so a collinear trial (c = 0) keeps x_bar = 1. rate_bound is the larger
-    of that rate and the largest interval bound, so it lies within
-    (1 + _CERT) of the rate. Trials run in groups of _GROUP; each trial's
-    result depends on its own channel only.
+    which the relay starts to harvest at the direct link's tau. The best of
+    starts and refined points wins, ties to the larger x_bar (a collinear
+    trial, c = 0, keeps x_bar = 1). rate_bound, the larger of its rate and
+    the largest interval bound, is within (1 + _CERT) of the rate. Trials
+    run in groups of _GROUP, each on its own channel only.
     """
+    dec = ChannelDecomposition.of(params, link)
     x, tau, bound = (np.concatenate(v) for v in zip(*(
-        _exact_group(params, link[i:i + _GROUP])
-        for i in range(0, max(len(link), 1), _GROUP))))
+        _exact_group(dec[i:i + _GROUP]) for i in range(0, max(len(link), 1), _GROUP))))
     g1, g2 = beam_gains(link.a, link.b, link.c, x)
     return BlockDesign(x_bar=x, tau=tau, g1=g1, g2=g2, rate_bound=bound)
 
@@ -437,7 +432,7 @@ def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     directions are not exactly orthogonal, so the combined vector is
     renormalized before use.
     """
-    dec = decompose_block(params, link, _REF_TAU)
+    dec = ChannelDecomposition.of(params, link)
     a_sq = dec.a * dec.a
     h2_sq = dec.b * dec.b + dec.c * dec.c
     au = dec.a0 * a_sq       # direct-branch level at x_bar = 1
@@ -455,7 +450,7 @@ def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     g2 = np.abs(x_bar * link.inner / link.a + s * n2) ** 2 / norm_sq
     # harvest time from the actual bound value achieved by this beam
     kappa = np.minimum((dec.a0 + dec.c0) * g1, dec.a0 * g1 + dec.d0 * g2)
-    tau = _lambert_tau(params, np.maximum(kappa, 1e-300), g1)
+    tau = _lambert_tau(dec, np.maximum(kappa, 1e-300), g1)
     return BlockDesign(x_bar=x_bar, tau=tau, g1=g1, g2=g2,
                        gamma_bound=kappa * tau / (1.0 - tau))
 
@@ -465,12 +460,12 @@ def mrt_user_block(params: SystemParams, link: LinkStats,
     """Beam all energy toward the user: w = h1*/||h1||.
 
     With tau omitted, the harvest time maximizes the exact throughput of
-    this beam: tau_profile at x_bar = 1, searched to _SEARCH_TOL in s.
+    this beam: tau_profile at x_bar = 1.
     """
     g1 = link.n1_sq
     g2 = np.abs(link.inner) ** 2 / np.maximum(g1, 1e-300)
     if tau is None:
-        tau = tau_profile(params, link, g1, g2, _SEARCH_TOL)[0]
+        tau = tau_profile(ChannelDecomposition.of(params, link), g1, g2)[0]
     tau = np.broadcast_to(np.asarray(tau, dtype=float), g1.shape)
     return BlockDesign(x_bar=np.ones(g1.shape), tau=tau, g1=g1, g2=g2)
 

@@ -8,14 +8,16 @@ The downlink beam is a mix of two orthonormal directions derived from the
 user channel h1 and the relay channel h2: the component of h2* along h1*
 and the perpendicular remainder. All solvers work with the scalars
 (a, b, c) of that decomposition instead of the raw N-dimensional vectors,
-held per trial for a whole block of trials in LinkStats.
+held per trial for a whole block of trials in LinkStats. The SNR reads
+them, with the scenario's constants, through one coefficient object:
+ChannelDecomposition.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import numbers
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +36,6 @@ __all__ = [
     "dbm_to_watt",
     "sample_channel",
     "sample_channel_block",
-    "decompose",
-    "decompose_block",
     "build_beamformer",
 ]
 
@@ -222,12 +222,13 @@ class ChannelState:
 
 @dataclass(frozen=True)
 class ChannelDecomposition:
-    """Projection scalars and SNR coefficients of one (channel, tau) pair.
-
-    a, b, c: user-channel norm, parallel and perpendicular relay components.
-    a0, c0, d0: tau-dependent coefficients of the end-to-end SNR.
-    decompose_block fills every field with arrays, one entry per trial.
-    """
+    """Per-trial coefficients of the end-to-end SNR, built once per block: at
+    k = tau/(1 - tau), gamma = a0 pu + xu xr/(xu + xr + 1) with xu = c0 pu,
+    xr = d0 pr and the powers left over the circuit draw pu = (g1 k - need_u)+,
+    pr = (g2 k - need_r)+ (sysmodel.coefficient_snr). a, b, c: LinkStats'
+    projection scalars; a0, c0, d0: branch_constants at k = 1 (tau = 0.5)
+    times ||h1||^2, |h3|^2, ||h2||^2; need_u, need_r: pc d^alpha/(2 eta Ps)
+    at d = d1, d2, 0 without circuit power. Indexing applies to the arrays."""
 
     a: float
     b: float
@@ -235,6 +236,21 @@ class ChannelDecomposition:
     a0: float
     c0: float
     d0: float
+    need_u: float = 0.0
+    need_r: float = 0.0
+
+    @classmethod
+    def of(cls, params: SystemParams, link: LinkStats) -> "ChannelDecomposition":
+        """Coefficients of every trial of link under params."""
+        bc = branch_constants(params, 0.5)
+        need = params.pc_watt / (2.0 * params.eta * params.ps_watt)
+        return cls(a=link.a, b=link.b, c=link.c, a0=bc.a1 * link.n1_sq, c0=bc.b1 * link.h3_sq,
+                   d0=bc.c1 * link.n2_sq, need_u=need * params.d1 ** params.alpha,
+                   need_r=need * params.d2 ** params.alpha)
+
+    def __getitem__(self, index) -> "ChannelDecomposition":
+        return replace(self, **{name: getattr(self, name)[index]
+                                for name in ("a", "b", "c", "a0", "c0", "d0")})
 
 
 def _row_sq_norms(h: np.ndarray) -> np.ndarray:
@@ -344,20 +360,6 @@ def sample_channel(params: SystemParams, seed: int, trial: int = 0) -> ChannelSt
     sample_channel_block(params, seed, trial, trial + 1)."""
     h1, h2, h3 = sample_channel_block(params, seed, trial, trial + 1)
     return ChannelState(h1=h1[0], h2=h2[0], h3=complex(h3[0]))
-
-
-def decompose_block(params: SystemParams, link: LinkStats, tau: float) -> ChannelDecomposition:
-    """Projection scalars plus every SNR coefficient set, per trial."""
-    bc = branch_constants(params, tau)
-    c0 = bc.b1 * link.h3_sq
-    d0 = bc.c1 * link.n2_sq
-    return ChannelDecomposition(a=link.a, b=link.b, c=link.c,
-                                a0=bc.a1 * link.n1_sq, c0=c0, d0=d0)
-
-
-def decompose(params: SystemParams, ch: ChannelState, tau: float) -> ChannelDecomposition:
-    """Projection scalars (a, b, c) plus every SNR coefficient set."""
-    return decompose_block(params, LinkStats.of(ch)[0], tau)
 
 
 def build_beamformer(ch: ChannelState, x_bar: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, beamform, montecarlo, timesplit
-from .channel import SystemParams, decompose, sample_channel
+from .channel import ChannelDecomposition, LinkStats, SystemParams, sample_channel
 
 __all__ = ["main", "RECIPES", "Recipe", "default_params", "run_recipe", "run_verify"]
 
@@ -235,16 +235,28 @@ def _custom_recipe(axis: str, values, strategies, metric: str, tau: float | None
         raise ValueError("custom recipe needs a non-empty --values list")
     if not strategies:
         raise ValueError("custom recipe needs a non-empty --strategies list")
-    unknown = [s for s in strategies if s not in montecarlo.MC_STRATEGIES]
-    if unknown:  # analytic tags are curves of the figure recipes, not strategies
-        raise ValueError(f"unknown strategies {unknown}; expected some of "
-                         f"{montecarlo.MC_STRATEGIES}")
-    if axis == "n_antennas":
-        if not all(float(v).is_integer() for v in values):
-            raise ValueError(f"n_antennas values must be integers, got {values}")
-        values = [int(v) for v in values]
+    if axis == "n_antennas":  # SystemParams rejects the fractional ones
+        values = [int(v) if float(v).is_integer() else v for v in values]
     return Recipe(1000, axis, _points(axis, values),
                   tuple((s, {}, metric, tau) for s in strategies), partial(_check_custom, axis))
+
+
+def _recipe(name: str, custom: dict | None, params: SystemParams) -> Recipe:
+    """Recipe name (custom built from custom), once every cell's parameters,
+    strategy, metric and tau pass: a bad cell raises before any cell runs."""
+    if name == "custom":
+        recipe = _custom_recipe(**(custom or {}))
+    elif name in RECIPES:
+        recipe = RECIPES[name]
+    else:
+        raise ValueError(f"unknown recipe {name!r}")
+    for tag, overrides, metric, tau in recipe.curves:
+        for point in recipe.points:
+            replace(params, **{**recipe.base, **overrides, **point})
+        kind = tag.split("/")[0]
+        if name == "custom" or kind not in ANALYTIC:  # analytic tags are no strategies
+            montecarlo.check_cell(kind, metric, tau)
+    return recipe
 
 
 def run_recipe(name: str, params: SystemParams, trials: int | None, seed: int,
@@ -253,12 +265,7 @@ def run_recipe(name: str, params: SystemParams, trials: int | None, seed: int,
     """Run a recipe (custom takes its axis, values, strategies, metric and
     tau from custom), write its CSV to out and return the check lines and
     whether every check passed. trials None takes the recipe's default."""
-    if name == "custom":
-        recipe = _custom_recipe(**(custom or {}))
-    elif name in RECIPES:
-        recipe = RECIPES[name]
-    else:
-        raise ValueError(f"unknown recipe {name!r}")
+    recipe = _recipe(name, custom, params)
     trials = recipe.trials if trials is None else trials
     if name == "custom":  # axis-major: every strategy at one value, then the next value
         rows = [row for point in recipe.points
@@ -284,7 +291,7 @@ def _verify_solver_vs_grid(params, count: int) -> tuple[str, bool, str]:
     worst = 0.0
     for trial in range(count):
         ch = sample_channel(params, 1, trial)
-        dec = decompose(params, ch, 0.5)
+        dec = ChannelDecomposition.of(params, LinkStats.of(ch)[0])
         _, val, _, _ = beamform.solve_suboptimal_xbar(dec)
         grid = float(np.max(beamform.bound_min(dec, xs)))
         worst = max(worst, (grid - val) / grid)
@@ -380,7 +387,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    params = default_params(args.config)
+    try:  # a missing or bad config file is a usage error
+        params = default_params(args.config)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     if args.verb == "verify":
         lines, ok = run_verify(params, args.level)
         print("\n".join(lines))
@@ -392,17 +402,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--trials must be >= 2, got {args.trials}")
     if not 0 <= args.seed < 2 ** 128:
         parser.error(f"--seed must lie in [0, 2**128), got {args.seed}")
+    given = [f"--{f}" for f in ("axis", "values", "strategies", "metric", "tau")
+             if args.recipe != "custom" and getattr(args, f) is not None]
+    if given:
+        parser.error(f"{', '.join(given)} only apply to the custom recipe")
     custom = None
-    if args.recipe == "custom":
-        custom = dict(axis=args.axis or "ps_dbm",
-                      values=[float(v) for v in (args.values or "").split(",") if v.strip()],
-                      strategies=[s for s in (args.strategies or "").split(",") if s.strip()],
-                      metric=args.metric or "throughput", tau=args.tau)
-    else:
-        given = [f"--{f}" for f in ("axis", "values", "strategies", "metric", "tau")
-                 if getattr(args, f) is not None]
-        if given:
-            parser.error(f"{', '.join(given)} only apply to the custom recipe")
+    try:  # and so is a bad sweep or cell, found before any cell runs
+        if args.recipe == "custom":
+            custom = dict(axis=args.axis or "ps_dbm",
+                          values=[float(v) for v in (args.values or "").split(",") if v.strip()],
+                          strategies=[s for s in (args.strategies or "").split(",") if s.strip()],
+                          metric=args.metric or "throughput", tau=args.tau)
+        _recipe(args.recipe, custom, params)
+    except ValueError as exc:
+        parser.error(str(exc))
     out = args.out or Path(f"{args.recipe}.csv")
     t0 = time.time()
     lines, ok = run_recipe(args.recipe, params, args.trials, args.seed, out,

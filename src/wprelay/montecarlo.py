@@ -18,8 +18,8 @@ blocks were kept or sampled.
 
 Workers are threads of the calling process. They overlap where the Philox
 fill, ndtri and the numpy kernels release the interpreter lock, not in
-Python-level loops such as the lockstep searches of exact and of mrt-user
-with tau optimized. A pool runs only when a cell spans more than one
+Python-level loops such as the Newton steps of exact and of mrt-user with
+tau optimized. A pool runs only when a cell spans more than one
 chunk (by default more than _DEFAULT_CHUNK trials), with no more threads
 than chunks.
 
@@ -50,6 +50,7 @@ from .sysmodel import link_snr, link_throughput
 __all__ = [
     "PerformanceEstimate",
     "SimulationError",
+    "check_cell",
     "estimate",
     "MC_STRATEGIES",
     "METRICS",
@@ -199,6 +200,18 @@ def _merge(parts) -> tuple[int, float, float]:
     return n, total, m2
 
 
+def check_cell(strategy: str, metric: str, tau: float | None) -> None:
+    """Raise ValueError unless estimate takes this strategy, metric and tau."""
+    if strategy not in MC_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {MC_STRATEGIES}")
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if tau is not None and strategy not in ("mrt-user", "no-relay"):
+        raise ValueError(f"{strategy} optimizes tau; only mrt-user and no-relay take a fixed tau")
+    if tau is not None and not (0.0 < tau < 1.0):
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+
+
 def estimate(params: SystemParams, strategy: str, n_trials: int,
              master_seed: int, metric: str = "throughput",
              tau: float | None = None, workers: int = 1,
@@ -210,16 +223,9 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
     optimize it per channel draw. The result is independent of workers and
     chunk_size down to the last bit.
     """
-    if strategy not in MC_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {MC_STRATEGIES}")
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    check_cell(strategy, metric, tau)
     if not _is_int(n_trials) or n_trials < 2:
         raise ValueError(f"n_trials must be an int >= 2, got {n_trials!r}")
-    if tau is not None and strategy not in ("mrt-user", "no-relay"):
-        raise ValueError(f"{strategy} optimizes tau; only mrt-user and no-relay take a fixed tau")
-    if tau is not None and not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     if not _is_int(chunk_size) or chunk_size < 1:
         raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
     if not _is_int(workers) or workers < 1:

@@ -1,13 +1,11 @@
 """Harvest-time optimization: Lambert-W closed form and golden-section search.
 
-optimal_tau maximizes the rate bound rate_upper(kappa, tau) in closed form;
-beamform shifts it onto the circuit-power threshold for every design whose
-SNR is affine in tau/(1-tau). golden_max is the search for the rest:
-beamform.tau_profile runs it on the rate of fixed beam gains above both
-harvest thresholds, for mrt-user and for every bound and node of the
-exact design's branch-and-bound. Both accept arrays: optimal_tau solves
-every coefficient at once, and golden_max runs one search per array
-entry in lockstep.
+optimal_tau maximizes the rate bound rate_upper(kappa, tau) in closed form,
+for every coefficient of an array at once; beamform shifts it onto the
+circuit-power threshold wherever the SNR is affine in tau/(1-tau), and
+starts its tau profile's Newton steps from it. golden_max, one lockstep
+search per array entry, is the independent search `wprelay verify` checks
+optimal_tau against.
 """
 from __future__ import annotations
 

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wprelay.beamform import STRATEGIES, beam_gains, bound_min, solve, solve_block
-from wprelay.channel import (ChannelState, LinkStats, SystemParams,
-                             build_beamformer, decompose, sample_channel_block)
+from wprelay.beamform import STRATEGIES, beam_gains, bound_min, solve, solve_block, tau_profile
+from wprelay.channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
+                             build_beamformer, sample_channel_block)
 from wprelay.montecarlo import _block_values
-from wprelay.sysmodel import link_snr, link_throughput, snr_exact, throughput
+from wprelay.sysmodel import (harvest_threshold, link_snr, link_throughput, relay_threshold,
+                              snr_exact, throughput)
+from wprelay.timesplit import _BELOW_ONE
 
 N_CHANNELS = 32
 
@@ -136,6 +138,33 @@ _DRAWS = dict(n=st.integers(1, 12), ps=st.floats(-10.0, 50.0),
               pc=st.none() | st.floats(-40.0, -20.0), seed=st.integers(0, 2 ** 32))
 
 
+def _rates(params, link, x, taus):
+    """Rate of each trial of link (axis 0) at beams x and harvest fractions taus."""
+    g1, g2 = beam_gains(link.a[:, None, None], link.b[:, None, None], link.c[:, None, None], x)
+    return link_throughput(link_snr(params, link[:, None, None], g1, g2, taus), taus)
+
+
+def _refined_max(params, link, x, taus, levels=2, points=101):
+    """Largest rate of each trial on nested grids of points x points, each
+    spanning one step of the last grid either side of its best cell, from
+    the grid x by taus."""
+    m = len(link)
+    x, taus = np.broadcast_to(x, (m, 1, x.size)), np.broadcast_to(taus, (m, taus.size, 1))
+    top = np.full(m, -np.inf)
+    for _ in range(levels):
+        rates = _rates(params, link, x, taus)
+        best = np.argmax(rates.reshape(m, -1), axis=1)
+        i, j = np.unravel_index(best, rates.shape[1:])
+        top = np.fmax(top, rates.reshape(m, -1)[np.arange(m), best])
+        rows = np.arange(m)
+        dx, dt = x[:, 0, 1] - x[:, 0, 0], taus[:, 1, 0] - taus[:, 0, 0]
+        offsets = np.linspace(-1.0, 1.0, points)
+        x = np.clip(x[rows, 0, j][:, None] + dx[:, None] * offsets, 0.0, 1.0)[:, None, :]
+        taus = np.clip(taus[rows, i, 0][:, None] + dt[:, None] * offsets,
+                       1e-12, 1.0 - 1e-12)[:, :, None]
+    return np.fmax(top, _rates(params, link, x, taus).reshape(m, -1).max(axis=1))
+
+
 @_SETTINGS
 @given(**_DRAWS)
 def test_exact_rate_bound_certifies_the_rate(n, ps, pc, seed):
@@ -149,6 +178,32 @@ def test_exact_rate_bound_certifies_the_rate(n, ps, pc, seed):
     g1, g2 = beam_gains(link.a[:, None], link.b[:, None], link.c[:, None], x)
     grid = link_throughput(link_snr(params, link[:, None], g1, g2, taus), taus)
     assert np.all(grid.max(axis=(0, 2)) <= d.rate_bound)
+    # two refinements around each trial's best cell come within rounding of
+    # the true maximum, which the bound may undercut by rounding only: 1e-14
+    assert np.all(_refined_max(params, link, x, taus[:, 0]) <= d.rate_bound * (1.0 + 1e-14))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(**_DRAWS, d=st.tuples(*[st.floats(2.0, 30.0)] * 3))
+def test_rate_has_one_hump_above_both_thresholds(n, ps, pc, seed, d):
+    # tau_profile's Newton search and exact's interval bounds rest on this
+    # observed property: above both harvest thresholds, the rate of fixed
+    # beam gains has a single local maximum in tau. It is not a theorem, as
+    # gamma is not concave in k. 32 lanes with random beams per draw.
+    params = SystemParams(n_antennas=n, d1=d[0], d2=d[1], d3=d[2], ps_dbm=ps, pc_dbm=pc)
+    link = LinkStats.from_block(*sample_channel_block(params, seed, 0, 32))
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, 32)
+    g1, g2 = beam_gains(link.a, link.b, link.c, x)
+    dec = ChannelDecomposition.of(params, link)
+    t0 = np.maximum(harvest_threshold(dec, g1), relay_threshold(dec, g2))[:, None]
+    taus = np.minimum(t0 + (1.0 - t0) * np.arange(1, 4001) / 4001, _BELOW_ONE)
+    rate = link_throughput(link_snr(params, link[:, None], g1[:, None], g2[:, None], taus), taus)
+    step = np.diff(rate, axis=1)
+    step[np.abs(step) <= 1e-13 * rate.max(axis=1, keepdims=True)] = 0.0  # rounding ties
+    for i, lane in enumerate(np.sign(step)):
+        moves = lane[lane != 0.0]
+        assert np.count_nonzero((moves[:-1] > 0.0) & (moves[1:] < 0.0)) <= 1, i
+    assert np.all(tau_profile(dec, g1, g2)[1] >= (1.0 - 1e-12) * rate.max(axis=1))
 
 
 @_SETTINGS
@@ -170,7 +225,7 @@ def test_suboptimal_matches_bound_grid(setup):
     xs = np.linspace(0.0, 1.0, 50_001)
     s = np.sqrt(1.0 - xs ** 2)
     for i, ch in enumerate(chans):
-        dec = decompose(params, ch, 0.5)
+        dec = ChannelDecomposition.of(params, link)[i]
         u_par, u_perp = build_beamformer(ch, 1.0), build_beamformer(ch, 0.0)
         if np.allclose(u_par, u_perp):
             beams = u_par[None, :]  # collinear: the only beam direction
@@ -295,7 +350,7 @@ def test_block_design_equals_each_trial_solved_alone(n, ps, pc, seed, start, siz
 def test_block_design_across_groups_equals_trials_solved_alone():
     # 300 trials span two of exact's _GROUP = 256 passes, rows 255 and 256
     # sit on either side of the split, and the first pass sends up to
-    # 16 384 lanes through tau_profile, sixteen of its _LANES = 1024 slices
+    # 16 384 lanes through tau_profile, whose Newton lanes stop one by one
     params, link = _fig4_block(6, 3, 0, 300)
     _assert_rows_solve_alone(params, link, [0, 255, 256, 299])
 

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from wprelay.beamform import (STRATEGIES, BeamformerDesign, _lambert_tau, bound_min,
                               branch_relay_hop, branch_user_hop, solve,
                               solve_suboptimal_xbar)
-from wprelay.channel import (ChannelDecomposition, SystemParams,
-                             sample_channel, decompose)
+from wprelay.channel import ChannelDecomposition, LinkStats, SystemParams, sample_channel
 from wprelay.sysmodel import harvest_threshold, snr_exact, throughput
 from wprelay.timesplit import optimal_tau
 
 PARAMS = SystemParams(n_antennas=4, d1=20.0, d2=20.0, d3=2.0, ps_dbm=40.0)
+
+
+def _dec(params, ch):
+    """Coefficients of channel ch, as scalars."""
+    return ChannelDecomposition.of(params, LinkStats.of(ch)[0])
 
 
 def _synthetic_dec(a, b, c, cap_a, cap_c, cap_d):
@@ -26,7 +30,7 @@ def test_suboptimal_beats_fine_grid():
     xs = np.linspace(0.0, 1.0, 50001)
     for k in range(300):
         ch = sample_channel(PARAMS, 0, k)
-        dec = decompose(PARAMS, ch, 0.5)
+        dec = _dec(PARAMS, ch)
         x_opt, val, scenario, case = solve_suboptimal_xbar(dec)
         assert 0.0 <= x_opt <= 1.0
         assert case in (1, 2, 3)
@@ -37,7 +41,7 @@ def test_suboptimal_beats_fine_grid():
 
 def test_suboptimal_value_is_min_of_branches():
     ch = sample_channel(PARAMS, 1)
-    dec = decompose(PARAMS, ch, 0.5)
+    dec = _dec(PARAMS, ch)
     x_opt, val, _, _ = solve_suboptimal_xbar(dec)
     assert val == pytest.approx(min(float(branch_user_hop(dec, x_opt)),
                                     float(branch_relay_hop(dec, x_opt))),
@@ -100,10 +104,9 @@ def test_solve_suboptimal_time_split_consistent():
     ch = sample_channel(PARAMS, 2)
     design = solve("suboptimal", PARAMS, ch)
     assert 0.0 < design.tau < 1.0
-    # the reported SNR equals the tau-free coefficient scaled by tau/(1-tau)
-    dec = decompose(PARAMS, ch, design.tau)
-    _, val_at_tau, _, _ = solve_suboptimal_xbar(dec)
-    assert design.gamma_max == pytest.approx(val_at_tau, rel=1e-9)
+    # the reported SNR equals the coefficient at k = 1 scaled by k = tau/(1-tau)
+    _, kappa, _, _ = solve_suboptimal_xbar(_dec(PARAMS, ch))
+    assert design.gamma_max == pytest.approx(kappa * design.tau / (1.0 - design.tau), rel=1e-9)
 
 
 def test_exact_dominates_everything():
@@ -187,16 +190,18 @@ def _shifted_rate(kappa, t_u, tau):
 @example(log_kappa=-3.0, t_target=0.0)
 def test_shifted_closed_form_tau_beats_dense_grid(log_kappa, t_target):
     params = replace(PARAMS, pc_dbm=-20.0)
+    dec = _dec(params, sample_channel(params, 0))
     need = params.pc_watt * params.d1 ** params.alpha
     kappa = np.array([10.0 ** log_kappa])
     with np.errstate(divide="ignore", over="ignore"):  # t_target near 0 takes g1 to inf
         g1 = np.divide(need * (1.0 - t_target), 2.0 * params.eta * params.ps_watt * t_target)
         g1 = np.array([g1])
-        t_u = float(harvest_threshold(params, g1)[0])
-        tau = float(_lambert_tau(params, kappa, g1)[0])
+        t_u = float(harvest_threshold(dec, g1)[0])
+        tau = float(_lambert_tau(dec, kappa, g1)[0])
     assert t_u < tau < 1.0
     steps = np.concatenate([np.linspace(0.0, 1.0, 20_001)[:-1], np.logspace(-14, -1e-9, 20_001)])
     grid = t_u + (1.0 - t_u) * steps
     assert _shifted_rate(kappa, t_u, tau) >= (1.0 - 1e-9) * _shifted_rate(kappa, t_u, grid).max()
     # without a circuit power the shift is the identity, bit for bit
-    assert _lambert_tau(PARAMS, kappa, g1)[0] == optimal_tau(float(kappa[0]))
+    assert _lambert_tau(_dec(PARAMS, sample_channel(PARAMS, 0)), kappa, g1)[0] == \
+        optimal_tau(float(kappa[0]))

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from wprelay.channel import (DEFAULT_NOISE_DBM, ChannelState,
-                             DegenerateChannelError, SystemParams,
-                             build_beamformer, dbm_to_watt, decompose,
+from wprelay.channel import (DEFAULT_NOISE_DBM, ChannelDecomposition, ChannelState,
+                             DegenerateChannelError, LinkStats, SystemParams,
+                             branch_constants, build_beamformer, dbm_to_watt,
                              sample_channel, sample_channel_block)
 
 PARAMS = SystemParams(n_antennas=6, d1=20.0, d2=15.0, d3=15.0, ps_dbm=40.0)
@@ -256,31 +256,35 @@ def test_block_sampling_accepts_numpy_integers():
 
 
 def test_decompose_identities():
+    costly = SystemParams(n_antennas=6, d1=20.0, d2=15.0, d3=15.0, ps_dbm=40.0, pc_dbm=-25.0)
+    bc = branch_constants(PARAMS, 0.5)  # tau = 0.5 is k = 1
     for k in range(50):
         ch = sample_channel(PARAMS, 3, k)
-        dec = decompose(PARAMS, ch, 0.4)
+        dec = ChannelDecomposition.of(PARAMS, LinkStats.of(ch)[0])
         assert dec.a == pytest.approx(np.linalg.norm(ch.h1), rel=1e-12)
         assert dec.b <= np.linalg.norm(ch.h2) + 1e-12
         assert math.hypot(dec.b, dec.c) == pytest.approx(np.linalg.norm(ch.h2),
                                                          rel=1e-12)
-
-
-def test_decompose_rejects_bad_tau():
-    ch = sample_channel(PARAMS, 4)
-    for tau in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            decompose(PARAMS, ch, tau)
+        assert dec.a0 == pytest.approx(bc.a1 * np.linalg.norm(ch.h1) ** 2, rel=1e-12)
+        assert dec.c0 == pytest.approx(bc.b1 * abs(ch.h3) ** 2, rel=1e-12)
+        assert dec.d0 == pytest.approx(bc.c1 * np.linalg.norm(ch.h2) ** 2, rel=1e-12)
+        assert dec.need_u == dec.need_r == 0.0
+    # the circuit draw in units of g k: 2 eta Ps need / d^alpha is pc in watts
+    dec = ChannelDecomposition.of(costly, LinkStats.of(ch))
+    for need, d in ((dec.need_u, costly.d1), (dec.need_r, costly.d2)):
+        assert 2.0 * costly.eta * costly.ps_watt * need / d ** costly.alpha == pytest.approx(
+            costly.pc_watt, rel=1e-12)
 
 
 def test_beamformer_projection_scalars():
     for k, x_bar in enumerate((0.0, 0.25, 0.6, 1.0)):
         ch = sample_channel(PARAMS, 5, k)
-        dec = decompose(PARAMS, ch, 0.5)
+        link = LinkStats.of(ch)[0]
         w = build_beamformer(ch, x_bar)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
-        assert abs(ch.h1 @ w) == pytest.approx(dec.a * x_bar, abs=1e-10)
+        assert abs(ch.h1 @ w) == pytest.approx(link.a * x_bar, abs=1e-10)
         proj = ch.h2 @ w
-        expect = dec.b * x_bar + dec.c * math.sqrt(1 - x_bar ** 2)
+        expect = link.b * x_bar + link.c * math.sqrt(1 - x_bar ** 2)
         assert proj.real == pytest.approx(expect, rel=1e-10)
         assert abs(proj.imag) < 1e-10 * max(1.0, expect)
 
@@ -301,8 +305,7 @@ def test_beamformer_rejects_bad_inputs():
     with pytest.raises(DegenerateChannelError):
         build_beamformer(zero, 0.5)
     with pytest.raises(DegenerateChannelError):
-        decompose(PARAMS, ChannelState(h1=np.zeros(6, complex),
-                                       h2=np.ones(6, complex), h3=1j), 0.5)
+        LinkStats.of(ChannelState(h1=np.zeros(6, complex), h2=np.ones(6, complex), h3=1j))
 
 
 def test_channel_state_validation():

@@ -62,9 +62,10 @@ def test_run_custom_sweep(tmp_path):
 
 def test_run_custom_empty_axis_fails(tmp_path):
     out = tmp_path / "never.csv"
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "custom", "--values", "", "--strategies", "mrt-user",
               "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -94,21 +95,38 @@ def test_zero_trials_fails(tmp_path, recipe, capsys):
     assert not out.exists()
 
 
+def _custom(axis, values, strategies, *flags):
+    return ["custom", "--axis", axis, "--values", values, "--strategies", strategies, *flags]
+
+
 @pytest.mark.parametrize("flag, message", [
-    (["--workers", "0"], "--workers must be >= 1, got 0"),
-    (["--workers", "-3"], "--workers must be >= 1, got -3"),
-    (["--trials", "1"], "--trials must be >= 2, got 1"),
-    (["--seed", "-1"], "--seed must lie in [0, 2**128), got -1"),
-    (["--seed", str(2 ** 128)], f"--seed must lie in [0, 2**128), got {2 ** 128}"),
+    (["fig8b", "--workers", "0"], "--workers must be >= 1, got 0"),
+    (["fig8b", "--workers", "-3"], "--workers must be >= 1, got -3"),
+    (["fig8b", "--trials", "1"], "--trials must be >= 2, got 1"),
+    (["fig8b", "--seed", "-1"], "--seed must lie in [0, 2**128), got -1"),
+    (["fig8b", "--seed", str(2 ** 128)], f"--seed must lie in [0, 2**128), got {2 ** 128}"),
+    (_custom("n_antennas", "2,0", "mrt-user"), "n_antennas must be >= 1"),
+    (_custom("alpha", "1", "mrt-user"), "alpha must be >= 2"),
+    (_custom("eta", "2", "mrt-user"), "eta must lie in (0, 1]"),
+    (_custom("ps_dbm", "10", "mrt-user,exact", "--tau", "0.5"),
+     "exact optimizes tau; only mrt-user and no-relay take a fixed tau"),
+    (_custom("ps_dbm", "10", "mrt-user", "--tau", "1.5"), "tau must lie in (0, 1), got 1.5"),
+    (_custom("ps_dbm", "10", "bogus"),
+     "unknown strategy 'bogus'; expected one of "
+     "('exact', 'suboptimal', 'large-n', 'mrt-user', 'no-relay')"),
+    (["fig8b", "--config", "/missing"], "[Errno 2] No such file or directory: '/missing'"),
 ])
 def test_run_rejects_bad_numbers_before_any_cell(tmp_path, capsys, monkeypatch, flag, message):
+    # a bad number, cell or config file is a usage error: exit status 2, one
+    # error line, and no cell runs and no CSV is written
     def never(*args, **kwargs):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(cli.montecarlo, "estimate", never)
+    monkeypatch.setattr(cli.analysis, "outage_exact", never)
     out = tmp_path / "never.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "fig8b", *flag, "--out", str(out)])
+        main(["run", *flag, "--out", str(out)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"wprelay: error: {message}"
     assert not out.exists()
@@ -120,9 +138,10 @@ def test_run_rejects_bad_numbers_before_any_cell(tmp_path, capsys, monkeypatch, 
 ], ids=["fractional-antenna-count", "analytic-tag-as-strategy"])
 def test_run_custom_bad_sweep_fails(tmp_path, sweep):
     out = tmp_path / "never.csv"
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "custom", *sweep, "--tau", "0.5", "--trials", "100",
               "--out", str(out)])
+    assert exc.value.code == 2
     assert not out.exists()
 
 
@@ -146,8 +165,9 @@ def test_named_recipe_rejects_custom_flags(tmp_path, flag):
 
 
 def test_run_unknown_recipe(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "fig99", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
 
 
 def test_rerun_is_byte_identical(tmp_path):

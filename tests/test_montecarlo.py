@@ -94,16 +94,19 @@ def test_failed_trials_are_masked_and_counted():
     bad_h1, bad_h3 = h1.copy(), h3.copy()
     bad_h1[7] = np.nan
     bad_h3[9] = np.nan
-    for strategy in MC_STRATEGIES:
+    # mrt-user also with tau optimized, so that the bad lanes go through
+    # tau_profile's Newton loop, with and without a circuit power
+    cells = [(PARAMS, s, 0.4 if s in ("mrt-user", "no-relay") else None) for s in MC_STRATEGIES]
+    cells += [(PARAMS, "mrt-user", None), (replace(PARAMS, pc_dbm=-30.0), "mrt-user", None)]
+    for params, strategy, tau in cells:
         bad = [7] if strategy == "no-relay" else [7, 9]
         for metric in METRICS:
-            tau = 0.4 if strategy in ("mrt-user", "no-relay") else None
-            clean, ok = _block_values(PARAMS, strategy, tau, metric,
+            clean, ok = _block_values(params, strategy, tau, metric,
                                       LinkStats.from_block(h1, h2, h3))
             assert ok.all()
-            vals, ok = _block_values(PARAMS, strategy, tau, metric,
+            vals, ok = _block_values(params, strategy, tau, metric,
                                      LinkStats.from_block(bad_h1, h2, bad_h3))
-            assert np.flatnonzero(~ok).tolist() == bad, (strategy, metric)
+            assert np.flatnonzero(~ok).tolist() == bad, (strategy, tau, metric)
             # the other trials of the block do not see the bad ones
             np.testing.assert_array_equal(vals[ok], np.delete(clean, bad))
     # a vanishing user channel is degenerate, whatever the metric
