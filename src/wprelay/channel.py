@@ -1,8 +1,11 @@
 """Scenario parameters, the branch SNR coefficients, Rayleigh channel
 sampling and geometric decomposition.
 
-Channels come from one counter-based sampler, sample_channel_block: trial t
-of a seed is the same channel whichever block or single draw asks for it.
+Channels come from one counter-based sampler, sample_link_block, which
+draws the statistics a Rayleigh channel reaches the designs through
+(LinkStats) directly; sample_channel_block puts them on random
+orthonormal directions when the vectors themselves are wanted. Trial t of
+a seed is the same channel whichever block or single draw asks for it.
 
 The downlink beam is a mix of two orthonormal directions derived from the
 user channel h1 and the relay channel h2: the component of h2* along h1*
@@ -36,6 +39,7 @@ __all__ = [
     "dbm_to_watt",
     "sample_channel",
     "sample_channel_block",
+    "sample_link_block",
     "build_beamformer",
 ]
 
@@ -272,6 +276,7 @@ class LinkStats:
     cannot tell a small c from none, so c is taken there from the
     perpendicular vector itself and zeroed below _PERP_TOL times
     max(||h2||, 1); build_beamformer's parallel-only case is c == 0.
+    sample_link_block draws the fields directly, with c = sqrt(s) exactly.
     Indexing applies the index to every field.
     """
 
@@ -323,35 +328,89 @@ class LinkStats:
         return LinkStats(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
-def sample_channel_block(params: SystemParams, master_seed: int, start: int, stop: int
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channels for trials [start, stop) of a counter-based stream.
+def _uniforms(master_seed: int, region: int, start: int, stop: int, draws: int) -> np.ndarray:
+    """Uniforms in [0, 1) of trials [start, stop), one row per trial. Trial t
+    reads `draws` words, rounded up to the 4-word Philox block, from the
+    keystream keyed by master_seed at counter region * 2**192 + t * words / 4,
+    so its row is the same whichever range asks for it."""
+    words = -4 * (-draws // 4)
+    bg = Philox(key=master_seed, counter=(region << 192) + start * words // 4)
+    return Generator(bg).random((stop - start) * words).reshape(stop - start, words)
 
-    Trial t always consumes the same fixed-size block of the Philox
-    keystream keyed by master_seed, so any chunking of the trial range
-    reproduces identical channels. Normals come from the inverse CDF of
-    the raw uniforms (fixed consumption of one word per draw). The
-    clipping, inverse CDF and scaling run in place on the keystream
-    buffer, so a block holds one buffer besides its three outputs.
-    """
-    _check_seed(master_seed)
-    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop):
-        raise ValueError(f"trials need ints 0 <= start < stop, got [{start!r}, {stop!r})")
-    n = params.n_antennas
-    draws = 4 * n + 2
-    words = -4 * (-draws // 4)  # round up to the 4-word Philox block
-    count = stop - start
-    bg = Philox(key=master_seed, counter=start * words // 4)
-    z = Generator(bg).random(count * words).reshape(count, words)
+
+def _normals_in_place(z: np.ndarray) -> None:
+    """Turn uniforms into normals of variance 1/2 (the parts of a CN(0, 1)
+    draw): clip, inverse CDF and scale, all on z's own buffer."""
     np.clip(z, 2.0 ** -55, 1.0 - 2.0 ** -53, out=z)
     ndtri(z, out=z)
     z *= 1.0 / math.sqrt(2.0)
-    h1 = np.empty((count, n), dtype=complex)
-    h2 = np.empty((count, n), dtype=complex)
-    h3 = np.empty(count, dtype=complex)
-    h1.real, h1.imag = z[:, 0:n], z[:, n:2 * n]
-    h2.real, h2.imag = z[:, 2 * n:3 * n], z[:, 3 * n:4 * n]
-    h3.real, h3.imag = z[:, 4 * n], z[:, 4 * n + 1]
+
+
+def sample_link_block(params: SystemParams, master_seed: int, start: int, stop: int
+                      ) -> LinkStats:
+    """Channel statistics of trials [start, stop) of a counter-based stream.
+
+    A Rayleigh channel reaches the designs and the SNR only through
+    LinkStats, whose fields are drawn directly, by rotational invariance:
+    ||h1||^2 ~ Gamma(N); h1^H h2 = a u with u ~ CN(0, 1) the part of h2
+    along h1; ||h2||^2 = |u|^2 + s with s ~ Gamma(N - 1) the rest of h2;
+    |h3|^2 ~ Exp(1). Trial t reads 2N + 2 words of the Philox keystream
+    keyed by master_seed (region 0 of _uniforms): N Exp(1) draws
+    -log1p(-U) sum to ||h1||^2, N - 1 more to s, one is |h3|^2, and two
+    give u by the inverse normal CDF. Any chunking of the trial range
+    reproduces the same bits. The perpendicular scalar is c = sqrt(s)
+    exactly, with no radicand; ok is False only where ||h1||^2 is 0.
+    """
+    _check_seed(master_seed)
+    # stop <= 2**128 keeps the counters below region 1 for any N < 2**64
+    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= 2 ** 128):
+        raise ValueError(f"trials need ints 0 <= start < stop <= 2**128, got "
+                         f"[{start!r}, {stop!r})")
+    start, stop = int(start), int(stop)  # numpy integers overflow in the counter arithmetic
+    n = params.n_antennas
+    z = _uniforms(master_seed, 0, start, stop, 2 * n + 2)
+    u = np.empty(len(z), dtype=complex)
+    u.real, u.imag = z[:, 2 * n], z[:, 2 * n + 1]
+    _normals_in_place(u.view(float))
+    np.negative(z, out=z)
+    np.log1p(z, out=z)
+    np.negative(z, out=z)  # an Exp(1) draw in every word; u's and the padding unused
+    n1_sq, s, h3_sq = z[:, :n].sum(axis=1), z[:, n:2 * n - 1].sum(axis=1), z[:, 2 * n - 1].copy()
+    del z  # freed before the derived fields are built, which lowers the peak
+    a = np.sqrt(n1_sq)
+    b = np.abs(u)
+    return LinkStats(n1_sq=n1_sq, inner=a * u, n2_sq=b * b + s, h3_sq=h3_sq,
+                     a=a, b=b, c=np.sqrt(s), ok=n1_sq > 0.0)
+
+
+def sample_channel_block(params: SystemParams, master_seed: int, start: int, stop: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channels (h1, h2, h3) for trials [start, stop) of a counter-based stream.
+
+    The statistics are those of sample_link_block; the vectors put them
+    on a Haar-random orthonormal pair (v1, v2) and phase theta drawn from
+    counter region 1 (4N + 1 words per trial: two CN(0, I) vectors that
+    Gram-Schmidt makes orthonormal, and one uniform): h1 = a v1,
+    h2 = u v1 + c v2 and h3 = |h3| e^(i theta), with u = h1^H h2 / a. So
+    every entry is CN(0, 1), independent of the others, and
+    LinkStats.from_block of the vectors gives back the statistics up to
+    rounding. Any chunking of the trial range reproduces the same bits.
+    """
+    link = sample_link_block(params, master_seed, start, stop)
+    start, stop = int(start), int(stop)
+    n = params.n_antennas
+    g = _uniforms(master_seed, 1, start, stop, 4 * n + 1)
+    h3 = np.sqrt(link.h3_sq) * np.exp(2j * math.pi * g[:, 4 * n])
+    _normals_in_place(g)
+    h1, h2 = g.view(complex)[:, :n], g.view(complex)[:, n:2 * n]  # made into h1, h2 in place
+    h1 /= np.sqrt(_row_sq_norms(h1))[:, None]  # v1
+    if n > 1:
+        h2 -= h1 * np.einsum("ij,ij->i", np.conj(h1), h2)[:, None]
+        h2 *= (link.c / np.sqrt(_row_sq_norms(h2)))[:, None]  # c v2
+    else:
+        h2[:] = 0.0  # c = 0: no perpendicular direction
+    h2 += h1 * (link.inner / link.a)[:, None]
+    h1 *= link.a[:, None]
     return h1, h2, h3
 
 

@@ -1,7 +1,8 @@
 """Reproducible Monte Carlo estimation of throughput, outage and time split.
 
 Trial t always consumes the same counter-addressed block of the random
-keystream (see channel.sample_channel_block), so any thread can sample
+keystream, from which channel.sample_link_block draws its channel
+statistics directly (no channel vector is built), so any thread can sample
 any range of trials by itself. Trials are sampled, evaluated and reduced
 in fixed blocks of _BLOCK consecutive trials: chunks handed to workers
 hold whole blocks only, each block yields (n, sum, M2), and the blocks
@@ -17,7 +18,7 @@ Kept arrays are read-only, and an estimate has the same bits whether its
 blocks were kept or sampled.
 
 Workers are threads of the calling process. They overlap where the Philox
-fill, ndtri and the numpy kernels release the interpreter lock, not in
+fill, log1p, ndtri and the numpy kernels release the interpreter lock, not in
 Python-level loops such as the Newton steps of exact and of mrt-user with
 tau optimized. A pool runs only when a cell spans more than one
 chunk (by default more than _DEFAULT_CHUNK trials), with no more threads
@@ -44,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from . import beamform
-from .channel import LinkStats, SystemParams, _check_seed, _is_int, sample_channel_block
+from .channel import LinkStats, SystemParams, _check_seed, _is_int, sample_link_block
 from .sysmodel import link_snr, link_throughput
 
 __all__ = [
@@ -63,7 +64,6 @@ _MAX_ERROR_FRACTION = 1e-3
 _BLOCK = 4096  # trials per reduction block; divides _DEFAULT_CHUNK
 _DEFAULT_CHUNK = 32768
 _CACHE_TRIALS = 2 * _DEFAULT_CHUNK  # largest cell that stores, and most trials kept
-_PIECE = 1024  # trials per sampling call when a block is stored
 
 
 class SimulationError(RuntimeError):
@@ -85,21 +85,11 @@ class PerformanceEstimate:
 
 
 def _stored_block(params: SystemParams, master_seed: int, lo: int, hi: int) -> LinkStats:
-    """LinkStats of trials [lo, hi) in read-only arrays, sampled _PIECE
-    trials at a time. Sampling and from_block work row by row, so the
-    fields are the bits of one call over the whole range."""
-    out: dict[str, np.ndarray] = {}
-    for p in range(lo, hi, _PIECE):
-        q = min(p + _PIECE, hi)
-        piece = LinkStats.from_block(*sample_channel_block(params, master_seed, p, q))
-        if not out:
-            out = {f.name: np.empty(hi - lo, getattr(piece, f.name).dtype)
-                   for f in fields(piece)}
-        for name, v in out.items():
-            v[p - lo:q - lo] = getattr(piece, name)
-    for v in out.values():
-        v.flags.writeable = False
-    return LinkStats(**out)
+    """LinkStats of trials [lo, hi) in read-only arrays."""
+    link = sample_link_block(params, master_seed, lo, hi)
+    for f in fields(link):
+        getattr(link, f.name).flags.writeable = False
+    return link
 
 
 class _BlockMemo:
@@ -126,7 +116,7 @@ class _BlockMemo:
         if link is not None:
             return link
         if not store:
-            return LinkStats.from_block(*sample_channel_block(params, master_seed, lo, hi))
+            return sample_link_block(params, master_seed, lo, hi)
         link = _stored_block(params, master_seed, lo, hi)
         with self.lock:
             if self.stream == stream and key not in self.blocks:

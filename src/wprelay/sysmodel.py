@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,9 @@ def link_snr(params: SystemParams, link, g1, g2, tau, relay: bool = True):
 
 
 def link_throughput(gamma, tau, relay: bool = True):
-    """Per-trial throughput in bits/s/Hz; the data phase is halved with the relay."""
-    return (0.5 if relay else 1.0) * (1.0 - tau) * np.log2(1.0 + gamma)
+    """Per-trial throughput in bits/s/Hz; the data phase is halved with the relay.
+    log1p keeps the rate's relative accuracy at small gamma."""
+    return (0.5 if relay else 1.0) * (1.0 - tau) * np.log1p(gamma) / _LN2
 
 
 def snr_exact(params: SystemParams, ch: ChannelState, w: np.ndarray,
@@ -113,4 +115,4 @@ def throughput(gamma: float, tau: float) -> float:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return 0.5 * (1.0 - tau) * math.log2(1.0 + gamma)
+    return 0.5 * (1.0 - tau) * math.log1p(gamma) / _LN2

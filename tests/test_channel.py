@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
+from scipy.stats import ks_2samp, kstest
 
 from wprelay.channel import (DEFAULT_NOISE_DBM, ChannelDecomposition, ChannelState,
                              DegenerateChannelError, LinkStats, SystemParams,
                              branch_constants, build_beamformer, dbm_to_watt,
-                             sample_channel, sample_channel_block)
+                             sample_channel, sample_channel_block, sample_link_block)
 
 PARAMS = SystemParams(n_antennas=6, d1=20.0, d2=15.0, d3=15.0, ps_dbm=40.0)
 
@@ -190,8 +192,9 @@ def test_block_sampling_chunk_invariant():
 
 
 def _trials_from_raw_philox(n, seed, start, stop):
-    """Trials [start, stop) rebuilt from raw Philox words with the original
-    out-of-place expression. The words are read from the first trial of
+    """Trials [start, stop) of the entry-by-entry layout that the vector
+    sampler used before the statistics were drawn directly (4N + 2 normals
+    a trial), rebuilt from raw Philox words by an out-of-place expression. The words are read from the first trial of
     start's 4096-trial block on, so a range may start mid-way through them."""
     draws = 4 * n + 2
     words = -4 * (-draws // 4)
@@ -205,20 +208,103 @@ def _trials_from_raw_philox(n, seed, start, stop):
             (z[:, 4 * n] + 1j * z[:, 4 * n + 1]) * inv)
 
 
+def _stats_from_raw_philox(n, seed, start, stop):
+    """sample_link_block's fields of trials [start, stop) rebuilt from raw
+    Philox words (2N + 2 a trial, rounded up to 4) with out-of-place
+    expressions. The words are read from the first trial of start's
+    4096-trial block on, so a range may start mid-way through them."""
+    words = -4 * (-(2 * n + 2) // 4)
+    origin = start - start % 4096
+    raw = Philox(key=seed, counter=origin * words // 4).random_raw((stop - origin) * words)
+    w = ((raw >> 11) * 2.0 ** -53).reshape(-1, words)[start - origin:]
+    e = -np.log1p(-w[:, :2 * n])
+    n1_sq, s = e[:, :n].sum(axis=1), e[:, n:2 * n - 1].sum(axis=1)
+    z = ndtri(np.clip(w[:, 2 * n:2 * n + 2], 2.0 ** -55, 1.0 - 2.0 ** -53)) * (1.0 / math.sqrt(2.0))
+    u = z[:, 0] + 1j * z[:, 1]
+    a = np.sqrt(n1_sq)
+    return {"n1_sq": n1_sq, "inner": a * u, "n2_sq": np.abs(u) ** 2 + s, "h3_sq": e[:, 2 * n - 1],
+            "a": a, "b": np.abs(u), "c": np.sqrt(s), "ok": n1_sq > 0.0}
+
+
 @pytest.mark.parametrize("n", [1, 2, 10])
 def test_block_sampling_matches_raw_philox_words(n):
     # pins the stream bit for bit: [4090, 4103) crosses a 4096-trial
     # boundary, [4101, 4107) starts mid-way through its block's words, and
     # the last range starts where the low word of the Philox counter carries
     params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
-    words = -4 * (-(4 * n + 2) // 4)
+    words = -4 * (-(2 * n + 2) // 4)
     carry = 2 ** 64 // (words // 4) - 1
     for seed in (0, 123, 2 ** 128 - 1):
         for start, stop in [(0, 3), (4090, 4103), (4101, 4107), (carry, carry + 3)]:
-            ref = _trials_from_raw_philox(n, seed, start, stop)
-            got = sample_channel_block(params, seed, start, stop)
-            for a, b in zip(ref, got):
-                assert np.array_equal(a.view(float), b.view(float)), (seed, start, stop)
+            ref = _stats_from_raw_philox(n, seed, start, stop)
+            got = sample_link_block(params, seed, start, stop)
+            for name, a in ref.items():
+                b = getattr(got, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, start, stop, name)
+
+
+def _in_pieces(sample, trials, piece=2 ** 15):
+    """The fields of LinkStats sample(lo, hi) over trials [0, trials), drawn
+    piece by piece to bound memory, joined in trial order."""
+    parts = [sample(lo, min(lo + piece, trials)) for lo in range(0, trials, piece)]
+    return LinkStats(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                        for f in fields(LinkStats)})
+
+
+def _laws(link):
+    """Statistics of a Rayleigh link with known laws: ||h1||^2 and ||h2||^2
+    ~ Gamma(N), |h1^H h2|^2/||h1||^2 and |h3|^2 ~ Exp(1), and the phase of
+    h1^H h2 uniform on (-pi, pi]."""
+    return {"n1_sq": link.n1_sq, "n2_sq": link.n2_sq,
+            "|inner|^2/n1_sq": np.abs(link.inner) ** 2 / link.n1_sq, "h3_sq": link.h3_sq,
+            "arg inner": np.angle(link.inner)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50])
+def test_link_sampling_fits_the_rayleigh_laws(n):
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
+    link = _in_pieces(lambda lo, hi: sample_link_block(params, 2026, lo, hi), 2 ** 20)
+    assert link.ok.all()
+    laws = {"n1_sq": ("gamma", (n,)), "n2_sq": ("gamma", (n,)),
+            "|inner|^2/n1_sq": ("expon", ()), "h3_sq": ("expon", ()),
+            "arg inner": ("uniform", (-math.pi, 2 * math.pi))}
+    for name, values in _laws(link).items():
+        law, args = laws[name]
+        p = kstest(values, law, args=args).pvalue
+        assert p >= 1e-4, (name, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_link_sampling_matches_the_vector_sampler_in_law(n):
+    # against the entry-by-entry layout the vector sampler used before,
+    # rebuilt from raw words; the two seeds keep the samples independent
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
+    old = _in_pieces(lambda lo, hi: LinkStats.from_block(*_trials_from_raw_philox(n, 11, lo, hi)),
+                     2 ** 17)
+    new = _in_pieces(lambda lo, hi: sample_link_block(params, 12, lo, hi), 2 ** 17)
+    old_laws, new_laws = _laws(old), _laws(new)
+    for name in old_laws:
+        p = ks_2samp(old_laws[name], new_laws[name]).pvalue
+        assert p >= 1e-4, (name, p)
+    p = ks_2samp(old.c, new.c).pvalue
+    assert p >= 1e-4, ("c", p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 300])
+def test_channel_vectors_give_back_the_link_statistics(n):
+    # also where the low counter word carries, in the statistics' region
+    # (2N + 2 words a trial, rounded up to 4) and in the vectors' (4N + 4)
+    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
+    carries = [2 ** 64 // (-(-(2 * n + 2) // 4)) - 1, 2 ** 64 // (n + 1) - 1]
+    for start, stop in [(0, 2000)] + [(c - 2, c + 3) for c in carries]:
+        want = sample_link_block(params, 5, start, stop)
+        got = LinkStats.from_block(*sample_channel_block(params, 5, start, stop))
+        assert np.array_equal(got.ok, want.ok) and want.ok.all()
+        for f in fields(LinkStats)[:-1]:
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            # from_block takes c from ||h2||^2 - b^2, so its rounding scales with ||h2||
+            scale = np.sqrt(want.n2_sq) if f.name == "c" else np.abs(b)
+            assert np.all(np.abs(a - b) <= 1e-12 * scale), (start, f.name)
 
 
 def test_block_sampling_seed_sensitivity():
@@ -252,6 +338,15 @@ def test_block_sampling_rejects_malformed_trial_range(start, stop):
 def test_block_sampling_accepts_numpy_integers():
     a = sample_channel_block(PARAMS, np.uint64(3), np.int64(2), np.int32(5))
     b = sample_channel_block(PARAMS, 3, 2, 5)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    # counter arithmetic past 2**64 overflows numpy integers; the vectors'
+    # region (4N + 4 words a trial) carries its low counter word here
+    carry = 2 ** 64 // (PARAMS.n_antennas + 1) - 1
+    a = sample_link_block(PARAMS, np.uint64(3), np.uint64(carry), np.uint64(carry + 3))
+    b = sample_link_block(PARAMS, 3, carry, carry + 3)
+    assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(LinkStats))
+    a = sample_channel_block(PARAMS, np.uint64(3), np.uint64(carry), np.uint64(carry + 3))
+    b = sample_channel_block(PARAMS, 3, carry, carry + 3)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 

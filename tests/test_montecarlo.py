@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from wprelay import montecarlo
 from wprelay.cli import default_params, run_recipe
-from wprelay.channel import ChannelState, LinkStats, SystemParams, sample_channel_block
+from wprelay.channel import (ChannelState, LinkStats, SystemParams, sample_channel_block,
+                             sample_link_block)
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
                                 SimulationError, _block_values, estimate)
 from wprelay.sysmodel import snr_exact, throughput
@@ -252,10 +253,10 @@ def test_warm_estimates_equal_cold_ones(cold):
 
 @pytest.mark.parametrize("n", [1, 10])
 def test_stored_block_equals_one_call(n):
-    # at N = 1 every trial takes from_block's near-radicand branch for c
+    # at N = 1 no part of h2 is perpendicular to h1, so c is 0
     params = replace(PARAMS, n_antennas=n)
     lo, hi = 8192, 8192 + 4096
-    whole = LinkStats.from_block(*sample_channel_block(params, 7, lo, hi))
+    whole = sample_link_block(params, 7, lo, hi)
     if n == 1:
         assert np.all(whole.c == 0.0)
     pieced = montecarlo._stored_block(params, 7, lo, hi)
@@ -338,13 +339,13 @@ def test_seed_is_checked_before_the_memo(cold):
 
 def test_a_sweep_samples_each_trial_once(cold, monkeypatch, tmp_path):
     sampled = []
-    real = montecarlo.sample_channel_block
+    real = montecarlo.sample_link_block
 
     def counting(params, master_seed, start, stop):
         sampled.append(stop - start)
         return real(params, master_seed, start, stop)
 
-    monkeypatch.setattr(montecarlo, "sample_channel_block", counting)
+    monkeypatch.setattr(montecarlo, "sample_link_block", counting)
     base = default_params()
     for _ in range(2):
         # a cell at another N first, so that no run finds the last run's blocks
