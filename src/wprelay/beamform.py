@@ -7,11 +7,13 @@ BlockDesign: per trial, the mixing coefficient x_bar of the two-direction
 beam, the harvest fraction tau, and the beam gains that the SNR needs:
 
 - "exact":      joint (x_bar, tau) maximum of the exact throughput: a
-                branch-and-bound over x_bar bounds each interval by the tau
-                profile at the interval's largest beam gains, certifies
-                every trial to 1e-3 (BlockDesign.rate_bound), then climbs
-                the profile's rate in x_bar by Newton steps in each basin
-                that could still win.
+                branch-and-bound over x_bar bounds each interval at its
+                largest beam gains, in closed form first (the Lambert-W
+                maximum of gamma <= gd + xu xr/(xu + xr)) and by the tau
+                profile only where that fails, certifies every trial to 1e-3
+                (BlockDesign.rate_bound), then climbs the profile's rate in
+                x_bar by Newton steps in each basin that could still win,
+                each lane until its own step falls to rounding level.
 - "suboptimal": closed-form x_bar maximizing the min of the two branches
                 of the SNR upper bound (tau-independent; where the branches
                 cross, the crossing is the larger root of a quadratic in
@@ -26,7 +28,8 @@ beam, the harvest fraction tau, and the beam gains that the SNR needs:
 The tau profile (tau_profile) is the best harvest fraction of fixed beam
 gains: the better of the Lambert-W closed form below the relay's harvest
 threshold and, above both thresholds, the root of the rate's stationarity
-condition, by bracketed Newton steps on the SNR's analytic derivatives.
+condition, by bracketed Newton steps on the SNR's analytic derivatives from
+the Lambert-W start or from a start the caller gives.
 
 direct_tau is the same closed form for the direct-link baseline. solve
 is the one single-channel entry point: it runs solve_block on a block of
@@ -43,7 +46,7 @@ from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParam
                       build_beamformer)
 from .sysmodel import (coefficient_snr, harvest_threshold, link_snr, link_throughput,
                        relay_threshold)
-from .timesplit import _BELOW_ONE, optimal_tau
+from .timesplit import _BELOW_ONE, optimal_tau, rate_upper
 
 __all__ = [
     "BeamformerDesign",
@@ -66,9 +69,12 @@ _TOL = 1e-10  # a profile lane stops once its step in k is at most this times 1 
 _MAX_STEPS = 100  # profile steps at most
 _CERT = 1e-3  # relative certificate of exact
 _INTERVALS = 32  # starting x_bar intervals of exact
-_MAX_ROUNDS = 40  # interval halvings at most; 32 * 2**40 intervals span 1e-14
+_SPLIT = 4  # parts of each interval that exact splits
+_PARTS = np.arange(_SPLIT + 1) / _SPLIT
+_MAX_ROUNDS = 20  # splits at most; 32 * 4**20 intervals span 1e-14
 _GROUP = 256  # trials per branch-and-bound pass, which bounds its lane arrays
-_NEWTON_STEPS = 6
+_NEWTON_STEPS = 6  # refine profiles per lane at most
+_THETA_TOL = 1e-8  # a refine lane stops once its next step in theta is at most this
 _FD_STEP = 1e-5
 _TRUST = 0.1  # first trust radius of _refine
 _STENCIL = np.array([-1.0, 0.0, 1.0]) * _FD_STEP  # theta offsets of _refine's differences
@@ -222,10 +228,10 @@ def direct_tau(params: SystemParams, link: LinkStats) -> np.ndarray:
     return _lambert_tau(dec, 0.5 * dec.a0 * link.n1_sq, link.n1_sq, relay=False)
 
 
-def tau_profile(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
+def tau_profile(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray,
+                start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Best harvest fraction for the beam gains (g1, g2) of each lane of dec,
-    and its rate.
+    and its rate; g1, g2 and the fields of dec are arrays of one shape.
 
     Below the relay's threshold only the direct link carries data, so the
     Lambert-W tau capped there is best. Above k0 = max(k_u, k_r), gamma(k) =
@@ -233,100 +239,155 @@ def tau_profile(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray
     and the rate log(1 + gamma)/(1 + k) has one hump (observed and pinned by
     the tests; gamma is not concave in k) where phi = gamma' (1 + k) -
     (1 + gamma) ln(1 + gamma) changes sign. Lanes with phi(k0) <= 0, NaN
-    lanes and lanes past _K_MAX take k0; the others start at k0 + (1 + k0) k_LW
-    (optimal_tau's k for the large-k slope a + c d/(c + d)) and take Newton
-    steps on phi within the bracket its signs give. A step that would leave
-    the bracket bisects it instead, or doubles 1 + k while it has no upper
-    end. A lane stops once its step is at most _TOL (1 + k). The higher
-    rate wins.
+    lanes and lanes past _K_MAX take k0. The others take Newton steps on phi
+    within the bracket its signs give, from the lane's start k where one is
+    given (k0 where it is NaN or lower), else from k0 + (1 + k0) k_LW
+    (optimal_tau's k for the large-k slope a + c d/(c + d)). A step that
+    would leave the bracket bisects it instead, or doubles 1 + k while it
+    has no upper end. A lane stops once its step is at most _TOL (1 + k).
+    The higher rate wins.
     """
     with np.errstate(all="ignore"):
-        coef = np.broadcast_arrays(dec.a0 * g1, dec.c0 * g1, dec.d0 * g2, *(
-            np.divide(need, g) if need else np.zeros(np.shape(g))
-            for need, g in ((dec.need_u, g1), (dec.need_r, g2))))  # a, c, d, k_u, k_r
-        k = np.maximum(coef[3], coef[4])
-        live = np.flatnonzero((_phi(*coef, k)[0] > 0.0) & (k < _K_MAX))
-        a, c, d, k_u, k_r, lo = (v[live] for v in (*coef, k))
-        kappa = a + c * d / (c + d)
-        t = optimal_tau(np.where(kappa > 0.0, kappa, 1.0))
-        x, hi = lo + (1.0 + lo) * t / (1.0 - t), np.full(live.size, np.inf)
+        k_u, k_r = (np.divide(need, g) if need else np.zeros(np.shape(g))
+                    for need, g in ((dec.need_u, g1), (dec.need_r, g2)))
+        a, c, d = dec.a0 * g1, dec.c0 * g1, dec.d0 * g2
+        u = c * d * (k_u - k_r)  # c xr - d xu
+        w = 2.0 * (c * d + (d - c) * u - u * u)  # gamma'' (xu + xr + 1)^3, the same at every k
+        k = np.maximum(k_u, k_r)
+        # without a circuit power k0 = 0, where phi = a
+        phi = _phi(a, c, d, k_u, k_r, w, k)[0] if dec.need_u or dec.need_r else a + 0.0 * (a + c + d)
+        live = np.flatnonzero((phi > 0.0) & (k < _K_MAX))
+        lane = np.array((a, c, d, k_u, k_r, w, k))[:, live]  # the last row is lo
+        if start is None:
+            kappa = lane[0] + lane[1] * lane[2] / (lane[1] + lane[2])
+            t = optimal_tau(np.where(kappa > 0.0, kappa, 1.0))
+            x = lane[6] + (1.0 + lane[6]) * t / (1.0 - t)
+        else:
+            x = np.fmax(start[live], lane[6])
+        hi = np.full(live.size, np.inf)
         for _ in range(_MAX_STEPS):
             if not live.size:
                 break
-            phi, dphi = _phi(a, c, d, k_u, k_r, x)
-            lo, hi = np.where(phi > 0.0, x, lo), np.where(phi > 0.0, hi, x)
+            phi, dphi = _phi(*lane[:6], x)
+            up = phi > 0.0
+            lo, hi = np.where(up, x, lane[6]), np.where(up, hi, x)
             step = x - phi / dphi
             k[live] = step = np.where((step >= lo) & (step <= hi), step,
                                       np.where(hi < np.inf, 0.5 * (lo + hi), 2.0 * x + 1.0))
             going = np.abs(step - x) > _TOL * (1.0 + x)
-            live, a, c, d, k_u, k_r, lo, hi, x = (
-                v[going] for v in (live, a, c, d, k_u, k_r, lo, hi, step))
+            lane[6], x = lo, step
+            if not going.all():
+                live, lane, hi, x = live[going], lane[:, going], hi[going], x[going]
         k = np.minimum(k, _K_MAX)
     tau_up = np.minimum(k / (1.0 + k), _BELOW_ONE)
     top = link_throughput(coefficient_snr(dec, g1, g2, tau_up), tau_up)
     if dec.need_r == 0.0:  # no tau lies below the relay's threshold
         return tau_up, top
-    low = np.minimum(_lambert_tau(dec, coef[0], g1), relay_threshold(dec, g2))
+    low = np.minimum(_lambert_tau(dec, a, g1), relay_threshold(dec, g2))
     r_low = link_throughput(coefficient_snr(dec, g1, g2, low), low)
     better = r_low > top
     return np.where(better, low, tau_up), np.where(better, r_low, top)
 
 
-def _phi(a, c, d, k_u, k_r, k):
-    """phi of tau_profile and its slope at k, from the analytic gamma' and gamma''."""
-    xu, xr = c * (k - k_u), d * (k - k_r)
+def _phi(a, c, d, k_u, k_r, w, k):
+    """phi of tau_profile and its slope at k, from the analytic gamma' and
+    gamma'' = w/(xu + xr + 1)^3."""
+    t = k - k_u
+    xu, xr = c * t, d * (k - k_r)
     s = xu + xr + 1.0
-    gamma = a * (k - k_u) + xu * xr / s
-    d1 = a + (c * xr * (xr + 1.0) + d * xu * (xu + 1.0)) / (s * s)
-    u = c * d * (k_u - k_r)  # c xr - d xu
-    d2 = 2.0 * (c * d + (d - c) * u - u * u) / (s * s * s)
+    gamma = a * t + xu * xr / s
+    s2 = s * s
+    d1 = a + (c * xr * (xr + 1.0) + d * xu * (xu + 1.0)) / s2
     log = np.log1p(gamma)
-    return d1 * (1.0 + k) - (1.0 + gamma) * log, d2 * (1.0 + k) - d1 * log
+    k1 = 1.0 + k
+    return d1 * k1 - (1.0 + gamma) * log, w / (s2 * s) * k1 - d1 * log
 
 
 def _g2_max(b, c, lo, hi):
-    """Largest |h2^T w|^2 = (b x + c sqrt(1 - x^2))^2 over x_bar in [lo, hi]: at an
-    end, or at x = b/sqrt(b^2 + c^2), where it is b^2 + c^2."""
-    g2 = np.maximum(beam_gains(0.0, b, c, lo)[1], beam_gains(0.0, b, c, hi)[1])
+    """|h2^T w|^2 = (b x + c sqrt(1 - x^2))^2 at x_bar = hi, and its largest value
+    over x_bar in [lo, hi]: at an end, or at x = b/sqrt(b^2 + c^2), where it is
+    b^2 + c^2."""
+    at_hi = beam_gains(0.0, b, c, hi)[1]
+    g2 = np.maximum(beam_gains(0.0, b, c, lo)[1], at_hi)
     with np.errstate(invalid="ignore"):
         peak = b / np.hypot(b, c)
-    return np.where((lo <= peak) & (peak <= hi), np.maximum(g2, b * b + c * c), g2)
+    return at_hi, np.where((lo <= peak) & (peak <= hi), np.maximum(g2, b * b + c * c), g2)
+
+
+def _lambert_bound(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form bound on the rate of the beam gains (g1, g2) at every tau,
+    and the tau attaining it; NaN where kappa below is not positive.
+
+    With a = a0 g1, c = c0 g1, d = d0 g2: gamma <= a pu + xu xr/(xu + xr) <=
+    kappa (k - k_m)+ with kappa = a + c d/(c + d) and k_m = min(k_u, k_r), as
+    the user harvests nothing below k_u, xu xr/(xu + xr) (at most min(xu, xr))
+    rises in both, and above k_m each power is at most its gain times k - k_m.
+    In s = (k - k_m)/(1 + k_m) that is the pc-free bound rate_upper of
+    kappa/(1 - t_m), scaled by 1 - t_m, whose maximum is the Lambert-W one.
+    Without a circuit power its tau is tau_profile's Lambert-W start."""
+    c, d = dec.c0 * g1, dec.d0 * g2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = dec.a0 * g1 + np.where(c + d > 0.0, c * d / (c + d), 0.0)
+    bound, tau = np.full((2, kappa.size), np.nan)
+    good = kappa > 0.0
+    span = 1.0 - np.minimum(harvest_threshold(dec, g1[good]), relay_threshold(dec, g2[good]))
+    span = np.maximum(span, 1.0 - _BELOW_ONE)
+    kappa = kappa[good] / span
+    t = optimal_tau(kappa) if kappa.size else kappa
+    tau[good] = np.minimum(1.0 - span * (1.0 - t), _BELOW_ONE)
+    bound[good] = span * rate_upper(kappa, t)
+    return bound, tau
 
 
 def _refine(dec: ChannelDecomposition, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton ascent of the tau profile's rate in theta, x_bar = cos(theta),
     lane by lane; returns the best theta found and its harvest fraction.
 
-    theta continues through 0 by a signed sin(theta). Each step fits a
-    parabola to central differences of spacing _FD_STEP and moves to its top,
-    or up the slope where it is not concave, within a trust radius that
-    doubles after a step that raises the rate and otherwise shrinks to a
-    quarter of the step, which is then dropped.
+    Each step fits a parabola to central differences of spacing _FD_STEP
+    (theta continues through 0 by a signed sin(theta)) and moves to its top,
+    or up the slope where it is not concave, within [0, pi/2] and a trust
+    radius that doubles after a step that raises the rate and otherwise
+    shrinks to a quarter of the step, which is then dropped. After the first,
+    each profile starts from the parabola through the lane's last three k =
+    tau/(1 - tau). A lane stops once its next step is at most _THETA_TOL, or
+    after _NEWTON_STEPS profiles.
     """
-    lanes = dec[np.repeat(np.arange(theta.size), _STENCIL.size)]
-
-    def profile(th):  # rates around each th, and the tau at th
-        th = (th[:, None] + _STENCIL).ravel()
-        cos, sin = np.cos(th), np.sin(th)
-        tau, rate = tau_profile(lanes, np.square(lanes.a * cos),
-                                np.square(lanes.b * cos + lanes.c * sin))
-        return rate.reshape(-1, _STENCIL.size), tau.reshape(-1, _STENCIL.size)[:, 1]
-
-    th = best = theta  # the point proposed and the best one
-    fb, tau = np.full((theta.size, _STENCIL.size), -np.inf), np.zeros_like(theta)
-    radius = np.full_like(theta, _TRUST)
+    n, m = theta.size, _STENCIL.size
+    lanes = dec[np.repeat(np.arange(n), m)]
+    out, out_tau = theta.copy(), np.zeros(n)
+    live, best, th, tb = np.arange(n), theta, theta, out_tau  # tb: the tau at best
+    fb, radius = np.full((n, m), -np.inf), np.full(n, _TRUST)
+    guess = None  # the first profiles start from the Lambert-W k
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            f, t = profile(th)
+            point = (th[:, None] + _STENCIL).ravel()
+            cos, sin = np.cos(point), np.sin(point)
+            t, f = (v.reshape(-1, m) for v in tau_profile(
+                lanes, np.square(lanes.a * cos), np.square(lanes.b * cos + lanes.c * sin), guess))
             up = f[:, 1] > fb[:, 1]
             radius = np.where(up, 2.0 * radius, 0.25 * np.abs(th - best))
-            best, tau = np.where(up, th, best), np.where(up, t, tau)
+            best, tb = np.where(up, th, best), np.where(up, t[:, 1], tb)
             fb = np.where(up[:, None], f, fb)
             slope = (fb[:, 2] - fb[:, 0]) / (2 * _FD_STEP)
             curve = (fb[:, 2] - 2 * fb[:, 1] + fb[:, 0]) / _FD_STEP ** 2
             step = np.where(curve < 0.0, -slope / curve, np.sign(slope) * radius)
-            th = best + np.clip(np.where(np.isfinite(step), step, 0.0), -radius, radius)
-    return best, tau
+            step = np.minimum(np.maximum(np.where(np.isfinite(step), step, 0.0), -radius), radius)
+            at, th = th, np.minimum(np.maximum(best + step, 0.0), 0.5 * math.pi)
+            going = np.abs(th - best) > _THETA_TOL
+            if not going.all():
+                out[live], out_tau[live] = best, tb
+                live, best, th, at, tb, fb, radius, t = (
+                    v[going] for v in (live, best, th, at, tb, fb, radius, t))
+                lanes = lanes[np.repeat(going, m)]
+                if not live.size:
+                    break
+            k = t / (1.0 - t)
+            z = (th - at)[:, None] / _FD_STEP + _STENCIL / _FD_STEP  # in stencil spacings
+            guess = (k[:, 1:2] + z * (0.5 * (k[:, 2:] - k[:, :1])
+                                      + z * (0.5 * (k[:, 2:] + k[:, :1]) - k[:, 1:2]))).ravel()
+    out[live], out_tau[live] = best, tb
+    return out, out_tau
 
 
 def _exact_group(dec: ChannelDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,27 +396,43 @@ def _exact_group(dec: ChannelDecomposition) -> tuple[np.ndarray, np.ndarray, np.
     t = np.repeat(np.arange(m), _INTERVALS)
     hi = np.tile(np.arange(1, _INTERVALS + 1) / _INTERVALS, m)
     lo = hi - 1.0 / _INTERVALS
-    nt, nx = t, hi  # nodes still to rate: every right end (x_bar = 0 rates 0)
+    node = np.arange(t.size)  # the intervals that end at new nodes: all (x_bar = 0 rates 0)
     best = np.zeros(m)
     nodes, leaves = [], []
     for rnd in range(_MAX_ROUNDS):
-        g1, g2 = beam_gains(dec.a[nt], dec.b[nt], dec.c[nt], nx)
-        tau, val = tau_profile(
-            dec[np.concatenate([nt, t])], np.concatenate([g1, np.square(dec.a[t] * hi)]),
-            np.concatenate([g2, _g2_max(dec.b[t], dec.c[t], lo, hi)]))
-        n = nt.size
-        nodes.append((nt, nx, tau[:n], val[:n]))
-        np.fmax.at(best, nt, val[:n])
-        bound = val[n:]
-        split = bound > best[t] * (1.0 + _CERT)  # a NaN bound never splits
+        # every interval's largest gains, bounded in closed form; the new nodes,
+        # each the right end of an interval, rated at that bound's tau
+        lanes = dec[t]
+        g1, (g2_hi, g2) = np.square(lanes.a * hi), _g2_max(lanes.b, lanes.c, lo, hi)
+        cap, tau = _lambert_bound(lanes, g1, g2)
+        nt, nx, n1, n2, ntau = t[node], hi[node], g1[node], g2_hi[node], tau[node]
+        val = link_throughput(coefficient_snr(lanes[node], n1, n2, ntau), ntau)
+        np.fmax.at(best, nt, val)
+        keep = np.flatnonzero(cap > best[t] * (1.0 + _CERT))  # a NaN cap: nothing rates above 0
+        if rnd and keep.size:
+            # past the first round the profile bounds the intervals left open,
+            # and rates the new nodes that end or start one (the part after
+            # a new node is of the same split interval)
+            on = np.flatnonzero(np.isin(node, keep) | np.isin(node + 1, keep))
+            ptau, rate = tau_profile(lanes[np.concatenate([node[on], keep])],
+                                     np.concatenate([n1[on], g1[keep]]),
+                                     np.concatenate([n2[on], g2[keep]]))
+            ntau[on], val[on], cap[keep] = ptau[:on.size], rate[:on.size], rate[on.size:]
+            np.fmax.at(best, nt, val)
+            keep = keep[cap[keep] > best[t[keep]] * (1.0 + _CERT)]  # a NaN bound never splits
+        nodes.append((nt, nx, ntau, val))
         if rnd == _MAX_ROUNDS - 1:
-            split[:] = False
-        leaves.append((t[~split], hi[~split], bound[~split]))
-        t, lo, hi = t[split], lo[split], hi[split]
-        if not t.size:
+            keep = keep[:0]
+        leaf = np.ones(t.size, dtype=bool)
+        leaf[keep] = False
+        leaves.append((t[leaf], hi[leaf], cap[leaf]))
+        if not keep.size:
             break
-        nt, nx = t, 0.5 * (lo + hi)
-        t, lo, hi = np.concatenate([t, t]), np.concatenate([lo, nx]), np.concatenate([nx, hi])
+        edges = lo[keep, None] + (hi[keep] - lo[keep])[:, None] * _PARTS
+        edges[:, -1] = hi[keep]
+        t, lo, hi = np.repeat(t[keep], _SPLIT), edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        # each part but the last ends at a new node
+        node = (np.arange(keep.size)[:, None] * _SPLIT + np.arange(_SPLIT - 1)).ravel()
     # every leaf ends at a node, so sorted by trial and x_bar the two line up
     nt, nx, ntau, nval = map(np.concatenate, zip(*nodes))
     order = np.lexsort((nx, nt))
@@ -368,26 +445,36 @@ def _exact_group(dec: ChannelDecomposition) -> tuple[np.ndarray, np.ndarray, np.
     adj = lbound[lorder]
     adj = np.fmax(adj, np.concatenate([np.where(same, adj[1:], -np.inf), [-np.inf]]))
     near = adj > best[nt] * (1.0 - _CERT)
-    start = ((nval >= left) & (nval >= right) & near) | (nx == 1.0)
-    # At x_bar = 1 the direct link's closed form can win below the relay's
-    # threshold, whose k_r = t_r/(1 - t_r) falls as 1/g2 while the beam turns
-    # towards the relay: the relay starts to harvest at the direct link's
-    # k = tau/(1 - tau) where (b cos(theta) + c sin(theta))^2 = b^2 k_r/k: climb
-    # from there too.
-    one = nx == 1.0
+    # With a circuit power, at x_bar = 1 the direct link's closed form can win
+    # below the relay's threshold, whose k_r = t_r/(1 - t_r) falls as 1/g2 while
+    # the beam turns towards the relay: the relay starts to harvest at the
+    # direct link's k = tau/(1 - tau) where (b cos(theta) + c sin(theta))^2 =
+    # b^2 k_r/k: climb from x_bar = 1 and from there too.
+    end = nx == 1.0
+    one = end & (dec.need_r > 0.0)
+    start = ((nval >= left) & (nval >= right) & near) | one
     b, c, k = dec.b[nt[one]], dec.c[nt[one]], ntau[one] / (1.0 - ntau[one])
     t_r = relay_threshold(dec, b * b)
     with np.errstate(divide="ignore", invalid="ignore"):
         on = np.sqrt(t_r / ((1.0 - t_r) * k)) * b / np.hypot(b, c)
         theta_on = np.arctan2(c, b) - np.arccos(np.minimum(on, 1.0))
+    # each local maximum but x_bar = 1 starts at the top of the parabola through
+    # it and its neighbours (x_bar = 0 rates 0), which lies between them
+    th = np.arccos(nx[start])
+    d0 = th - np.arccos(np.concatenate([[0.0], np.where(same, nx[:-1], 0.0)])[start])
+    d2 = th - np.arccos(np.concatenate([np.where(same, nx[1:], 1.0), [1.0]])[start])
+    e0, e2 = nval[start] - left[start], nval[start] - right[start]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = th - 0.5 * (d0 * d0 * e2 - d2 * d2 * e0) / (d0 * e2 - d2 * e0)
     st = np.concatenate([nt[start], nt[one]])
     lanes = dec[st]
-    theta, tau = _refine(lanes, np.concatenate([np.arccos(nx[start]),
+    theta, tau = _refine(lanes, np.concatenate([np.where(np.isfinite(top), top, th),
                                                 np.maximum(theta_on, 0.0) + 4.0 * _FD_STEP]))
     x = np.cos(np.clip(theta, 0.0, 0.5 * math.pi))
     g1, g2 = beam_gains(lanes.a, lanes.b, lanes.c, x)
     val = link_throughput(coefficient_snr(lanes, g1, g2, tau), tau)
-    # the starts themselves compete too, so no trial ends below its best node
+    # the starts and x_bar = 1 compete too, so no trial ends below its best node
+    start |= end
     st, x = np.concatenate([st, nt[start]]), np.concatenate([x, nx[start]])
     tau, val = np.concatenate([tau, ntau[start]]), np.concatenate([val, nval[start]])
     order = np.lexsort((-x, -val, st))  # per trial the best rate, ties to the larger x_bar
@@ -401,21 +488,27 @@ def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     """Joint (x_bar, tau) maximization of the exact throughput, with a certificate.
 
     A branch-and-bound over x_bar: link_snr rises in g1 and in g2 at every
-    tau, so on an interval [lo, hi] of x_bar the tau profile at g1 = a^2 hi^2
-    and at the interval's largest g2 (_g2_max) bounds the rate. It starts
-    from _INTERVALS intervals and rates each interval's right end with the
-    profile of that beam; every interval whose bound exceeds the best rate
-    so far by more than _CERT relative is halved, until none is. Each
-    profile is converged, so each bound holds up to rounding.
+    tau, so on an interval [lo, hi] of x_bar a bound at g1 = a^2 hi^2 and at
+    the interval's largest g2 (_g2_max) bounds the rate. It starts from
+    _INTERVALS intervals. Each round bounds every interval in closed form
+    (_lambert_bound) and rates each new node, the right end of an interval,
+    at that bound's tau. In the first round that alone decides; past it the
+    tau profile bounds the intervals that the closed form leaves open and
+    rates the new nodes that end or start one. Every interval whose bound
+    exceeds the best rate so far by more than _CERT relative is split into
+    _SPLIT parts, until none is. Each bound holds up to rounding.
 
-    _refine then climbs from each local maximum of the rated ends next to
+    _refine then climbs from each local maximum of the rated nodes next to
     an interval whose bound comes within _CERT of the best (a basin that
-    could still win), from x_bar = 1, and from the beam near x_bar = 1 at
-    which the relay starts to harvest at the direct link's tau. The best of
-    starts and refined points wins, ties to the larger x_bar (a collinear
-    trial, c = 0, keeps x_bar = 1). rate_bound, the larger of its rate and
-    the largest interval bound, is within (1 + _CERT) of the rate. Trials
-    run in groups of _GROUP, each on its own channel only.
+    could still win), from the top of the parabola through it and its
+    neighbours (x_bar = 1 from itself), and, with a circuit power, from
+    x_bar = 1 and from the beam near x_bar = 1 at which the relay starts to
+    harvest at the direct link's tau. The best of starts, x_bar = 1 and
+    refined points wins, ties to the larger x_bar (a collinear trial, c = 0,
+    keeps x_bar = 1). rate_bound, the larger of its rate and the largest
+    interval bound, is within (1 + _CERT) of the rate. Trials run in groups
+    of _GROUP, each on its own channel only: every start and stop depends on
+    its own lane, so a block equals each of its trials solved alone.
     """
     dec = ChannelDecomposition.of(params, link)
     x, tau, bound = (np.concatenate(v) for v in zip(*(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +131,10 @@ class SystemParams:
     def digest(self) -> str:
         """Stable hash of the parameter set, equal for sets that compare equal:
         it hashes int(n_antennas) and float() of the rest (+ 0.0 maps -0.0 to 0.0)."""
-        values = [int(self.n_antennas)] + [None if v is None else float(v) + 0.0
-                                           for v in astuple(self)[1:]]
-        payload = ",".join(f"{f.name}={v!r}" for f, v in zip(fields(self), values))
+        names = [f.name for f in fields(self)]
+        values = [getattr(self, name) for name in names]
+        values = [int(values[0])] + [None if v is None else float(v) + 0.0 for v in values[1:]]
+        payload = ",".join(f"{name}={v!r}" for name, v in zip(names, values))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
@@ -253,8 +254,8 @@ class ChannelDecomposition:
                    need_r=need * params.d2 ** params.alpha)
 
     def __getitem__(self, index) -> "ChannelDecomposition":
-        return replace(self, **{name: getattr(self, name)[index]
-                                for name in ("a", "b", "c", "a0", "c0", "d0")})
+        return ChannelDecomposition(self.a[index], self.b[index], self.c[index], self.a0[index],
+                                    self.c0[index], self.d0[index], self.need_u, self.need_r)
 
 
 def _row_sq_norms(h: np.ndarray) -> np.ndarray:

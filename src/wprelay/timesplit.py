@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 # Below _SERIES_KAPPA, W0 + 1 is the branch-point series sum c_j p^j, p = sqrt(2 kappa)
 # (Corless et al. 1996); truncated after p^8 it is good to 1e-17 there.
@@ -35,8 +36,9 @@ def _scalar_or_array(x):
 
 
 def rate_upper(kappa, tau):
-    """Rate bound (1-tau)/2 * log2(1 + kappa*tau/(1-tau))."""
-    return 0.5 * (1.0 - tau) * np.log2(1.0 + kappa * tau / (1.0 - tau))
+    """Rate bound (1-tau)/2 * log2(1 + kappa*tau/(1-tau)); log1p keeps its
+    relative accuracy where kappa*tau/(1-tau) is small."""
+    return 0.5 * (1.0 - tau) * np.log1p(kappa * tau / (1.0 - tau)) / _LN2
 
 
 def optimal_tau(kappa):

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wprelay import beamform
 from wprelay.beamform import STRATEGIES, beam_gains, bound_min, solve, solve_block, tau_profile
 from wprelay.channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
-                             build_beamformer, sample_channel_block)
+                             build_beamformer, sample_channel_block, sample_link_block)
+from wprelay.cli import default_params
 from wprelay.montecarlo import _block_values
-from wprelay.sysmodel import (harvest_threshold, link_snr, link_throughput, relay_threshold,
-                              snr_exact, throughput)
+from wprelay.sysmodel import (coefficient_snr, harvest_threshold, link_snr, link_throughput,
+                              relay_threshold, snr_exact, throughput)
 from wprelay.timesplit import _BELOW_ONE
 
 N_CHANNELS = 32
@@ -206,6 +208,21 @@ def test_rate_has_one_hump_above_both_thresholds(n, ps, pc, seed, d):
     assert np.all(tau_profile(dec, g1, g2)[1] >= (1.0 - 1e-12) * rate.max(axis=1))
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(**_DRAWS)
+def test_closed_form_bound_holds_at_every_tau(n, ps, pc, seed):
+    # exact prunes an interval by this bound without a profile, so it must
+    # hold at every tau: against the profile and a tau grid, 32 random beams
+    params, link = _drawn_block(n, ps, pc, seed)
+    dec = ChannelDecomposition.of(params, link)[np.repeat(np.arange(4), 8)]
+    g1, g2 = beam_gains(dec.a, dec.b, dec.c, np.random.default_rng(seed).uniform(0.0, 1.0, 32))
+    bound, tau = beamform._lambert_bound(dec, g1, g2)
+    taus = np.linspace(0.0, 1.0, 4001)[1:-1, None]
+    grid = link_throughput(coefficient_snr(dec, g1, g2, taus), taus).max(axis=0)
+    assert np.all(np.fmax(grid, tau_profile(dec, g1, g2)[1]) <= bound * (1.0 + 1e-14))
+    assert np.all(link_throughput(coefficient_snr(dec, g1, g2, tau), tau) <= bound)
+
+
 @_SETTINGS
 @given(**_DRAWS)
 def test_exact_dominates_every_design(n, ps, pc, seed):
@@ -353,6 +370,45 @@ def test_block_design_across_groups_equals_trials_solved_alone():
     # 16 384 lanes through tau_profile, whose Newton lanes stop one by one
     params, link = _fig4_block(6, 3, 0, 300)
     _assert_rows_solve_alone(params, link, [0, 255, 256, 299])
+
+
+_BENCH_SEED = 3894801160  # the mc-optimized stream of perfbench/ at its seed 1
+
+
+def _bench_block(n, ps, seed=_BENCH_SEED):
+    """The four trials of one of the benchmark's exact cells: fig4's geometry."""
+    params = replace(default_params(), d1=20.0, d2=20.0, d3=2.0, n_antennas=n, ps_dbm=ps)
+    return params, sample_link_block(params, seed, 0, 4)
+
+
+@pytest.mark.parametrize("seed", [0, _BENCH_SEED])
+@pytest.mark.parametrize("ps", [20.0, 35.0, 50.0])
+@pytest.mark.parametrize("n", [2, 10])
+def test_exact_on_the_benchmark_cells(n, ps, seed):
+    params, link = _bench_block(n, ps, seed)
+    designs = {s: solve_block(s, params, link) for s in ("exact", "suboptimal")}
+    rates = {s: link_throughput(link_snr(params, link, d.g1, d.g2, d.tau), d.tau)
+             for s, d in designs.items()}
+    assert np.all(rates["exact"] >= rates["suboptimal"] - 1e-12)
+    assert np.all(rates["exact"] <= designs["exact"].rate_bound)
+    assert np.all(designs["exact"].rate_bound <= rates["exact"] * (1.0 + 1e-3))
+    _assert_rows_solve_alone(params, link, range(4))
+
+
+def test_exact_profile_call_budget(monkeypatch):
+    # on a block this small each tau_profile call costs more than its lanes'
+    # arithmetic, so the count of calls is the cost: here the closed-form
+    # bounds certify every interval and _refine stops after two profiles
+    calls = []
+    real = beamform.tau_profile
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return real(*args)
+
+    monkeypatch.setattr(beamform, "tau_profile", counted)
+    solve_block("exact", *_bench_block(10, 35.0))
+    assert len(calls) == 2, calls
 
 
 @pytest.mark.parametrize("n", [2, 10])

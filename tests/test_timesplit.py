@@ -66,6 +66,13 @@ def test_rate_upper_values():
     assert rate_upper(1.0, 0.0) == 0.0
 
 
+def test_rate_upper_keeps_relative_accuracy_at_small_snr():
+    # kappa tau/(1 - tau) = 1e-12 rounds off four digits in 1 + x; log1p keeps them
+    with mp.workdps(50):
+        ref = 0.25 * mp.log1p(mp.mpf(1e-12)) / mp.log(2)
+    assert rate_upper(1e-12, 0.5) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
 def test_golden_max_quadratic():
     x, fx = golden_max(lambda t: -(t - 0.37) ** 2, 0.0, 1.0, 1e-10)
     assert x == pytest.approx(0.37, abs=1e-7)
