@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, kve, psi
 
-from .channel import BranchConstants, SystemParams, branch_constants
+from .channel import BranchConstants, SystemParams, _is_int, branch_constants
 
 __all__ = [
     "BranchConstants",
@@ -115,6 +115,8 @@ def relay_mix_cdf(x, n_antennas: int):
     giving an array of the same shape. 0 at x <= 0, and exactly 1 from an
     x at which 1 - CDF is below 2e-17.
     """
+    if not _is_int(n_antennas):
+        raise ValueError(f"n_antennas must be an integer, got {n_antennas!r}")
     if n_antennas < 2:
         raise ValueError("relay mix needs at least 2 antennas")
     s, w, saturation = _mix_rule(n_antennas)

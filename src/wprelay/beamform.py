@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
-                      build_beamformer)
+                      _check_tau, build_beamformer)
 from .sysmodel import (coefficient_snr, harvest_threshold, link_snr, link_throughput,
                        relay_threshold)
 from .timesplit import _BELOW_ONE, optimal_tau, rate_upper
@@ -573,6 +573,8 @@ def solve_block(strategy: str, params: SystemParams, link: LinkStats,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "mrt-user":
+        if tau is not None:
+            _check_tau(tau)
         return mrt_user_block(params, link, tau=tau)
     if tau is not None:
         raise ValueError(f"{strategy} optimizes tau; only mrt-user takes a fixed tau")

@@ -70,6 +70,12 @@ def _check_seed(master_seed) -> None:
         raise ValueError(f"master_seed must be an int in [0, 2**128), got {master_seed!r}")
 
 
+def _check_tau(tau) -> None:
+    """Reject a harvest fraction outside the open interval (0, 1), and NaN."""
+    if not (0.0 < tau < 1.0):
+        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All scenario constants. Powers in dBm, distances in meters.
@@ -197,8 +203,7 @@ class BranchConstants:
 def branch_constants(params: SystemParams, tau: float) -> BranchConstants:
     """The one source of the tau-dependent SNR coefficients: 2 eta tau rho / (1 - tau)
     over the path losses of each branch."""
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    _check_tau(tau)
     scale = 2.0 * params.eta * tau * params.rho / (1.0 - tau)
     d1a = params.d1 ** params.alpha
     return BranchConstants(
@@ -347,8 +352,7 @@ def _normals_in_place(z: np.ndarray) -> None:
     z *= 1.0 / math.sqrt(2.0)
 
 
-def sample_link_block(params: SystemParams, master_seed: int, start: int, stop: int
-                      ) -> LinkStats:
+def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) -> LinkStats:
     """Channel statistics of trials [start, stop) of a counter-based stream.
 
     A Rayleigh channel reaches the designs and the SNR only through
@@ -360,15 +364,17 @@ def sample_link_block(params: SystemParams, master_seed: int, start: int, stop: 
     -log1p(-U) sum to ||h1||^2, N - 1 more to s, one is |h3|^2, and two
     give u by the inverse normal CDF. Any chunking of the trial range
     reproduces the same bits. The perpendicular scalar is c = sqrt(s)
-    exactly, with no radicand; ok is False only where ||h1||^2 is 0.
+    exactly, with no radicand; ok is False only where ||h1||^2 is 0. The
+    statistics depend on no scenario constant but the antenna count N.
     """
+    if not _is_int(n_antennas) or n_antennas < 1:
+        raise ValueError(f"n_antennas must be an int >= 1, got {n_antennas!r}")
     _check_seed(master_seed)
     # stop <= 2**128 keeps the counters below region 1 for any N < 2**64
     if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= 2 ** 128):
         raise ValueError(f"trials need ints 0 <= start < stop <= 2**128, got "
                          f"[{start!r}, {stop!r})")
-    start, stop = int(start), int(stop)  # numpy integers overflow in the counter arithmetic
-    n = params.n_antennas
+    n, start, stop = int(n_antennas), int(start), int(stop)  # numpy ints overflow in the counters
     z = _uniforms(master_seed, 0, start, stop, 2 * n + 2)
     u = np.empty(len(z), dtype=complex)
     u.real, u.imag = z[:, 2 * n], z[:, 2 * n + 1]
@@ -397,7 +403,7 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     LinkStats.from_block of the vectors gives back the statistics up to
     rounding. Any chunking of the trial range reproduces the same bits.
     """
-    link = sample_link_block(params, master_seed, start, stop)
+    link = sample_link_block(params.n_antennas, master_seed, start, stop)
     start, stop = int(start), int(stop)
     n = params.n_antennas
     g = _uniforms(master_seed, 1, start, stop, 4 * n + 1)

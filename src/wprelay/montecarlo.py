@@ -10,12 +10,16 @@ are merged in trial order with the pairwise update of Chan, Golub and
 LeVeque (1983). Estimates are therefore bit-identical for any worker
 count or chunk size.
 
-A channel depends only on (master_seed, n_antennas, trial), so _memo keeps
-the LinkStats of the last such stream's blocks for the next cells of a
-sweep. Cells of at most _CACHE_TRIALS trials store their blocks, and at
-most _CACHE_TRIALS trials (about 4.3 MB at 65 B per trial) are kept.
-Kept arrays are read-only, and an estimate has the same bits whether its
-blocks were kept or sampled.
+A channel depends only on (n_antennas, master_seed, trial), so the
+LinkStats of a block are kept for the next cells of a sweep, in a
+functools.lru_cache of _CACHE_TRIALS // _BLOCK blocks (at most
+_CACHE_TRIALS trials, about 4.3 MB at 65 B per trial) keyed by the block's
+trial range, one per stream (_stream_blocks): each estimate asks for its
+stream's cache, which drops the last stream's blocks when the stream
+changes. Cells of at most _CACHE_TRIALS trials read and keep blocks there;
+larger cells sample every block and keep none. Kept arrays are read-only,
+and an estimate has the same bits whether its blocks were kept or
+sampled.
 
 Workers are threads of the calling process. They overlap where the Philox
 fill, log1p, ndtri and the numpy kernels release the interpreter lock, not in
@@ -35,17 +39,17 @@ the user transmits directly to the access point for the whole data phase.
 from __future__ import annotations
 
 import math
-import threading
 # ProcessPoolExecutor is unused; perfbench/layers.py patches this binding
 # to count pools, and its traced runs fail without it.
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import beamform
-from .channel import LinkStats, SystemParams, _check_seed, _is_int, sample_link_block
+from .channel import (LinkStats, SystemParams, _check_seed, _check_tau, _is_int,
+                      sample_link_block)
 from .sysmodel import link_snr, link_throughput
 
 __all__ = [
@@ -84,52 +88,19 @@ class PerformanceEstimate:
     n_failed: int = 0
 
 
-def _stored_block(params: SystemParams, master_seed: int, lo: int, hi: int) -> LinkStats:
-    """LinkStats of trials [lo, hi) in read-only arrays."""
-    link = sample_link_block(params, master_seed, lo, hi)
-    for f in fields(link):
-        getattr(link, f.name).flags.writeable = False
-    return link
+@lru_cache(maxsize=1)
+def _stream_blocks(n_antennas: int, master_seed: int):
+    """Block cache of the one stream asked for last; asking for another
+    stream drops it. Its blocks hold read-only arrays."""
 
-
-class _BlockMemo:
-    """LinkStats of the blocks of one stream, the last (master_seed,
-    n_antennas) asked for, keyed (master_seed, n_antennas, lo, hi)."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.stream: tuple[int, int] | None = None
-        self.blocks: dict[tuple[int, int, int, int], LinkStats] = {}
-
-    def link(self, params: SystemParams, master_seed: int, lo: int, hi: int,
-             store: bool) -> LinkStats:
-        """LinkStats of trials [lo, hi): kept ones if there are, else sampled,
-        and kept if store and no other stream came in meanwhile. The oldest
-        blocks go first so that at most _CACHE_TRIALS trials are kept."""
-        stream = (master_seed, params.n_antennas)
-        key = stream + (lo, hi)
-        with self.lock:
-            if self.stream != stream:
-                self.blocks.clear()
-                self.stream = stream
-            link = self.blocks.get(key)
-        if link is not None:
-            return link
-        if not store:
-            return sample_link_block(params, master_seed, lo, hi)
-        link = _stored_block(params, master_seed, lo, hi)
-        with self.lock:
-            if self.stream == stream and key not in self.blocks:
-                held = sum(map(len, self.blocks.values()))
-                for old in list(self.blocks):  # oldest first
-                    if held + len(link) <= _CACHE_TRIALS:
-                        break
-                    held -= len(self.blocks.pop(old))
-                self.blocks[key] = link
+    @lru_cache(maxsize=_CACHE_TRIALS // _BLOCK)
+    def block(lo: int, hi: int) -> LinkStats:
+        link = sample_link_block(n_antennas, master_seed, lo, hi)
+        for f in fields(link):
+            getattr(link, f.name).flags.writeable = False
         return link
 
-
-_memo = _BlockMemo()
+    return block
 
 
 def _block_values(params: SystemParams, strategy: str, tau: float | None, metric: str,
@@ -154,10 +125,10 @@ def _block_values(params: SystemParams, strategy: str, tau: float | None, metric
         return link_throughput(gamma, tau, relay), ok
 
 
-def _run_chunk(params: SystemParams, strategy: str, tau: float | None,
-               metric: str, master_seed: int, store: bool, start: int, stop: int
-               ) -> list[tuple[int, int, int, float, float]]:
-    """Trials [start, stop), a whole number of blocks except at the end.
+def _run_chunk(params: SystemParams, strategy: str, tau: float | None, metric: str,
+               link_of, start: int, stop: int) -> list[tuple[int, int, int, float, float]]:
+    """Trials [start, stop), a whole number of blocks except at the end;
+    link_of(lo, hi) gives the LinkStats of trials [lo, hi).
 
     Returns per block (first trial, ok, failed, sum, M2), where M2 is the
     sum of squared deviations from the block mean.
@@ -165,8 +136,7 @@ def _run_chunk(params: SystemParams, strategy: str, tau: float | None,
     parts = []
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
-        vals, ok = _block_values(params, strategy, tau, metric,
-                                 _memo.link(params, master_seed, lo, hi, store))
+        vals, ok = _block_values(params, strategy, tau, metric, link_of(lo, hi))
         v = vals[ok]
         total = float(np.sum(v))
         m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
@@ -198,8 +168,8 @@ def check_cell(strategy: str, metric: str, tau: float | None) -> None:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if tau is not None and strategy not in ("mrt-user", "no-relay"):
         raise ValueError(f"{strategy} optimizes tau; only mrt-user and no-relay take a fixed tau")
-    if tau is not None and not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    if tau is not None:
+        _check_tau(tau)
 
 
 def estimate(params: SystemParams, strategy: str, n_trials: int,
@@ -220,12 +190,14 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
         raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
-    _check_seed(master_seed)  # before the memo: True and 1.0 would find seed 1's blocks
+    _check_seed(master_seed)  # before the cache: True and 1.0 would find seed 1's blocks
+    link_of = _stream_blocks(params.n_antennas, master_seed)  # drops any other stream's
+    if n_trials > _CACHE_TRIALS:  # sampled block by block, none kept
+        link_of = partial(sample_link_block, params.n_antennas, master_seed)
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
     starts = range(0, n_trials, chunk)
     stops = [min(s + chunk, n_trials) for s in starts]
-    run = partial(_run_chunk, params, strategy, tau, metric, master_seed,
-                  n_trials <= _CACHE_TRIALS)
+    run = partial(_run_chunk, params, strategy, tau, metric, link_of)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(pool.map(run, starts, stops))

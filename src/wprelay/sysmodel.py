@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDecomposition, ChannelState, LinkStats, SystemParams
+from .channel import ChannelDecomposition, ChannelState, LinkStats, SystemParams, _check_tau
 
 __all__ = [
     "SnrBreakdown",
@@ -98,8 +98,7 @@ def snr_exact(params: SystemParams, ch: ChannelState, w: np.ndarray,
     nw = float(np.linalg.norm(w))
     if abs(nw - 1.0) > _NORM_TOL:
         raise ValueError(f"beam must be unit norm, got |w| = {nw}")
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+    _check_tau(tau)
     link = LinkStats.from_block(ch.h1[None, :], ch.h2[None, :], np.array([ch.h3]))
     gd, xu, xr = (float(v[0]) for v in _hops(
         ChannelDecomposition.of(params, link),
@@ -111,8 +110,7 @@ def snr_exact(params: SystemParams, ch: ChannelState, w: np.ndarray,
 
 def throughput(gamma: float, tau: float) -> float:
     """Delay-limited throughput (1-tau)/2 * log2(1 + gamma) in bits/s/Hz."""
-    if not (0.0 < tau < 1.0):
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if gamma < 0:
+    _check_tau(tau)
+    if not gamma >= 0:  # NaN too
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     return 0.5 * (1.0 - tau) * math.log1p(gamma) / _LN2

@@ -1,11 +1,11 @@
-"""Harvest-time optimization: Lambert-W closed form and golden-section search.
+"""Harvest-time optimization: Lambert-W closed form and a bounded scalar search.
 
 optimal_tau maximizes the rate bound rate_upper(kappa, tau) in closed form,
 for every coefficient of an array at once; beamform shifts it onto the
 circuit-power threshold wherever the SNR is affine in tau/(1-tau), and
-starts its tau profile's Newton steps from it. golden_max, one lockstep
-search per array entry, is the independent search `wprelay verify` checks
-optimal_tau against.
+starts its tau profile's Newton steps from it. golden_max, scipy's
+bounded scalar search on one interval, is the independent search
+`wprelay verify` checks optimal_tau against.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ __all__ = [
     "rate_upper",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LN2 = math.log(2.0)
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 # Below _SERIES_KAPPA, W0 + 1 is the branch-point series sum c_j p^j, p = sqrt(2 kappa)
@@ -28,11 +27,6 @@ _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 _SERIES_KAPPA = 1e-4
 _W_SERIES = (0.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280, -221 / 8505,
              680863 / 43545600, -1963 / 204120)
-
-
-def _scalar_or_array(x):
-    """Plain float for 0-d input, the array otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def rate_upper(kappa, tau):
@@ -62,40 +56,15 @@ def optimal_tau(kappa):
         ks = k[small]
         z1 = np.expm1(np.polynomial.polynomial.polyval(np.sqrt(2.0 * ks), _W_SERIES))
         tau[small] = np.minimum(1.0 - ks / (ks + z1), _BELOW_ONE)
-    return _scalar_or_array(tau)
+    return float(tau) if tau.ndim == 0 else tau
 
 
-def golden_max(f, lo, hi, tol: float):
-    """Golden-section maximum of a unimodal f on [lo, hi]; returns (x, f(x)).
+def golden_max(f, lo: float, hi: float, tol: float):
+    """Maximum of a unimodal f on [lo, hi] by scipy's bounded scalar search
+    (Brent's golden-section and parabolic steps, to xatol = tol plus
+    sqrt(eps) relative to x); returns (x, f(x))."""
+    from scipy.optimize import minimize_scalar  # not on import: only verify and tests search
 
-    lo and hi may be arrays: f then maps an array of abscissae to the
-    array of values, one independent search per entry. The searches run
-    in lockstep, one call of f per step; each entry stops where the scalar
-    search would, once its own bracket is no wider than tol, so the count
-    of steps is fixed by the widest bracket and tol.
-    """
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = np.asarray(f(c)), np.asarray(f(d))
-    active = (b - a) > tol
-    while active.any():
-        left = fc >= fd  # the maximum lies in [a, d]
-        a1 = np.where(left, a, c)
-        b1 = np.where(left, d, b)
-        step = _GOLDEN * (b1 - a1)
-        probe = np.where(left, b1 - step, a1 + step)
-        fp = np.asarray(f(probe))
-        c1 = np.where(left, probe, d)
-        fc1 = np.where(left, fp, fd)
-        d1 = np.where(left, c, probe)
-        fd1 = np.where(left, fc, fp)
-        if active.all():
-            a, b, c, fc, d, fd = a1, b1, c1, fc1, d1, fd1
-        else:
-            a, b = np.where(active, a1, a), np.where(active, b1, b)
-            c, fc = np.where(active, c1, c), np.where(active, fc1, fc)
-            d, fd = np.where(active, d1, d), np.where(active, fd1, fd)
-        active = (b - a) > tol
-    x = 0.5 * (a + b)
-    return _scalar_or_array(x), _scalar_or_array(np.asarray(f(x)))
+    x = float(minimize_scalar(lambda t: -f(t), bounds=(lo, hi), method="bounded",
+                              options={"xatol": tol}).x)
+    return x, float(f(x))

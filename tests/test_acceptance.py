@@ -68,7 +68,7 @@ def test_criterion_1_solver_vs_grid():
 
 
 def test_criterion_2_lambert_time_split():
-    """Closed-form harvest time vs golden-section search, 100 coefficients."""
+    """Closed-form harvest time vs scipy's bounded search, 100 coefficients."""
     t0 = time.time()
     worst = 0.0
     for kappa in np.logspace(-3, 8, 100):

@@ -58,6 +58,12 @@ def test_relay_mix_cdf_shape():
         relay_mix_cdf(1.0, 1)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "4", None])
+def test_relay_mix_cdf_rejects_a_non_integer_antenna_count(n):
+    with pytest.raises(ValueError, match="n_antennas must be an integer"):
+        relay_mix_cdf(1.0, n)
+
+
 def _mix_cdf_oracle(x, n):
     """P(v g^2 <= x), g ~ Gamma(N), v ~ Beta(1, N-1), by mpmath quadrature:
     P(g <= sqrt x) + E[1 - (1 - x/g^2)^(N-1); g > sqrt x]."""

@@ -378,7 +378,7 @@ _BENCH_SEED = 3894801160  # the mc-optimized stream of perfbench/ at its seed 1
 def _bench_block(n, ps, seed=_BENCH_SEED):
     """The four trials of one of the benchmark's exact cells: fig4's geometry."""
     params = replace(default_params(), d1=20.0, d2=20.0, d3=2.0, n_antennas=n, ps_dbm=ps)
-    return params, sample_link_block(params, seed, 0, 4)
+    return params, sample_link_block(params.n_antennas, seed, 0, 4)
 
 
 @pytest.mark.parametrize("seed", [0, _BENCH_SEED])

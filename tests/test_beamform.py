@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wprelay.beamform import (STRATEGIES, BeamformerDesign, _lambert_tau, bound_min,
-                              branch_relay_hop, branch_user_hop, solve,
+                              branch_relay_hop, branch_user_hop, solve, solve_block,
                               solve_suboptimal_xbar)
-from wprelay.channel import ChannelDecomposition, LinkStats, SystemParams, sample_channel
+from wprelay.channel import (ChannelDecomposition, LinkStats, SystemParams, branch_constants,
+                             sample_channel)
+from wprelay.montecarlo import check_cell
 from wprelay.sysmodel import harvest_threshold, snr_exact, throughput
 from wprelay.timesplit import optimal_tau
 
@@ -163,6 +165,21 @@ def test_mrt_user_beam_and_tau():
     t_fixed = throughput(snr_exact(PARAMS, ch, fixed.w, fixed.tau).gamma_total,
                          fixed.tau)
     assert t_free >= t_fixed * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_fixed_tau_outside_the_open_unit_interval_is_rejected(tau):
+    # every entry point that takes a fixed tau rejects it with one message
+    ch = sample_channel(PARAMS, 1)
+    with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\)"):
+        solve("mrt-user", PARAMS, ch, tau=tau)
+    with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\)"):
+        solve_block("mrt-user", PARAMS, LinkStats.of(ch), tau=tau)
+    for check in (lambda: branch_constants(PARAMS, tau), lambda: throughput(1.0, tau),
+                  lambda: snr_exact(PARAMS, ch, np.conj(ch.h1) / np.linalg.norm(ch.h1), tau),
+                  lambda: check_cell("mrt-user", "throughput", tau)):
+        with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\)"):
+            check()
 
 
 def test_solve_dispatch():

@@ -231,13 +231,12 @@ def test_block_sampling_matches_raw_philox_words(n):
     # pins the stream bit for bit: [4090, 4103) crosses a 4096-trial
     # boundary, [4101, 4107) starts mid-way through its block's words, and
     # the last range starts where the low word of the Philox counter carries
-    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
     words = -4 * (-(2 * n + 2) // 4)
     carry = 2 ** 64 // (words // 4) - 1
     for seed in (0, 123, 2 ** 128 - 1):
         for start, stop in [(0, 3), (4090, 4103), (4101, 4107), (carry, carry + 3)]:
             ref = _stats_from_raw_philox(n, seed, start, stop)
-            got = sample_link_block(params, seed, start, stop)
+            got = sample_link_block(n, seed, start, stop)
             for name, a in ref.items():
                 b = getattr(got, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, start, stop, name)
@@ -262,8 +261,7 @@ def _laws(link):
 
 @pytest.mark.parametrize("n", [1, 2, 10, 50])
 def test_link_sampling_fits_the_rayleigh_laws(n):
-    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
-    link = _in_pieces(lambda lo, hi: sample_link_block(params, 2026, lo, hi), 2 ** 20)
+    link = _in_pieces(lambda lo, hi: sample_link_block(n, 2026, lo, hi), 2 ** 20)
     assert link.ok.all()
     laws = {"n1_sq": ("gamma", (n,)), "n2_sq": ("gamma", (n,)),
             "|inner|^2/n1_sq": ("expon", ()), "h3_sq": ("expon", ()),
@@ -278,10 +276,9 @@ def test_link_sampling_fits_the_rayleigh_laws(n):
 def test_link_sampling_matches_the_vector_sampler_in_law(n):
     # against the entry-by-entry layout the vector sampler used before,
     # rebuilt from raw words; the two seeds keep the samples independent
-    params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
     old = _in_pieces(lambda lo, hi: LinkStats.from_block(*_trials_from_raw_philox(n, 11, lo, hi)),
                      2 ** 17)
-    new = _in_pieces(lambda lo, hi: sample_link_block(params, 12, lo, hi), 2 ** 17)
+    new = _in_pieces(lambda lo, hi: sample_link_block(n, 12, lo, hi), 2 ** 17)
     old_laws, new_laws = _laws(old), _laws(new)
     for name in old_laws:
         p = ks_2samp(old_laws[name], new_laws[name]).pvalue
@@ -297,7 +294,7 @@ def test_channel_vectors_give_back_the_link_statistics(n):
     params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
     carries = [2 ** 64 // (-(-(2 * n + 2) // 4)) - 1, 2 ** 64 // (n + 1) - 1]
     for start, stop in [(0, 2000)] + [(c - 2, c + 3) for c in carries]:
-        want = sample_link_block(params, 5, start, stop)
+        want = sample_link_block(n, 5, start, stop)
         got = LinkStats.from_block(*sample_channel_block(params, 5, start, stop))
         assert np.array_equal(got.ok, want.ok) and want.ok.all()
         for f in fields(LinkStats)[:-1]:
@@ -335,6 +332,12 @@ def test_block_sampling_rejects_malformed_trial_range(start, stop):
         sample_channel_block(PARAMS, 1, start, stop)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, 2.5, True, "2", None])
+def test_link_sampling_rejects_a_malformed_antenna_count(n):
+    with pytest.raises(ValueError, match="n_antennas must be an int >= 1"):
+        sample_link_block(n, 1, 0, 3)
+
+
 def test_block_sampling_accepts_numpy_integers():
     a = sample_channel_block(PARAMS, np.uint64(3), np.int64(2), np.int32(5))
     b = sample_channel_block(PARAMS, 3, 2, 5)
@@ -342,8 +345,9 @@ def test_block_sampling_accepts_numpy_integers():
     # counter arithmetic past 2**64 overflows numpy integers; the vectors'
     # region (4N + 4 words a trial) carries its low counter word here
     carry = 2 ** 64 // (PARAMS.n_antennas + 1) - 1
-    a = sample_link_block(PARAMS, np.uint64(3), np.uint64(carry), np.uint64(carry + 3))
-    b = sample_link_block(PARAMS, 3, carry, carry + 3)
+    a = sample_link_block(np.int64(PARAMS.n_antennas), np.uint64(3), np.uint64(carry),
+                          np.uint64(carry + 3))
+    b = sample_link_block(PARAMS.n_antennas, 3, carry, carry + 3)
     assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(LinkStats))
     a = sample_channel_block(PARAMS, np.uint64(3), np.uint64(carry), np.uint64(carry + 3))
     b = sample_channel_block(PARAMS, 3, carry, carry + 3)

@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -228,68 +230,113 @@ def test_fixed_tau_error_names_both_strategies_that_take_one():
 
 
 @pytest.fixture
-def cold(monkeypatch):
-    """An empty memo, so that a test sees its own cells' blocks only."""
-    monkeypatch.setattr(montecarlo, "_memo", montecarlo._BlockMemo())
+def cold():
+    """An empty block cache, so that a test sees its own cells' blocks only."""
+    montecarlo._stream_blocks.cache_clear()
+    yield
+    montecarlo._stream_blocks.cache_clear()
 
 
-def _held_trials() -> int:
-    return sum(len(link) for link in montecarlo._memo.blocks.values())
+def _kept_blocks(n_antennas: int, seed: int, n_trials: int) -> list[LinkStats]:
+    """The kept blocks of trials [0, n_trials) of one stream, read back from
+    the cache; fails unless that stream and every one of those blocks is kept."""
+    streams = montecarlo._stream_blocks.cache_info()
+    block = montecarlo._stream_blocks(n_antennas, seed)
+    assert montecarlo._stream_blocks.cache_info().misses == streams.misses, "stream not kept"
+    misses = block.cache_info().misses
+    links = [block(lo, min(lo + montecarlo._BLOCK, n_trials))
+             for lo in range(0, n_trials, montecarlo._BLOCK)]
+    assert block.cache_info().misses == misses, "block not kept"
+    return links
+
+
+def _kept_count(n_antennas: int, seed: int) -> int:
+    """How many blocks of a stream are kept; fails unless that stream is."""
+    streams = montecarlo._stream_blocks.cache_info()
+    count = montecarlo._stream_blocks(n_antennas, seed).cache_info().currsize
+    assert montecarlo._stream_blocks.cache_info().misses == streams.misses, "stream not kept"
+    return count
+
+
+def _tracking(monkeypatch) -> list:
+    """Patch the sampler to record (stream, trials, weak reference) of every
+    block it draws, so a test can see which blocks are still alive."""
+    drawn = []
+    real = montecarlo.sample_link_block
+
+    def tracked(n_antennas, master_seed, start, stop):
+        link = real(n_antennas, master_seed, start, stop)
+        drawn.append(((n_antennas, master_seed), stop - start, weakref.ref(link)))
+        return link
+
+    monkeypatch.setattr(montecarlo, "sample_link_block", tracked)
+    return drawn
+
+
+def _alive(drawn) -> list[tuple[tuple[int, int], int]]:
+    gc.collect()
+    return [(stream, n) for stream, n, ref in drawn if ref() is not None]
 
 
 def test_warm_estimates_equal_cold_ones(cold):
-    # a memo hit must give the bits of a fresh sample, for every strategy and metric
+    # a cache hit must give the bits of a fresh sample, for every strategy and metric
+    n_antennas = PARAMS.n_antennas
     for strategy in MC_STRATEGIES:
         n = 6 if strategy == "exact" else 4096 + 300
         tau = 0.4 if strategy in ("mrt-user", "no-relay") else None
         for metric in METRICS:
-            montecarlo._memo.blocks.clear()
+            montecarlo._stream_blocks.cache_clear()
             cold_est = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau)
-            assert _held_trials() == n
+            assert _kept_count(n_antennas, 3) == len(_kept_blocks(n_antennas, 3, n))
             warm = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau, workers=2,
                             chunk_size=4096)
             assert repr(warm) == repr(cold_est), (strategy, metric)
 
 
 @pytest.mark.parametrize("n", [1, 10])
-def test_stored_block_equals_one_call(n):
+def test_stored_block_equals_one_call(cold, n):
     # at N = 1 no part of h2 is perpendicular to h1, so c is 0
-    params = replace(PARAMS, n_antennas=n)
     lo, hi = 8192, 8192 + 4096
-    whole = sample_link_block(params, 7, lo, hi)
+    whole = sample_link_block(n, 7, lo, hi)
     if n == 1:
         assert np.all(whole.c == 0.0)
-    pieced = montecarlo._stored_block(params, 7, lo, hi)
+    kept = montecarlo._stream_blocks(n, 7)(lo, hi)
     for f in fields(LinkStats):
-        a, b = getattr(pieced, f.name), getattr(whole, f.name)
+        a, b = getattr(kept, f.name), getattr(whole, f.name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
 
-def test_only_cells_within_the_cap_store_their_blocks(cold):
+def test_only_cells_within_the_cap_store_their_blocks(cold, monkeypatch):
     cap = montecarlo._CACHE_TRIALS
+    n_antennas = PARAMS.n_antennas
     kw = dict(metric="outage", tau=0.5)
+    drawn = _tracking(monkeypatch)
     estimate(PARAMS, "mrt-user", cap + 1, 3, **kw)
-    assert _held_trials() == 0
-    estimate(PARAMS, "mrt-user", 100, 3, **kw)  # dropped once the memo is full
+    assert _kept_count(n_antennas, 3) == 0 and _alive(drawn) == []
+    estimate(PARAMS, "mrt-user", 100, 3, **kw)  # dropped once the cache is full
     estimate(PARAMS, "mrt-user", cap, 3, **kw)
-    assert _held_trials() == cap
-    for link in montecarlo._memo.blocks.values():
-        for f in fields(LinkStats):
-            assert not getattr(link, f.name).flags.writeable
+    assert _kept_count(n_antennas, 3) == cap // montecarlo._BLOCK
+    links = _kept_blocks(n_antennas, 3, cap)
+    assert sum(map(len, links)) == cap
+    assert sum(n for _, n in _alive(drawn)) == cap  # at most cap trials are held
+    assert not any(getattr(link, f.name).flags.writeable
+                   for link in links for f in fields(LinkStats))
     with pytest.raises(ValueError, match="read-only"):
-        next(iter(montecarlo._memo.blocks.values())).a[0] = 1.0
-    # a cell on another stream empties the memo
+        links[0].a[0] = 1.0
+    del links
+    # a cell on another stream, even one over the cap, frees the kept blocks
     estimate(replace(PARAMS, n_antennas=2), "mrt-user", cap + 1, 3, **kw)
-    assert _held_trials() == 0
+    assert _kept_count(2, 3) == 0 and _alive(drawn) == []
 
 
-def test_cells_on_two_streams_in_two_threads_give_the_serial_results(cold):
+def test_cells_on_two_streams_in_two_threads_give_the_serial_results(cold, monkeypatch):
     # three streams, each cell pooled over four threads: twelve threads on
-    # a memo that every cell on another stream empties
+    # a cache that every cell on another stream empties
     cells = [(PARAMS, 3), (PARAMS, 4), (replace(PARAMS, n_antennas=2), 3)]
     kw = dict(metric="throughput", tau=0.5, workers=4, chunk_size=4096)
     serial = [estimate(p, "mrt-user", 4 * 4096, seed, **kw) for p, seed in cells]
-    montecarlo._memo.blocks.clear()
+    montecarlo._stream_blocks.cache_clear()
+    drawn = _tracking(monkeypatch)
     barrier = threading.Barrier(3)
     got: dict[int, list] = {i: [] for i in range(3)}
 
@@ -314,12 +361,16 @@ def test_cells_on_two_streams_in_two_threads_give_the_serial_results(cold):
     for results in got.values():
         assert len(results) == 4
         assert all(est == serial[j] for j, est in results)
-    assert len({key[:2] for key in montecarlo._memo.blocks}) <= 1
-    assert _held_trials() <= montecarlo._CACHE_TRIALS
+    # once the cells are done, one stream's blocks at most are alive
+    alive = _alive(drawn)
+    assert len({stream for stream, _ in alive}) <= 1
+    assert sum(n for _, n in alive) <= montecarlo._CACHE_TRIALS
+    for (p, seed), want in zip(cells, serial):
+        assert estimate(p, "mrt-user", 4 * 4096, seed, **kw) == want
 
 
 def test_channels_depend_on_the_antenna_count_only():
-    # the memo keys a block by (master_seed, n_antennas, lo, hi) alone
+    # the cache keys a block by (n_antennas, master_seed, lo, hi) alone
     other = SystemParams(n_antennas=PARAMS.n_antennas, d1=3.0, d2=7.0, d3=9.0, alpha=3.5,
                          eta=0.25, ps_dbm=-10.0, noise_dbm=-90.0, gamma_th_db=3.0,
                          pc_dbm=-30.0)
@@ -341,9 +392,9 @@ def test_a_sweep_samples_each_trial_once(cold, monkeypatch, tmp_path):
     sampled = []
     real = montecarlo.sample_link_block
 
-    def counting(params, master_seed, start, stop):
+    def counting(n_antennas, master_seed, start, stop):
         sampled.append(stop - start)
-        return real(params, master_seed, start, stop)
+        return real(n_antennas, master_seed, start, stop)
 
     monkeypatch.setattr(montecarlo, "sample_link_block", counting)
     base = default_params()

@@ -137,8 +137,9 @@ def test_rejects_bad_tau():
 def test_throughput_values():
     assert throughput(3.0, 0.5) == pytest.approx(0.25 * math.log2(4.0))
     assert throughput(0.0, 0.3) == 0.0
-    with pytest.raises(ValueError):
-        throughput(-1.0, 0.5)
+    for gamma in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            throughput(gamma, 0.5)
     with pytest.raises(ValueError):
         throughput(1.0, 1.0)
 
