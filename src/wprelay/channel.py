@@ -1,7 +1,7 @@
 """Scenario parameters, the branch SNR coefficients, Rayleigh channel
 sampling and geometric decomposition.
 
-Channels come from one counter-based sampler, sample_link_block, which
+Channels come from one seekable sampler, sample_link_block, which
 draws the statistics a Rayleigh channel reaches the designs through
 (LinkStats) directly; sample_channel_block puts them on random
 orthonormal directions when the vectors themselves are wanted. Trial t of
@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 from scipy.special import ndtri
 
 __all__ = [
@@ -334,13 +334,13 @@ class LinkStats:
         return LinkStats(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
-def _uniforms(master_seed: int, region: int, start: int, stop: int, draws: int) -> np.ndarray:
-    """Uniforms in [0, 1) of trials [start, stop), one row per trial. Trial t
-    reads `draws` words, rounded up to the 4-word Philox block, from the
-    keystream keyed by master_seed at counter region * 2**192 + t * words / 4,
-    so its row is the same whichever range asks for it."""
-    words = -4 * (-draws // 4)
-    bg = Philox(key=master_seed, counter=(region << 192) + start * words // 4)
+def _uniforms(master_seed: int, region: int, start: int, stop: int, words: int) -> np.ndarray:
+    """Uniforms in [0, 1) of trials [start, stop), one row of `words` per
+    trial. Trial t reads words [t * words, (t + 1) * words) of the PCG64DXSM
+    stream seeded by SeedSequence(master_seed, spawn_key=(region,)), one
+    word per uniform, so its row is the same whichever range asks for it."""
+    bg = PCG64DXSM(SeedSequence(master_seed, spawn_key=(region,)))
+    bg.advance(start * words)
     return Generator(bg).random((stop - start) * words).reshape(stop - start, words)
 
 
@@ -353,14 +353,14 @@ def _normals_in_place(z: np.ndarray) -> None:
 
 
 def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) -> LinkStats:
-    """Channel statistics of trials [start, stop) of a counter-based stream.
+    """Channel statistics of trials [start, stop) of a seekable stream.
 
     A Rayleigh channel reaches the designs and the SNR only through
     LinkStats, whose fields are drawn directly, by rotational invariance:
     ||h1||^2 ~ Gamma(N); h1^H h2 = a u with u ~ CN(0, 1) the part of h2
     along h1; ||h2||^2 = |u|^2 + s with s ~ Gamma(N - 1) the rest of h2;
-    |h3|^2 ~ Exp(1). Trial t reads 2N + 2 words of the Philox keystream
-    keyed by master_seed (region 0 of _uniforms): N Exp(1) draws
+    |h3|^2 ~ Exp(1). Trial t reads its own 2N + 2 words of the PCG64DXSM
+    stream of master_seed's region 0 (_uniforms): N Exp(1) draws
     -log1p(-U) sum to ||h1||^2, N - 1 more to s, one is |h3|^2, and two
     give u by the inverse normal CDF. Any chunking of the trial range
     reproduces the same bits. The perpendicular scalar is c = sqrt(s)
@@ -370,18 +370,19 @@ def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) 
     if not _is_int(n_antennas) or n_antennas < 1:
         raise ValueError(f"n_antennas must be an int >= 1, got {n_antennas!r}")
     _check_seed(master_seed)
-    # stop <= 2**128 keeps the counters below region 1 for any N < 2**64
-    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= 2 ** 128):
-        raise ValueError(f"trials need ints 0 <= start < stop <= 2**128, got "
+    # advance wraps its argument mod 2**128 without an error; stop <= 2**64
+    # keeps the word offsets of distinct trials apart for any N < 2**62
+    if not (_is_int(start) and _is_int(stop) and 0 <= start < stop <= 2 ** 64):
+        raise ValueError(f"trials need ints 0 <= start < stop <= 2**64, got "
                          f"[{start!r}, {stop!r})")
-    n, start, stop = int(n_antennas), int(start), int(stop)  # numpy ints overflow in the counters
+    n, start, stop = int(n_antennas), int(start), int(stop)  # numpy ints overflow in the offsets
     z = _uniforms(master_seed, 0, start, stop, 2 * n + 2)
     u = np.empty(len(z), dtype=complex)
     u.real, u.imag = z[:, 2 * n], z[:, 2 * n + 1]
     _normals_in_place(u.view(float))
     np.negative(z, out=z)
     np.log1p(z, out=z)
-    np.negative(z, out=z)  # an Exp(1) draw in every word; u's and the padding unused
+    np.negative(z, out=z)  # an Exp(1) draw in every word; u's unused
     n1_sq, s, h3_sq = z[:, :n].sum(axis=1), z[:, n:2 * n - 1].sum(axis=1), z[:, 2 * n - 1].copy()
     del z  # freed before the derived fields are built, which lowers the peak
     a = np.sqrt(n1_sq)
@@ -392,12 +393,13 @@ def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) 
 
 def sample_channel_block(params: SystemParams, master_seed: int, start: int, stop: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channels (h1, h2, h3) for trials [start, stop) of a counter-based stream.
+    """Channels (h1, h2, h3) for trials [start, stop) of a seekable stream.
 
     The statistics are those of sample_link_block; the vectors put them
     on a Haar-random orthonormal pair (v1, v2) and phase theta drawn from
-    counter region 1 (4N + 1 words per trial: two CN(0, I) vectors that
-    Gram-Schmidt makes orthonormal, and one uniform): h1 = a v1,
+    region 1 (4N + 2 words per trial, an even count for the complex view:
+    two CN(0, I) vectors that Gram-Schmidt makes orthonormal, one uniform
+    and one unused word): h1 = a v1,
     h2 = u v1 + c v2 and h3 = |h3| e^(i theta), with u = h1^H h2 / a. So
     every entry is CN(0, 1), independent of the others, and
     LinkStats.from_block of the vectors gives back the statistics up to
@@ -406,7 +408,7 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     link = sample_link_block(params.n_antennas, master_seed, start, stop)
     start, stop = int(start), int(stop)
     n = params.n_antennas
-    g = _uniforms(master_seed, 1, start, stop, 4 * n + 1)
+    g = _uniforms(master_seed, 1, start, stop, 4 * n + 2)
     h3 = np.sqrt(link.h3_sq) * np.exp(2j * math.pi * g[:, 4 * n])
     _normals_in_place(g)
     h1, h2 = g.view(complex)[:, :n], g.view(complex)[:, n:2 * n]  # made into h1, h2 in place

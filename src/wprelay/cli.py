@@ -401,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.trials is not None and args.trials < 2:
         parser.error(f"--trials must be >= 2, got {args.trials}")
+    if args.trials is not None and args.trials > 2 ** 64:
+        parser.error(f"--trials must be <= 2**64, got {args.trials}")
     if not 0 <= args.seed < 2 ** 128:
         parser.error(f"--seed must lie in [0, 2**128), got {args.seed}")
     given = [f"--{f}" for f in ("axis", "values", "strategies", "metric", "tau")

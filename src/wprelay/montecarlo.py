@@ -1,14 +1,13 @@
 """Reproducible Monte Carlo estimation of throughput, outage and time split.
 
-Trial t always consumes the same counter-addressed block of the random
-keystream, from which channel.sample_link_block draws its channel
-statistics directly (no channel vector is built), so any thread can sample
-any range of trials by itself. Trials are sampled, evaluated and reduced
-in fixed blocks of _BLOCK consecutive trials: chunks handed to workers
-hold whole blocks only, each block yields (n, sum, M2), and the blocks
-are merged in trial order with the pairwise update of Chan, Golub and
-LeVeque (1983). Estimates are therefore bit-identical for any worker
-count or chunk size.
+Trial t always reads the same words of a seekable random stream, from
+which channel.sample_link_block draws its channel statistics directly (no
+channel vector is built), so any thread can sample any range of trials by
+itself. Trials are sampled, evaluated and reduced in fixed blocks of
+_BLOCK consecutive trials: chunks handed to workers hold whole blocks
+only, each block yields (n, sum, M2), and the blocks are merged in trial
+order with the pairwise update of Chan, Golub and LeVeque (1983).
+Estimates are therefore bit-identical for any worker count or chunk size.
 
 A channel depends only on (n_antennas, master_seed, trial), so the
 LinkStats of a block are kept for the next cells of a sweep, in a
@@ -21,7 +20,7 @@ larger cells sample every block and keep none. Kept arrays are read-only,
 and an estimate has the same bits whether its blocks were kept or
 sampled.
 
-Workers are threads of the calling process. They overlap where the Philox
+Workers are threads of the calling process. They overlap where the PCG64DXSM
 fill, log1p, ndtri and the numpy kernels release the interpreter lock, not in
 Python-level loops such as the Newton steps of exact and of mrt-user with
 tau optimized. A pool runs only when a cell spans more than one
@@ -186,6 +185,8 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
     check_cell(strategy, metric, tau)
     if not _is_int(n_trials) or n_trials < 2:
         raise ValueError(f"n_trials must be an int >= 2, got {n_trials!r}")
+    if n_trials > 2 ** 64:  # the sampler's trial range
+        raise ValueError(f"n_trials must be <= 2**64, got {n_trials}")
     if not _is_int(chunk_size) or chunk_size < 1:
         raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
     if not _is_int(workers) or workers < 1:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Philox
+from numpy.random import PCG64DXSM, Philox, SeedSequence
 from scipy.special import ndtri
 from scipy.stats import ks_2samp, kstest
 
@@ -208,14 +208,17 @@ def _trials_from_raw_philox(n, seed, start, stop):
             (z[:, 4 * n] + 1j * z[:, 4 * n + 1]) * inv)
 
 
-def _stats_from_raw_philox(n, seed, start, stop):
+def _stats_from_raw_pcg64dxsm(n, seed, start, stop):
     """sample_link_block's fields of trials [start, stop) rebuilt from raw
-    Philox words (2N + 2 a trial, rounded up to 4) with out-of-place
-    expressions. The words are read from the first trial of start's
-    4096-trial block on, so a range may start mid-way through them."""
-    words = -4 * (-(2 * n + 2) // 4)
+    PCG64DXSM words (2N + 2 a trial, of the stream seeded by
+    SeedSequence(seed, spawn_key=(0,))) with out-of-place expressions. The
+    words are read from the first trial of start's 4096-trial block on, so
+    a range may start mid-way through them."""
+    words = 2 * n + 2
     origin = start - start % 4096
-    raw = Philox(key=seed, counter=origin * words // 4).random_raw((stop - origin) * words)
+    bg = PCG64DXSM(SeedSequence(seed, spawn_key=(0,)))
+    bg.advance(origin * words)
+    raw = bg.random_raw((stop - origin) * words)
     w = ((raw >> 11) * 2.0 ** -53).reshape(-1, words)[start - origin:]
     e = -np.log1p(-w[:, :2 * n])
     n1_sq, s = e[:, :n].sum(axis=1), e[:, n:2 * n - 1].sum(axis=1)
@@ -227,19 +230,47 @@ def _stats_from_raw_philox(n, seed, start, stop):
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
-def test_block_sampling_matches_raw_philox_words(n):
+def test_block_sampling_matches_raw_pcg64dxsm_words(n):
     # pins the stream bit for bit: [4090, 4103) crosses a 4096-trial
-    # boundary, [4101, 4107) starts mid-way through its block's words, and
-    # the last range starts where the low word of the Philox counter carries
-    words = -4 * (-(2 * n + 2) // 4)
-    carry = 2 ** 64 // (words // 4) - 1
+    # boundary, [4101, 4107) starts mid-way through its block's words, the
+    # word offsets start * (2N + 2) of the next range cross 2**64, and the
+    # last range ends at the last trial a stream has
+    cross = -(-2 ** 64 // (2 * n + 2))
     for seed in (0, 123, 2 ** 128 - 1):
-        for start, stop in [(0, 3), (4090, 4103), (4101, 4107), (carry, carry + 3)]:
-            ref = _stats_from_raw_philox(n, seed, start, stop)
+        for start, stop in [(0, 3), (4090, 4103), (4101, 4107), (cross - 2, cross + 2),
+                            (2 ** 64 - 3, 2 ** 64)]:
+            ref = _stats_from_raw_pcg64dxsm(n, seed, start, stop)
             got = sample_link_block(n, seed, start, stop)
             for name, a in ref.items():
                 b = getattr(got, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, start, stop, name)
+
+
+def _hex(values):
+    """float.hex of each float in values, real then imaginary part of each complex entry."""
+    return [x.hex() for x in np.ascontiguousarray(values).view(float).ravel().tolist()]
+
+
+def test_the_stream_is_pinned_by_literals():
+    # the raw-word oracle above moves with numpy's generator; these values
+    # change if a numpy upgrade or a refactor shifts the stream
+    link = sample_link_block(2, 7, 0, 3)
+    assert _hex(link.n1_sq) == ["0x1.b16c533aa2886p-1", "0x1.68f2471927d10p+1",
+                                "0x1.16a114a6c0b48p-1"]
+    assert _hex(link.inner) == ["0x1.358e0e46a1429p-1", "-0x1.3635c095d3e49p+0",
+                                "-0x1.c8e6155843db9p+0", "-0x1.3bbe394262c0cp-2",
+                                "0x1.0ef8646a303bep+0", "-0x1.f5402aa510e6fp-8"]
+    assert _hex(link.h3_sq) == ["0x1.15d0e7bee58f9p+0", "0x1.73f70ff03f6d9p-1",
+                                "0x1.06b78f463c53dp+2"]
+    link = sample_link_block(10, 7, 4095, 4097)  # across a 4096-trial boundary
+    assert _hex(link.n2_sq) == ["0x1.2be6cc910c029p+4", "0x1.1f95523fe2cf7p+3"]
+    assert _hex(link.inner) == ["-0x1.1d9bb9e3023c1p-3", "-0x1.8137af1a79d93p+1",
+                                "0x1.779947742919ap+0", "-0x1.cace563639436p-2"]
+    ch = sample_channel(PARAMS, 7, 0)
+    assert _hex(ch.h1[:2]) == ["-0x1.c8f761576ddb0p-6", "0x1.074a8a44ee46bp-2",
+                               "-0x1.416e1f91d9532p-1", "-0x1.ec7f3fb8fbed2p-2"]
+    assert _hex(ch.h2[:1]) == ["-0x1.406d7fae9323dp+0", "0x1.c608e8d4aace0p-2"]
+    assert _hex(np.array([ch.h3])) == ["-0x1.fdc30918eaa12p-2", "0x1.0489d4823480bp-1"]
 
 
 def _in_pieces(sample, trials, piece=2 ** 15):
@@ -289,11 +320,13 @@ def test_link_sampling_matches_the_vector_sampler_in_law(n):
 
 @pytest.mark.parametrize("n", [1, 2, 10, 300])
 def test_channel_vectors_give_back_the_link_statistics(n):
-    # also where the low counter word carries, in the statistics' region
-    # (2N + 2 words a trial, rounded up to 4) and in the vectors' (4N + 4)
+    # also where the word offsets cross 2**64, in the statistics' stream
+    # (2N + 2 words a trial) and in the vectors' (4N + 2), and at the last
+    # trial a stream has
     params = SystemParams(n_antennas=n, d1=20.0, d2=15.0, d3=15.0)
-    carries = [2 ** 64 // (-(-(2 * n + 2) // 4)) - 1, 2 ** 64 // (n + 1) - 1]
-    for start, stop in [(0, 2000)] + [(c - 2, c + 3) for c in carries]:
+    crossings = [-(-2 ** 64 // (2 * n + 2)), -(-2 ** 64 // (4 * n + 2))]
+    for start, stop in ([(0, 2000)] + [(c - 2, c + 3) for c in crossings]
+                        + [(2 ** 64 - 3, 2 ** 64)]):
         want = sample_link_block(n, 5, start, stop)
         got = LinkStats.from_block(*sample_channel_block(params, 5, start, stop))
         assert np.array_equal(got.ok, want.ok) and want.ok.all()
@@ -326,9 +359,9 @@ def test_block_sampling_rejects_malformed_seed(seed):
 
 
 @pytest.mark.parametrize("start, stop", [(0.0, 3), (0, 3.0), (False, 3), (-1, 3), (3, 3),
-                                         (4, 3)])
+                                         (4, 3), (0, 2 ** 64 + 1)])
 def test_block_sampling_rejects_malformed_trial_range(start, stop):
-    with pytest.raises(ValueError, match="start < stop"):
+    with pytest.raises(ValueError, match=r"0 <= start < stop <= 2\*\*64"):
         sample_channel_block(PARAMS, 1, start, stop)
 
 
@@ -342,15 +375,15 @@ def test_block_sampling_accepts_numpy_integers():
     a = sample_channel_block(PARAMS, np.uint64(3), np.int64(2), np.int32(5))
     b = sample_channel_block(PARAMS, 3, 2, 5)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    # counter arithmetic past 2**64 overflows numpy integers; the vectors'
-    # region (4N + 4 words a trial) carries its low counter word here
-    carry = 2 ** 64 // (PARAMS.n_antennas + 1) - 1
-    a = sample_link_block(np.int64(PARAMS.n_antennas), np.uint64(3), np.uint64(carry),
-                          np.uint64(carry + 3))
-    b = sample_link_block(PARAMS.n_antennas, 3, carry, carry + 3)
+    # word offsets past 2**64 overflow numpy integers; the vectors' stream
+    # (4N + 2 words a trial) crosses 2**64 here
+    cross = -(-2 ** 64 // (4 * PARAMS.n_antennas + 2))
+    a = sample_link_block(np.int64(PARAMS.n_antennas), np.uint64(3), np.uint64(cross),
+                          np.uint64(cross + 3))
+    b = sample_link_block(PARAMS.n_antennas, 3, cross, cross + 3)
     assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(LinkStats))
-    a = sample_channel_block(PARAMS, np.uint64(3), np.uint64(carry), np.uint64(carry + 3))
-    b = sample_channel_block(PARAMS, 3, carry, carry + 3)
+    a = sample_channel_block(PARAMS, np.uint64(3), np.uint64(cross), np.uint64(cross + 3))
+    b = sample_channel_block(PARAMS, 3, cross, cross + 3)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 

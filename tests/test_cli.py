@@ -103,6 +103,7 @@ def _custom(axis, values, strategies, *flags):
     (["fig8b", "--workers", "0"], "--workers must be >= 1, got 0"),
     (["fig8b", "--workers", "-3"], "--workers must be >= 1, got -3"),
     (["fig8b", "--trials", "1"], "--trials must be >= 2, got 1"),
+    (["fig8b", "--trials", str(2 ** 64 + 1)], f"--trials must be <= 2**64, got {2 ** 64 + 1}"),
     (["fig8b", "--seed", "-1"], "--seed must lie in [0, 2**128), got -1"),
     (["fig8b", "--seed", str(2 ** 128)], f"--seed must lie in [0, 2**128), got {2 ** 128}"),
     (_custom("n_antennas", "2,0", "mrt-user"), "n_antennas must be >= 1"),

@@ -221,6 +221,16 @@ def test_input_validation():
     assert "no-relay" in MC_STRATEGIES and "tau" in METRICS
 
 
+def test_trial_counts_beyond_the_stream_are_rejected_before_sampling(monkeypatch):
+    # a stream has 2**64 trials; a larger cell must not sample any of them
+    def never(*args, **kwargs):
+        raise AssertionError("a block was sampled")
+
+    monkeypatch.setattr(montecarlo, "sample_link_block", never)
+    with pytest.raises(ValueError, match=r"n_trials must be <= 2\*\*64, got 18446744073709551617"):
+        estimate(PARAMS, "mrt-user", 2 ** 64 + 1, 1, tau=0.5)
+
+
 def test_fixed_tau_error_names_both_strategies_that_take_one():
     for strategy in ("exact", "suboptimal", "large-n"):
         with pytest.raises(ValueError, match="only mrt-user and no-relay take a fixed tau"):
