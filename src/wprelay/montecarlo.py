@@ -9,23 +9,29 @@ only, each block yields (n, sum, M2), and the blocks are merged in trial
 order with the pairwise update of Chan, Golub and LeVeque (1983).
 Estimates are therefore bit-identical for any worker count or chunk size.
 
-A channel depends only on (n_antennas, master_seed, trial), so the
-LinkStats of a block are kept for the next cells of a sweep, in a
+A channel depends only on (n_antennas, master_seed, trial), so cells that
+share n_antennas share a stream. estimate_cells takes a group of such
+cells (a sweep runs each n_antennas as one group): it samples each block
+once and evaluates it for every cell of the group, and each cell gets the
+bits that estimate gives it alone. estimate is the one-cell group.
+
+Separate estimate calls on one stream share blocks through a
 functools.lru_cache of _CACHE_TRIALS // _BLOCK blocks (at most
 _CACHE_TRIALS trials, about 4.3 MB at 65 B per trial) keyed by the block's
-trial range, one per stream (_stream_blocks): each estimate asks for its
+trial range, one per stream (_stream_blocks): each call asks for its
 stream's cache, which drops the last stream's blocks when the stream
-changes. Cells of at most _CACHE_TRIALS trials read and keep blocks there;
-larger cells sample every block and keep none. Kept arrays are read-only,
+changes. Calls of at most _CACHE_TRIALS trials read and keep blocks there;
+larger ones sample every block and keep none. Kept arrays are read-only,
 and an estimate has the same bits whether its blocks were kept or
 sampled.
 
-Workers are threads of the calling process. They overlap where the PCG64DXSM
-fill, log1p, ndtri and the numpy kernels release the interpreter lock, not in
-Python-level loops such as the Newton steps of exact and of mrt-user with
-tau optimized. A pool runs only when a cell spans more than one
-chunk (by default more than _DEFAULT_CHUNK trials), with no more threads
-than chunks.
+Workers are threads of the calling process; each evaluates every cell of
+the group on the blocks of its chunks. A pool runs only when the trials
+span more than one chunk (by default more than _DEFAULT_CHUNK trials),
+with no more threads than chunks. Threads rarely pay: on 2 vCPUs a
+65 536-trial fixed-tau cell on kept blocks took 3-4 ms with 1 worker and
+8-9 ms with 2, and a default-trials fig8a sweep 0.19-0.20 s with 1 and
+0.21-0.26 s with 2.
 
 Every strategy solves a whole block at once (see beamform); tau fixed or
 optimized, there is one evaluation path. A trial fails, and is counted
@@ -56,6 +62,7 @@ __all__ = [
     "SimulationError",
     "check_cell",
     "estimate",
+    "estimate_cells",
     "MC_STRATEGIES",
     "METRICS",
 ]
@@ -124,22 +131,25 @@ def _block_values(params: SystemParams, strategy: str, tau: float | None, metric
         return link_throughput(gamma, tau, relay), ok
 
 
-def _run_chunk(params: SystemParams, strategy: str, tau: float | None, metric: str,
-               link_of, start: int, stop: int) -> list[tuple[int, int, int, float, float]]:
-    """Trials [start, stop), a whole number of blocks except at the end;
-    link_of(lo, hi) gives the LinkStats of trials [lo, hi).
+def _run_chunk(cells, link_of, start: int, stop: int
+               ) -> list[list[tuple[int, int, int, float, float]]]:
+    """Trials [start, stop) of every cell, a whole number of blocks except at
+    the end; link_of(lo, hi) gives the LinkStats of trials [lo, hi), asked
+    for once per block whatever the number of cells.
 
-    Returns per block (first trial, ok, failed, sum, M2), where M2 is the
-    sum of squared deviations from the block mean.
+    Returns per cell, per block (first trial, ok, failed, sum, M2), where M2
+    is the sum of squared deviations from the block mean.
     """
-    parts = []
+    parts = [[] for _ in cells]
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
-        vals, ok = _block_values(params, strategy, tau, metric, link_of(lo, hi))
-        v = vals[ok]
-        total = float(np.sum(v))
-        m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
-        parts.append((lo, v.size, hi - lo - v.size, total, m2))
+        link = link_of(lo, hi)
+        for (params, strategy, metric, tau), out in zip(cells, parts):
+            vals, ok = _block_values(params, strategy, tau, metric, link)
+            v = vals[ok]
+            total = float(np.sum(v))
+            m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
+            out.append((lo, v.size, hi - lo - v.size, total, m2))
     return parts
 
 
@@ -180,9 +190,27 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
     tau fixes the harvest fraction of mrt-user and no-relay, and is
     rejected by the strategies that optimize it; None lets each strategy
     optimize it per channel draw. The result is independent of workers and
-    chunk_size down to the last bit.
+    chunk_size down to the last bit. This is estimate_cells of one cell.
     """
-    check_cell(strategy, metric, tau)
+    return estimate_cells([(params, strategy, metric, tau)], n_trials, master_seed,
+                          workers=workers, chunk_size=chunk_size)[0]
+
+
+def estimate_cells(cells, n_trials: int, master_seed: int, workers: int = 1,
+                   chunk_size: int = _DEFAULT_CHUNK) -> list[PerformanceEstimate]:
+    """One estimate per (params, strategy, metric, tau) cell, in cell order,
+    from one pass over the stream that the cells share: every cell has the
+    same n_antennas, and each block is sampled once and evaluated for every
+    cell. Each estimate has the bits that estimate gives for its cell alone.
+    """
+    cells = list(cells)
+    if not cells:
+        raise ValueError("cells must hold at least one (params, strategy, metric, tau)")
+    for _, strategy, metric, tau in cells:
+        check_cell(strategy, metric, tau)
+    n_antennas = sorted({params.n_antennas for params, *_ in cells})
+    if len(n_antennas) > 1:
+        raise ValueError(f"cells must share one stream; got n_antennas {n_antennas}")
     if not _is_int(n_trials) or n_trials < 2:
         raise ValueError(f"n_trials must be an int >= 2, got {n_trials!r}")
     if n_trials > 2 ** 64:  # the sampler's trial range
@@ -192,19 +220,26 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     _check_seed(master_seed)  # before the cache: True and 1.0 would find seed 1's blocks
-    link_of = _stream_blocks(params.n_antennas, master_seed)  # drops any other stream's
+    link_of = _stream_blocks(n_antennas[0], master_seed)  # drops any other stream's
     if n_trials > _CACHE_TRIALS:  # sampled block by block, none kept
-        link_of = partial(sample_link_block, params.n_antennas, master_seed)
+        link_of = partial(sample_link_block, n_antennas[0], master_seed)
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
     starts = range(0, n_trials, chunk)
     stops = [min(s + chunk, n_trials) for s in starts]
-    run = partial(_run_chunk, params, strategy, tau, metric, link_of)
+    run = partial(_run_chunk, cells, link_of)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(pool.map(run, starts, stops))
     else:
         chunks = list(map(run, starts, stops))
-    parts = sorted(p for c in chunks for p in c)
+    return [_summary(cell, [p for c in chunks for p in c[i]], n_trials, master_seed)
+            for i, cell in enumerate(cells)]
+
+
+def _summary(cell, parts, n_trials: int, master_seed: int) -> PerformanceEstimate:
+    """The estimate of one cell from its blocks' (first trial, ok, failed, sum,
+    M2), given in trial order."""
+    params, strategy, metric, _ = cell
     n_err = sum(p[2] for p in parts)
     if n_err > _MAX_ERROR_FRACTION * n_trials:
         raise SimulationError(f"{n_err} of {n_trials} trials failed")
@@ -218,4 +253,3 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
                                n_trials=n_ok, master_seed=master_seed,
                                strategy=strategy, params_digest=params.digest(),
                                n_failed=n_err)
-

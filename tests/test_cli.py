@@ -1,10 +1,12 @@
 import csv
+from dataclasses import replace
 
 import pytest
 
-from wprelay import cli
+from wprelay import analysis, cli
 from wprelay.channel import SystemParams
 from wprelay.cli import CSV_HEADER, RECIPES, default_params, main, run_recipe
+from wprelay.montecarlo import estimate
 
 
 def _read_rows(path):
@@ -82,6 +84,48 @@ def test_custom_rows_are_axis_major_and_repeatable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _cell_by_cell(recipe, params, trials, seed):
+    """Rows of a recipe, curve-major, with one estimate or analysis call per cell."""
+    rows = []
+    for tag, overrides, metric, tau in recipe.curves:
+        kind = tag.split("/")[0]
+        for point in recipe.points:
+            p = replace(params, **{**recipe.base, **overrides, **point})
+            if kind in cli.ANALYTIC:
+                value, std_err, n = getattr(analysis, cli.ANALYTIC[kind])(p, tau), 0.0, 0
+            else:
+                est = estimate(p, kind, trials, seed, metric=metric, tau=tau)
+                value, std_err, n = est.value, est.std_err, est.n_trials
+            rows.append({"axis": point[recipe.axis], "strategy": tag, "metric": metric,
+                         "value": value, "std_err": std_err, "n_trials": n, "seed": seed})
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_sweep_rows_equal_cell_by_cell_rows(name):
+    # a sweep runs the cells of one n_antennas as one group; every row must
+    # keep the bits and the place that its own cell gives it
+    params, recipe = default_params(), RECIPES[name]
+    trials = 6 if name == "fig4" else 300  # fig4 runs exact
+    want = _cell_by_cell(recipe, params, trials, 11)
+    assert repr(cli._sweep(recipe, params, trials, 11, 2)) == repr(want)
+
+
+def test_custom_rows_equal_cell_by_cell_rows(tmp_path):
+    # one sweep over every value, ordered axis-major afterwards, writes the
+    # bytes of one sweep per value
+    params = default_params()
+    custom = dict(axis="ps_dbm", values=[10.0, 20.0, 30.0],
+                  strategies=["suboptimal", "mrt-user", "no-relay"], metric="tau", tau=None)
+    recipe = cli._custom_recipe(**custom)
+    rows = [row for point in recipe.points
+            for row in _cell_by_cell(replace(recipe, points=(point,)), params, 300, 11)]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    cli._write_csv(want, rows)
+    run_recipe("custom", params, 300, 11, got, 1, custom=custom)
+    assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("recipe", [
     ["custom", "--values", "10", "--strategies", "mrt-user", "--tau", "0.5"],
     ["fig8b"],
@@ -124,6 +168,7 @@ def test_run_rejects_bad_numbers_before_any_cell(tmp_path, capsys, monkeypatch, 
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(cli.montecarlo, "estimate", never)
+    monkeypatch.setattr(cli.montecarlo, "estimate_cells", never)
     monkeypatch.setattr(cli.analysis, "outage_exact", never)
     out = tmp_path / "never.csv"
     with pytest.raises(SystemExit) as exc:

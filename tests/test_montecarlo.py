@@ -15,7 +15,7 @@ from wprelay.cli import default_params, run_recipe
 from wprelay.channel import (ChannelState, LinkStats, SystemParams, sample_channel_block,
                              sample_link_block)
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
-                                SimulationError, _block_values, estimate)
+                                SimulationError, _block_values, estimate, estimate_cells)
 from wprelay.sysmodel import snr_exact, throughput
 
 PARAMS = SystemParams(n_antennas=4, d1=20.0, d2=15.0, d3=15.0, ps_dbm=30.0)
@@ -408,10 +408,93 @@ def test_a_sweep_samples_each_trial_once(cold, monkeypatch, tmp_path):
 
     monkeypatch.setattr(montecarlo, "sample_link_block", counting)
     base = default_params()
-    for _ in range(2):
+    # fig8a's 14 cells at 70 000 trials are over the cap, so none reads a kept block
+    for name, trials, workers in [("fig8b", 2000, 1), ("fig8b", 2000, 1),
+                                  ("fig8a", 70_000, 1), ("fig8a", 70_000, 2)]:
         # a cell at another N first, so that no run finds the last run's blocks
         estimate(replace(base, n_antennas=3), "mrt-user", 100, 5, tau=0.5)
         sampled.clear()
-        run_recipe("fig8b", base, 2000, 5, tmp_path / "fig8b.csv", 1)
-        assert len((tmp_path / "fig8b.csv").read_text().splitlines()) == 1 + 14
-        assert sum(sampled) == 2000
+        run_recipe(name, base, trials, 5, tmp_path / f"{name}.csv", workers)
+        assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 1 + 14
+        assert sum(sampled) == trials, (name, workers)
+
+
+def _every_cell(params: SystemParams, exact: bool = True) -> list:
+    """(params, strategy, metric, tau) of every strategy and metric, with tau
+    optimized and, where the strategy takes one, fixed."""
+    return [(params, s, m, tau) for s in MC_STRATEGIES if exact or s != "exact"
+            for tau in ((None, 0.4) if s in ("mrt-user", "no-relay") else (None,))
+            for m in METRICS]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_size", [4096, montecarlo._DEFAULT_CHUNK])
+def test_each_cell_of_a_group_equals_its_own_estimate(cold, workers, chunk_size):
+    # exact, the costly strategy, on one short block; the others over two
+    # blocks, so that at chunk 4096 and two workers a pool runs
+    for n, cells in [(6, _every_cell(PARAMS)), (4096 + 300, _every_cell(PARAMS, exact=False))]:
+        got = estimate_cells(cells, n, 3, workers=workers, chunk_size=chunk_size)
+        assert len(got) == len(cells)
+        for (params, strategy, metric, tau), est in zip(cells, got):
+            want = estimate(params, strategy, n, 3, metric=metric, tau=tau)
+            assert repr(est) == repr(want), (strategy, metric, tau, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_trials", [3 * 4096 + 5, 70_000])
+def test_a_group_samples_each_trial_once(cold, monkeypatch, workers, n_trials):
+    # within the cap the blocks go through the cache, above it they are sampled directly
+    sampled = []
+    real = montecarlo.sample_link_block
+
+    def counting(n_antennas, master_seed, start, stop):
+        sampled.append((start, stop))
+        return real(n_antennas, master_seed, start, stop)
+
+    monkeypatch.setattr(montecarlo, "sample_link_block", counting)
+    cells = [(replace(PARAMS, ps_dbm=ps), s, "outage", 0.5)
+             for ps in (10.0, 20.0, 30.0) for s in ("mrt-user", "no-relay")]
+    estimate_cells(cells, n_trials, 3, workers=workers, chunk_size=4096)
+    blocks = [(lo, min(lo + montecarlo._BLOCK, n_trials))
+              for lo in range(0, n_trials, montecarlo._BLOCK)]
+    assert sorted(sampled) == blocks
+
+
+def test_a_group_needs_cells_on_one_stream(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a block was sampled")
+
+    monkeypatch.setattr(montecarlo, "sample_link_block", never)
+    monkeypatch.setattr(montecarlo, "_stream_blocks", never)
+    with pytest.raises(ValueError, match="at least one"):
+        estimate_cells([], 100, 1)
+    cells = [(PARAMS, "mrt-user", "outage", 0.5),
+             (replace(PARAMS, n_antennas=2), "mrt-user", "outage", 0.5)]
+    with pytest.raises(ValueError, match=r"n_antennas \[2, 4\]"):
+        estimate_cells(cells, 100, 1)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        estimate_cells([(PARAMS, "beam-hopping", "outage", None)], 100, 1)
+
+
+def test_a_failing_cell_of_a_group_raises_what_its_own_estimate_does(cold, monkeypatch):
+    # |h3|^2 not a number on one trial in 50: the relayed cells fail, the
+    # direct cell never reads h3 and passes
+    real = montecarlo.sample_link_block
+
+    def broken(n_antennas, master_seed, start, stop):
+        link = real(n_antennas, master_seed, start, stop)
+        link.h3_sq[::50] = np.nan
+        return link
+
+    monkeypatch.setattr(montecarlo, "sample_link_block", broken)
+    direct = (PARAMS, "no-relay", "outage", 0.5)
+    relayed = (PARAMS, "mrt-user", "outage", 0.5)
+    n = 4000  # one block, of which 80 trials fail
+    with pytest.raises(SimulationError) as alone:
+        estimate(PARAMS, "mrt-user", n, 3, metric="outage", tau=0.5)
+    assert str(alone.value) == "80 of 4000 trials failed"
+    with pytest.raises(SimulationError) as grouped:
+        estimate_cells([direct, relayed], n, 3)
+    assert str(grouped.value) == str(alone.value)
+    est, = estimate_cells([direct], n, 3)
+    assert est.n_failed == 0 and est.n_trials == n
