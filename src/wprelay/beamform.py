@@ -1,10 +1,12 @@
 """Energy-beam and harvest-time optimization strategies.
 
-Every strategy solves a whole block of trials at once from the per-trial
-channel statistics (channel.LinkStats), read through their SNR coefficients
-(channel.ChannelDecomposition, built once per block), and returns a
-BlockDesign: per trial, the mixing coefficient x_bar of the two-direction
-beam, the harvest fraction tau, and the beam gains that the SNR needs:
+Every strategy solves a whole lane array at once (solve_lanes) from the
+per-lane SNR coefficients (channel.ChannelDecomposition, built once per
+block) and channel statistics (channel.LinkStats), and returns a
+BlockDesign: per lane, the mixing coefficient x_bar of the two-direction
+beam, the harvest fraction tau, and the beam gains that the SNR needs. A
+lane is one trial under one cell's constants, so one call solves a block
+for a stack of cells (montecarlo); solve_block is the one cell's call:
 
 - "exact":      joint (x_bar, tau) maximum of the exact throughput: a
                 branch-and-bound over x_bar bounds each interval at its
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
-                      _check_tau, build_beamformer)
+                      _check_tau, _draws, build_beamformer)
 from .sysmodel import (coefficient_snr, harvest_threshold, link_snr, link_throughput,
                        relay_threshold)
 from .timesplit import _BELOW_ONE, optimal_tau, rate_upper
@@ -54,6 +56,7 @@ __all__ = [
     "direct_tau",
     "solve",
     "solve_block",
+    "solve_lanes",
     "solve_suboptimal_xbar",
     "tau_profile",
     "STRATEGIES",
@@ -93,7 +96,9 @@ class BeamformerDesign:
 
 @dataclass(frozen=True)
 class BlockDesign:
-    """Designs for a block of trials, one array entry per trial.
+    """Designs for the lanes of a ChannelDecomposition, one array entry per
+    lane; g1 and g2 may hold one entry per trial, which broadcasts against
+    the lanes, where the beam does not depend on the cell.
 
     g1 = |h1^T w|^2 and g2 = |h2^T w|^2 are the gains of the beam w.
     gamma_bound is the SNR upper bound that the suboptimal and large-n
@@ -194,7 +199,7 @@ def _lambert_tau(dec: ChannelDecomposition, kappa: np.ndarray, g1: np.ndarray,
     where kappa <= 0. In s = (k - k_u)/(1 + k_u) that is the pc-free rate of
     kappa/(1 - t_u), so tau = t_u + (1 - t_u) optimal_tau(kappa/(1 - t_u)),
     or the double below 1 where t_u rounds to 1."""
-    t_u = harvest_threshold(dec, g1, relay)
+    t_u = np.broadcast_to(harvest_threshold(dec, g1, relay), np.shape(kappa))
     tau = np.full(np.shape(kappa), np.nan)
     good = kappa > 0.0
     if np.any(good):
@@ -203,7 +208,7 @@ def _lambert_tau(dec: ChannelDecomposition, kappa: np.ndarray, g1: np.ndarray,
     return tau
 
 
-def suboptimal_block(params: SystemParams, link: LinkStats) -> BlockDesign:
+def suboptimal_block(dec: ChannelDecomposition, link: LinkStats) -> BlockDesign:
     """Closed-form beam plus Lambert-W harvest time on the SNR upper bound.
 
     The beam maximizing the bound does not depend on tau (every branch
@@ -211,20 +216,18 @@ def suboptimal_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     coefficients at k = 1 and the harvest time follows from the resulting
     SNR coefficient and the user's harvest threshold under that beam.
     """
-    dec = ChannelDecomposition.of(params, link)
     x_opt, kappa, scenario, case = solve_suboptimal_xbar(dec)
-    g1, g2 = beam_gains(link.a, link.b, link.c, x_opt)
+    g1, g2 = beam_gains(dec.a, dec.b, dec.c, x_opt)
     tau = _lambert_tau(dec, kappa, g1)
     return BlockDesign(x_bar=x_opt, tau=tau, g1=g1, g2=g2,
                        gamma_bound=kappa * tau / (1.0 - tau),
                        scenario=scenario, case_index=case)
 
 
-def direct_tau(params: SystemParams, link: LinkStats) -> np.ndarray:
-    """Per-trial tau maximizing the direct-link baseline's exact throughput:
+def direct_tau(dec: ChannelDecomposition, link: LinkStats) -> np.ndarray:
+    """Per-lane tau maximizing the direct-link baseline's exact throughput:
     above the user's harvest threshold its SNR is kappa_d (k - k_u), with
     kappa_d = a0 ||h1||^2 / 2 (half the relay case's harvest scale)."""
-    dec = ChannelDecomposition.of(params, link)
     return _lambert_tau(dec, 0.5 * dec.a0 * link.n1_sq, link.n1_sq, relay=False)
 
 
@@ -248,14 +251,15 @@ def tau_profile(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray,
     The higher rate wins.
     """
     with np.errstate(all="ignore"):
-        k_u, k_r = (np.divide(need, g) if need else np.zeros(np.shape(g))
+        k_u, k_r = (np.divide(need, g) if _draws(need) else np.zeros(np.shape(g))
                     for need, g in ((dec.need_u, g1), (dec.need_r, g2)))
         a, c, d = dec.a0 * g1, dec.c0 * g1, dec.d0 * g2
         u = c * d * (k_u - k_r)  # c xr - d xu
         w = 2.0 * (c * d + (d - c) * u - u * u)  # gamma'' (xu + xr + 1)^3, the same at every k
         k = np.maximum(k_u, k_r)
         # without a circuit power k0 = 0, where phi = a
-        phi = _phi(a, c, d, k_u, k_r, w, k)[0] if dec.need_u or dec.need_r else a + 0.0 * (a + c + d)
+        draw = _draws(dec.need_u) or _draws(dec.need_r)
+        phi = _phi(a, c, d, k_u, k_r, w, k)[0] if draw else a + 0.0 * (a + c + d)
         live = np.flatnonzero((phi > 0.0) & (k < _K_MAX))
         lane = np.array((a, c, d, k_u, k_r, w, k))[:, live]  # the last row is lo
         if start is None:
@@ -281,7 +285,7 @@ def tau_profile(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray,
         k = np.minimum(k, _K_MAX)
     tau_up = np.minimum(k / (1.0 + k), _BELOW_ONE)
     top = link_throughput(coefficient_snr(dec, g1, g2, tau_up), tau_up)
-    if dec.need_r == 0.0:  # no tau lies below the relay's threshold
+    if not _draws(dec.need_r):  # no tau lies below the relay's threshold
         return tau_up, top
     low = np.minimum(_lambert_tau(dec, a, g1), relay_threshold(dec, g2))
     r_low = link_throughput(coefficient_snr(dec, g1, g2, low), low)
@@ -331,7 +335,7 @@ def _lambert_bound(dec: ChannelDecomposition, g1: np.ndarray, g2: np.ndarray
         kappa = dec.a0 * g1 + np.where(c + d > 0.0, c * d / (c + d), 0.0)
     bound, tau = np.full((2, kappa.size), np.nan)
     good = kappa > 0.0
-    span = 1.0 - np.minimum(harvest_threshold(dec, g1[good]), relay_threshold(dec, g2[good]))
+    span = 1.0 - np.minimum(harvest_threshold(dec, g1), relay_threshold(dec, g2))[good]
     span = np.maximum(span, 1.0 - _BELOW_ONE)
     kappa = kappa[good] / span
     t = optimal_tau(kappa) if kappa.size else kappa
@@ -451,10 +455,11 @@ def _exact_group(dec: ChannelDecomposition) -> tuple[np.ndarray, np.ndarray, np.
     # direct link's k = tau/(1 - tau) where (b cos(theta) + c sin(theta))^2 =
     # b^2 k_r/k: climb from x_bar = 1 and from there too.
     end = nx == 1.0
-    one = end & (dec.need_r > 0.0)
+    one = end & _draws(dec.need_r)
     start = ((nval >= left) & (nval >= right) & near) | one
-    b, c, k = dec.b[nt[one]], dec.c[nt[one]], ntau[one] / (1.0 - ntau[one])
-    t_r = relay_threshold(dec, b * b)
+    ends = dec[nt[one]]
+    b, c, k = ends.b, ends.c, ntau[one] / (1.0 - ntau[one])
+    t_r = relay_threshold(ends, b * b)
     with np.errstate(divide="ignore", invalid="ignore"):
         on = np.sqrt(t_r / ((1.0 - t_r) * k)) * b / np.hypot(b, c)
         theta_on = np.arctan2(c, b) - np.arccos(np.minimum(on, 1.0))
@@ -484,7 +489,7 @@ def _exact_group(dec: ChannelDecomposition) -> tuple[np.ndarray, np.ndarray, np.
     return x[first], tau[first], bound
 
 
-def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
+def exact_block(dec: ChannelDecomposition, link: LinkStats) -> BlockDesign:
     """Joint (x_bar, tau) maximization of the exact throughput, with a certificate.
 
     A branch-and-bound over x_bar: link_snr rises in g1 and in g2 at every
@@ -507,17 +512,18 @@ def exact_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     refined points wins, ties to the larger x_bar (a collinear trial, c = 0,
     keeps x_bar = 1). rate_bound, the larger of its rate and the largest
     interval bound, is within (1 + _CERT) of the rate. Trials run in groups
-    of _GROUP, each on its own channel only: every start and stop depends on
-    its own lane, so a block equals each of its trials solved alone.
+    of _GROUP lanes, each on its own channel only: every start and stop
+    depends on its own lane, so a block equals each of its lanes solved alone.
     """
-    dec = ChannelDecomposition.of(params, link)
+    shape, dec = np.shape(dec.a0), dec.flat()
     x, tau, bound = (np.concatenate(v) for v in zip(*(
-        _exact_group(dec[i:i + _GROUP]) for i in range(0, max(len(link), 1), _GROUP))))
-    g1, g2 = beam_gains(link.a, link.b, link.c, x)
+        _exact_group(dec[i:i + _GROUP]) for i in range(0, max(dec.a0.size, 1), _GROUP))))
+    g1, g2 = beam_gains(dec.a, dec.b, dec.c, x)
+    x, tau, g1, g2, bound = (v.reshape(shape) for v in (x, tau, g1, g2, bound))
     return BlockDesign(x_bar=x, tau=tau, g1=g1, g2=g2, rate_bound=bound)
 
 
-def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:
+def large_n_block(dec: ChannelDecomposition, link: LinkStats) -> BlockDesign:
     """Many-antenna beam: mix raw h1*/||h1|| and h2*/||h2|| directions.
 
     In the limit the two channel vectors become orthogonal; the mixing
@@ -525,7 +531,6 @@ def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:
     directions are not exactly orthogonal, so the combined vector is
     renormalized before use.
     """
-    dec = ChannelDecomposition.of(params, link)
     a_sq = dec.a * dec.a
     h2_sq = dec.b * dec.b + dec.c * dec.c
     au = dec.a0 * a_sq       # direct-branch level at x_bar = 1
@@ -548,7 +553,7 @@ def large_n_block(params: SystemParams, link: LinkStats) -> BlockDesign:
                        gamma_bound=kappa * tau / (1.0 - tau))
 
 
-def mrt_user_block(params: SystemParams, link: LinkStats,
+def mrt_user_block(dec: ChannelDecomposition, link: LinkStats,
                    tau: float | None = None) -> BlockDesign:
     """Beam all energy toward the user: w = h1*/||h1||.
 
@@ -557,9 +562,11 @@ def mrt_user_block(params: SystemParams, link: LinkStats,
     """
     g1 = link.n1_sq
     g2 = np.abs(link.inner) ** 2 / np.maximum(g1, 1e-300)
-    if tau is None:
-        tau = tau_profile(ChannelDecomposition.of(params, link), g1, g2)[0]
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), g1.shape)
+    shape = np.shape(dec.a0)
+    if tau is None:  # the profile runs on the lanes laid flat
+        lanes = (np.broadcast_to(g, shape).ravel() for g in (g1, g2))
+        tau = tau_profile(dec.flat(), *lanes)[0].reshape(shape)
+    tau = np.broadcast_to(np.asarray(tau, dtype=float), shape)
     return BlockDesign(x_bar=np.ones(g1.shape), tau=tau, g1=g1, g2=g2)
 
 
@@ -567,18 +574,26 @@ _BLOCK_SOLVERS = {"exact": exact_block, "suboptimal": suboptimal_block,
                   "large-n": large_n_block}
 
 
-def solve_block(strategy: str, params: SystemParams, link: LinkStats,
+def solve_lanes(strategy: str, dec: ChannelDecomposition, link: LinkStats,
                 tau: float | None = None) -> BlockDesign:
-    """Solve every trial of link; tau fixes the harvest time of mrt-user."""
+    """Solve every lane of dec, whose trials are those of link (a stack's
+    lanes are each of them under every cell); tau fixes the harvest time of
+    mrt-user."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "mrt-user":
         if tau is not None:
             _check_tau(tau)
-        return mrt_user_block(params, link, tau=tau)
+        return mrt_user_block(dec, link, tau=tau)
     if tau is not None:
         raise ValueError(f"{strategy} optimizes tau; only mrt-user takes a fixed tau")
-    return _BLOCK_SOLVERS[strategy](params, link)
+    return _BLOCK_SOLVERS[strategy](dec, link)
+
+
+def solve_block(strategy: str, params: SystemParams, link: LinkStats,
+                tau: float | None = None) -> BlockDesign:
+    """Solve every trial of link under params: solve_lanes of one cell."""
+    return solve_lanes(strategy, ChannelDecomposition.of(params, link), link, tau=tau)
 
 
 def _beam(strategy: str, ch: ChannelState, link: LinkStats, x_bar: float) -> np.ndarray:

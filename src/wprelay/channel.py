@@ -35,6 +35,7 @@ __all__ = [
     "branch_constants",
     "ChannelDecomposition",
     "LinkStats",
+    "cell_constants",
     "DegenerateChannelError",
     "dbm_to_watt",
     "sample_channel",
@@ -230,15 +231,40 @@ class ChannelState:
             raise ValueError("channel entries must be finite")
 
 
+def cell_constants(params: SystemParams) -> tuple[float, float, float, float, float]:
+    """The scenario constants of ChannelDecomposition for one cell: a1, b1, c1
+    of branch_constants at tau = 0.5 (k = 1) and the circuit needs need_u,
+    need_r, pc d^alpha/(2 eta Ps) at d = d1, d2 (0 without circuit power)."""
+    bc = branch_constants(params, 0.5)
+    need = params.pc_watt / (2.0 * params.eta * params.ps_watt)
+    return bc.a1, bc.b1, bc.c1, need * params.d1 ** params.alpha, need * params.d2 ** params.alpha
+
+
+def _draws(need) -> bool:
+    """Whether a need of ChannelDecomposition takes power off: a float other
+    than 0, or an array, which a stack holds only when every lane draws."""
+    return isinstance(need, np.ndarray) or need != 0.0
+
+
 @dataclass(frozen=True)
 class ChannelDecomposition:
-    """Per-trial coefficients of the end-to-end SNR, built once per block: at
+    """Per-lane coefficients of the end-to-end SNR, built once per block: at
     k = tau/(1 - tau), gamma = a0 pu + xu xr/(xu + xr + 1) with xu = c0 pu,
     xr = d0 pr and the powers left over the circuit draw pu = (g1 k - need_u)+,
     pr = (g2 k - need_r)+ (sysmodel.coefficient_snr). a, b, c: LinkStats'
-    projection scalars; a0, c0, d0: branch_constants at k = 1 (tau = 0.5)
-    times ||h1||^2, |h3|^2, ||h2||^2; need_u, need_r: pc d^alpha/(2 eta Ps)
-    at d = d1, d2, 0 without circuit power. Indexing applies to the arrays."""
+    projection scalars; a0, c0, d0: cell_constants' a1, b1, c1 times
+    ||h1||^2, |h3|^2, ||h2||^2; need_u, need_r: cell_constants' needs.
+
+    A lane is a trial under one cell's constants. stack gives a block's
+    trials under each cell of a stack. With more than one cell, a0, c0, d0
+    hold every lane, one row per cell, a, b, c are the block's rows and each
+    need a column, or the float 0.0 when no cell of the stack draws it: a
+    stack's cells draw all or none of each need, so that _draws is one test
+    for the whole stack. The fields broadcast to a0's shape. A stack of one
+    cell is of's decomposition: the needs are floats and the arrays the
+    block's shape. flat lays the lanes on one axis, cell by cell, and
+    indexing picks lanes of flat.
+    """
 
     a: float
     b: float
@@ -251,16 +277,34 @@ class ChannelDecomposition:
 
     @classmethod
     def of(cls, params: SystemParams, link: LinkStats) -> "ChannelDecomposition":
-        """Coefficients of every trial of link under params."""
-        bc = branch_constants(params, 0.5)
-        need = params.pc_watt / (2.0 * params.eta * params.ps_watt)
-        return cls(a=link.a, b=link.b, c=link.c, a0=bc.a1 * link.n1_sq, c0=bc.b1 * link.h3_sq,
-                   d0=bc.c1 * link.n2_sq, need_u=need * params.d1 ** params.alpha,
-                   need_r=need * params.d2 ** params.alpha)
+        """Coefficients of every trial of link under params: a stack of one."""
+        return cls.stack(np.array([cell_constants(params)]), link)
+
+    @classmethod
+    def stack(cls, consts: np.ndarray, link: "LinkStats") -> "ChannelDecomposition":
+        """Coefficients of every trial of link under each cell of a stack,
+        whose consts hold one row of cell_constants per cell. A need column
+        must be 0 in every row or in none."""
+        # columns, one row per cell; a lone cell's are floats
+        a1, b1, c1, need_u, need_r = consts.T[:, :, None] if len(consts) > 1 else consts[0]
+        return cls(a=link.a, b=link.b, c=link.c, a0=a1 * link.n1_sq, c0=b1 * link.h3_sq,
+                   d0=c1 * link.n2_sq, need_u=need_u if consts[0, 3] else 0.0,
+                   need_r=need_r if consts[0, 4] else 0.0)
+
+    def flat(self) -> "ChannelDecomposition":
+        """The same lanes on one axis, every array field holding all of them."""
+        if getattr(self.a0, "ndim", 0) < 2:
+            return self
+        shape = self.a0.shape
+        return ChannelDecomposition(*(np.broadcast_to(v, shape).ravel() if np.ndim(v) else v
+                                      for v in vars(self).values()))
 
     def __getitem__(self, index) -> "ChannelDecomposition":
-        return ChannelDecomposition(self.a[index], self.b[index], self.c[index], self.a0[index],
-                                    self.c0[index], self.d0[index], self.need_u, self.need_r)
+        d = self.flat()
+        need_u = d.need_u[index] if isinstance(d.need_u, np.ndarray) else d.need_u
+        need_r = d.need_r[index] if isinstance(d.need_r, np.ndarray) else d.need_r
+        return ChannelDecomposition(d.a[index], d.b[index], d.c[index], d.a0[index],
+                                    d.c0[index], d.d0[index], need_u, need_r)
 
 
 def _row_sq_norms(h: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ writes byte-identical data rows regardless of worker count.
 Recipes are data: RECIPES maps each figure to a Recipe value, and one
 curve-major loop (_sweep) runs them all. It runs the Monte Carlo cells of
 each n_antennas as one montecarlo.estimate_cells group, which evaluates
-each channel block for every cell on that stream; custom orders the rows
-of its one sweep axis-major afterwards.
+each channel block for every cell on that stream, a curve's cells stacked
+into one solver call; custom orders the rows of its one sweep axis-major
+afterwards.
 """
 from __future__ import annotations
 
@@ -378,8 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="threads per group of Monte Carlo cells that share n_antennas; "
                          "used only at more than 32768 trials, and the CSV is the same for "
                          "any count. Each thread evaluates every cell of the group on its "
-                         "blocks. On 2 vCPUs a default-trials fig8a took 0.19-0.20 s with "
-                         "1 worker and 0.21-0.26 s with 2")
+                         "blocks, one solver call per stack of cells that share a strategy "
+                         "and tau. On 2 vCPUs a default-trials fig8a took 0.13-0.20 s with "
+                         "1 worker and 0.16-0.17 s with 2")
     # The sweep flags apply to the custom recipe only; None means not given.
     rp.add_argument("--axis", default=None, choices=[f.name for f in fields(SystemParams)],
                     help="custom recipe sweep field (default ps_dbm)")

@@ -15,6 +15,18 @@ cells (a sweep runs each n_antennas as one group): it samples each block
 once and evaluates it for every cell of the group, and each cell gets the
 bits that estimate gives it alone. estimate is the one-cell group.
 
+A group's cells that share a strategy, a tau and which circuit needs are 0
+form stacks. Each block is solved (beamform.solve_lanes) and its SNR
+evaluated (sysmodel.coefficient_snr) once per stack, on lanes that are the
+block's trials under every cell's constants
+(channel.ChannelDecomposition.stack); each cell's row is then reduced on
+its own. Every lane is computed as it is in a stack of one, so stacking
+changes no bit. A stack holds at most _STACK_LANES lanes (four blocks),
+except that one cell's block is never split: on 2 vCPUs longer lane
+arrays made a lone thread slower, while four blocks already spare the
+per-call cost of small cells (fig4 at a few trials a point) and the
+calls that pooled threads wait on each other for.
+
 Separate estimate calls on one stream share blocks through a
 functools.lru_cache of _CACHE_TRIALS // _BLOCK blocks (at most
 _CACHE_TRIALS trials, about 4.3 MB at 65 B per trial) keyed by the block's
@@ -25,16 +37,15 @@ larger ones sample every block and keep none. Kept arrays are read-only,
 and an estimate has the same bits whether its blocks were kept or
 sampled.
 
-Workers are threads of the calling process; each evaluates every cell of
-the group on the blocks of its chunks. A pool runs only when the trials
+Workers are threads of the calling process; each evaluates every stack
+of the group on the blocks of its chunks. A pool runs only when the trials
 span more than one chunk (by default more than _DEFAULT_CHUNK trials),
-with no more threads than chunks. Threads rarely pay: on 2 vCPUs a
-65 536-trial fixed-tau cell on kept blocks took 3-4 ms with 1 worker and
-8-9 ms with 2, and a default-trials fig8a sweep 0.19-0.20 s with 1 and
-0.21-0.26 s with 2.
+with no more threads than chunks. On 2 vCPUs a default-trials fig8a sweep
+took 0.13-0.20 s with 1 worker and 0.16-0.17 s with 2, and the same sweep
+at 65 536 trials on kept blocks 30-32 ms with 1 and 39-47 ms with 2.
 
-Every strategy solves a whole block at once (see beamform); tau fixed or
-optimized, there is one evaluation path. A trial fails, and is counted
+Every strategy solves a whole lane array at once (see beamform); tau fixed
+or optimized, there is one evaluation path. A trial fails, and is counted
 rather than averaged, when its channel is degenerate or its SNR or tau is
 not a finite number.
 
@@ -53,9 +64,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import beamform
-from .channel import (LinkStats, SystemParams, _check_seed, _check_tau, _is_int,
-                      sample_link_block)
-from .sysmodel import link_snr, link_throughput
+from .channel import (ChannelDecomposition, LinkStats, SystemParams, _check_seed, _check_tau,
+                      _is_int, cell_constants, sample_link_block)
+from .sysmodel import coefficient_snr, link_throughput
 
 __all__ = [
     "PerformanceEstimate",
@@ -74,6 +85,7 @@ _MAX_ERROR_FRACTION = 1e-3
 _BLOCK = 4096  # trials per reduction block; divides _DEFAULT_CHUNK
 _DEFAULT_CHUNK = 32768
 _CACHE_TRIALS = 2 * _DEFAULT_CHUNK  # largest cell that stores, and most trials kept
+_STACK_LANES = 4 * _BLOCK  # lanes per stack at most, unless one cell's block is longer
 
 
 class SimulationError(RuntimeError):
@@ -109,47 +121,84 @@ def _stream_blocks(n_antennas: int, master_seed: int):
     return block
 
 
-def _block_values(params: SystemParams, strategy: str, tau: float | None, metric: str,
-                  link: LinkStats) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial metric values of one block and the mask of trials that count."""
-    relay = strategy != "no-relay"
+@dataclass(frozen=True)
+class _Stack:
+    """Cells of a group solved and evaluated as one lane array: they share a
+    strategy, a tau and which of the circuit needs are 0. cells are their
+    places in the group; consts holds one row of cell_constants and
+    gamma_th one outage threshold per cell."""
+
+    strategy: str
+    tau: float | None
+    cells: tuple[int, ...]
+    metrics: tuple[str, ...]
+    consts: np.ndarray
+    gamma_th: np.ndarray
+
+
+def _stacks(cells, size: int) -> list[_Stack]:
+    """The cells split into stacks of at most size cells, each keyed by
+    strategy, tau and whether each need is 0, so that a stack's solver and
+    SNR make one test of each need for all of its lanes."""
+    keyed = {}
+    for i, (params, strategy, metric, tau) in enumerate(cells):
+        consts = cell_constants(params)
+        key = (strategy, tau, consts[3] != 0.0, consts[4] != 0.0)
+        keyed.setdefault(key, []).append((i, metric, consts, params.gamma_th))
+    stacks = []
+    for (strategy, tau, *_), members in keyed.items():
+        for j in range(0, len(members), size):
+            places, metrics, consts, gamma_th = zip(*members[j:j + size])
+            stacks.append(_Stack(strategy, tau, places, metrics, np.array(consts),
+                                 np.array(gamma_th)))
+    return stacks
+
+
+def _stack_values(stack: _Stack, link: LinkStats) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-trial metric values of one block for each cell of the stack, and
+    the mask of trials that count, one row per cell: one solver and one SNR
+    call on the block's trials under every cell's constants."""
+    dec = ChannelDecomposition.stack(stack.consts, link)
+    relay = stack.strategy != "no-relay"
     with np.errstate(all="ignore"):  # failed trials are masked below
         if relay:
-            design = beamform.solve_block(strategy, params, link, tau=tau)
+            design = beamform.solve_lanes(stack.strategy, dec, link, tau=stack.tau)
             g1, g2, tau = design.g1, design.g2, design.tau
         else:
-            g1, g2 = link.n1_sq, 0.0
+            g1, g2, tau = link.n1_sq, 0.0, stack.tau
             if tau is None:
-                tau = beamform.direct_tau(params, link)
-        tau = np.broadcast_to(tau, link.n1_sq.shape)
-        gamma = link_snr(params, link, g1, g2, tau, relay)
+                tau = beamform.direct_tau(dec, link)
+        tau = np.broadcast_to(tau, np.shape(dec.a0))
+        shape = (len(stack.cells), len(link))  # a stack of one has the block's shape
+        gamma, tau = coefficient_snr(dec, g1, g2, tau, relay).reshape(shape), tau.reshape(shape)
         ok = link.ok & np.isfinite(gamma) & np.isfinite(tau)
-        if metric == "tau":
-            return tau, ok
-        if metric == "outage":
-            return (gamma < params.gamma_th).astype(float), ok
-        return link_throughput(gamma, tau, relay), ok
+        rate = link_throughput(gamma, tau, relay) if "throughput" in stack.metrics else None
+        vals = [tau[i] if metric == "tau" else rate[i] if metric == "throughput"
+                else (gamma[i] < stack.gamma_th[i]).astype(float)
+                for i, metric in enumerate(stack.metrics)]
+    return vals, ok
 
 
-def _run_chunk(cells, link_of, start: int, stop: int
+def _run_chunk(stacks, n_cells: int, link_of, start: int, stop: int
                ) -> list[list[tuple[int, int, int, float, float]]]:
-    """Trials [start, stop) of every cell, a whole number of blocks except at
-    the end; link_of(lo, hi) gives the LinkStats of trials [lo, hi), asked
-    for once per block whatever the number of cells.
+    """Trials [start, stop) of every cell of the stacks, a whole number of
+    blocks except at the end; link_of(lo, hi) gives the LinkStats of trials
+    [lo, hi), asked for once per block whatever the number of cells.
 
     Returns per cell, per block (first trial, ok, failed, sum, M2), where M2
     is the sum of squared deviations from the block mean.
     """
-    parts = [[] for _ in cells]
+    parts = [[] for _ in range(n_cells)]
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
         link = link_of(lo, hi)
-        for (params, strategy, metric, tau), out in zip(cells, parts):
-            vals, ok = _block_values(params, strategy, tau, metric, link)
-            v = vals[ok]
-            total = float(np.sum(v))
-            m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
-            out.append((lo, v.size, hi - lo - v.size, total, m2))
+        for stack in stacks:
+            vals, ok = _stack_values(stack, link)
+            for cell, row_vals, row_ok in zip(stack.cells, vals, ok):
+                v = row_vals[row_ok]
+                total = float(np.sum(v))
+                m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
+                parts[cell].append((lo, v.size, hi - lo - v.size, total, m2))
     return parts
 
 
@@ -226,7 +275,8 @@ def estimate_cells(cells, n_trials: int, master_seed: int, workers: int = 1,
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
     starts = range(0, n_trials, chunk)
     stops = [min(s + chunk, n_trials) for s in starts]
-    run = partial(_run_chunk, cells, link_of)
+    size = max(1, _STACK_LANES // min(n_trials, _BLOCK))  # cells per stack
+    run = partial(_run_chunk, _stacks(cells, size), len(cells), link_of)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(pool.map(run, starts, stops))

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelDecomposition, ChannelState, LinkStats, SystemParams, _check_tau
+from .channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams, _check_tau,
+                      _draws)
 
 __all__ = [
     "SnrBreakdown",
@@ -62,15 +63,15 @@ def relay_threshold(dec: ChannelDecomposition, g2):
     return _threshold(dec.need_r, g2)
 
 
-def _threshold(need: float, g):
-    return need / (need + g) if need else np.zeros(np.shape(g))
+def _threshold(need, g):
+    return need / (need + g) if _draws(need) else np.zeros(np.shape(g))
 
 
 def _hops(dec: ChannelDecomposition, g1, g2, tau, relay: bool = True):
     """Direct-link SNR and the two hop SNRs of the relayed path."""
     k = tau / (1.0 - tau) if relay else 0.5 * tau / (1.0 - tau)  # twice the time
     pu, pr = g1 * k, g2 * k
-    if dec.need_u:  # the circuit draw, if any, comes off first
+    if _draws(dec.need_u):  # the circuit draw, if any, comes off first
         pu, pr = np.maximum(pu - dec.need_u, 0.0), np.maximum(pr - dec.need_r, 0.0)
     return (dec.a0 * pu, dec.c0 * pu, dec.d0 * pr) if relay else (dec.a0 * pu, 0.0, 0.0)
 

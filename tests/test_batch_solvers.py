@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wprelay import beamform
-from wprelay.beamform import STRATEGIES, beam_gains, bound_min, solve, solve_block, tau_profile
+from wprelay.beamform import (STRATEGIES, beam_gains, bound_min, direct_tau, solve, solve_block,
+                              tau_profile)
 from wprelay.channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
                              build_beamformer, sample_channel_block, sample_link_block)
 from wprelay.cli import default_params
-from wprelay.montecarlo import _block_values
 from wprelay.sysmodel import (coefficient_snr, harvest_threshold, link_snr, link_throughput,
                               relay_threshold, snr_exact, throughput)
 from wprelay.timesplit import _BELOW_ONE
@@ -260,10 +260,9 @@ def test_suboptimal_matches_bound_grid(setup):
 
 
 def test_time_split_of_fixed_beams_matches_dense_grid(oracle_setup):
-    params, link, chans, (h1, h2, h3) = oracle_setup
+    params, link, chans, _ = oracle_setup
     mrt = solve_block("mrt-user", params, link)
-    direct, _ = _block_values(params, "no-relay", None, "tau",
-                              LinkStats.from_block(h1, h2, h3))
+    direct = direct_tau(ChannelDecomposition.of(params, link), link)
     d1a = params.d1 ** params.alpha
     for i, ch in enumerate(chans):
         w = np.conj(ch.h1) / np.linalg.norm(ch.h1)

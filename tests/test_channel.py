@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,9 @@ from scipy.stats import ks_2samp, kstest
 
 from wprelay.channel import (DEFAULT_NOISE_DBM, ChannelDecomposition, ChannelState,
                              DegenerateChannelError, LinkStats, SystemParams,
-                             branch_constants, build_beamformer, dbm_to_watt,
-                             sample_channel, sample_channel_block, sample_link_block)
+                             branch_constants, build_beamformer, cell_constants,
+                             dbm_to_watt, sample_channel, sample_channel_block,
+                             sample_link_block)
 
 PARAMS = SystemParams(n_antennas=6, d1=20.0, d2=15.0, d3=15.0, ps_dbm=40.0)
 
@@ -406,6 +407,34 @@ def test_decompose_identities():
     for need, d in ((dec.need_u, costly.d1), (dec.need_r, costly.d2)):
         assert 2.0 * costly.eta * costly.ps_watt * need / d ** costly.alpha == pytest.approx(
             costly.pc_watt, rel=1e-12)
+
+
+@pytest.mark.parametrize("pc_dbm", [None, -25.0])
+def test_a_stacked_row_equals_its_own_decomposition(pc_dbm):
+    # each cell of a stack, and any lanes picked across cells, keeps the bits
+    # of its own decomposition, per-lane needs too
+    cells = [replace(PARAMS, ps_dbm=ps, d1=d1, d2=d2, pc_dbm=pc_dbm)
+             for ps, d1, d2 in ((40.0, 20.0, 15.0), (25.0, 7.5, 30.0), (-10.0, 3.0, 2.0))]
+    link = sample_link_block(PARAMS.n_antennas, 3, 0, 37)
+    n = len(link)
+    dec = ChannelDecomposition.stack(np.array([cell_constants(p) for p in cells]), link)
+    assert np.shape(dec.a0) == (len(cells), n)
+    flat = dec.flat()
+    for name in ("need_u", "need_r"):  # a column where the cells draw, else the float 0.0
+        assert np.shape(getattr(dec, name)) == (() if pc_dbm is None else (len(cells), 1))
+        assert np.shape(getattr(flat, name)) == (() if pc_dbm is None else (len(cells) * n,))
+    at = np.array([n - 1, 0, 5, 5])  # trials picked out of each cell's row
+
+    def bits(x, shape):
+        return np.broadcast_to(np.asarray(x, dtype=float), shape).tobytes()
+
+    for j, params in enumerate(cells):
+        one = ChannelDecomposition.of(params, link)
+        row, picked = dec[j * n:(j + 1) * n], dec[j * n + at]
+        for f in fields(ChannelDecomposition):
+            want = np.broadcast_to(getattr(one, f.name), (n,))
+            assert bits(getattr(row, f.name), (n,)) == bits(want, (n,)), (j, f.name)
+            assert bits(getattr(picked, f.name), at.shape) == bits(want[at], at.shape)
 
 
 def test_beamformer_projection_scalars():

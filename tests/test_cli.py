@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from wprelay import analysis, cli
+from wprelay import analysis, cli, montecarlo
 from wprelay.channel import SystemParams
 from wprelay.cli import CSV_HEADER, RECIPES, default_params, main, run_recipe
 from wprelay.montecarlo import estimate
@@ -124,6 +124,35 @@ def test_custom_rows_equal_cell_by_cell_rows(tmp_path):
     cli._write_csv(want, rows)
     run_recipe("custom", params, 300, 11, got, 1, custom=custom)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_a_long_custom_sweep_splits_its_stacks(tmp_path, monkeypatch):
+    # 40 values of one strategy make several stacks, none of more than
+    # _STACK_LANES lanes, so a long sweep holds no longer lane arrays than a
+    # short one; the rows keep their bits
+    sizes = []
+    real = montecarlo._stack_values
+
+    def recording(stack, link):
+        sizes.append((len(stack.cells), len(stack.cells) * len(link)))
+        return real(stack, link)
+
+    monkeypatch.setattr(montecarlo, "_stack_values", recording)
+    params, trials = default_params(), 2000
+    custom = dict(axis="ps_dbm", values=[float(v) for v in range(-20, 60, 2)],
+                  strategies=["suboptimal", "no-relay"], metric="throughput", tau=None)
+    recipe = cli._custom_recipe(**custom)
+    rows = [row for point in recipe.points
+            for row in _cell_by_cell(replace(recipe, points=(point,)), params, trials, 11)]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    cli._write_csv(want, rows)
+    sizes.clear()
+    run_recipe("custom", params, trials, 11, got, 1, custom=custom)
+    assert got.read_bytes() == want.read_bytes()
+    cells = montecarlo._STACK_LANES // trials
+    assert 1 < cells < 40 and sum(k for k, _ in sizes) == 2 * 40  # one block, every cell once
+    assert max(k for k, _ in sizes) == cells
+    assert max(lanes for _, lanes in sizes) <= montecarlo._STACK_LANES
 
 
 @pytest.mark.parametrize("recipe", [

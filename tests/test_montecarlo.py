@@ -15,10 +15,18 @@ from wprelay.cli import default_params, run_recipe
 from wprelay.channel import (ChannelState, LinkStats, SystemParams, sample_channel_block,
                              sample_link_block)
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
-                                SimulationError, _block_values, estimate, estimate_cells)
+                                SimulationError, estimate, estimate_cells)
 from wprelay.sysmodel import snr_exact, throughput
 
 PARAMS = SystemParams(n_antennas=4, d1=20.0, d2=15.0, d3=15.0, ps_dbm=30.0)
+
+
+def _block_values(params, strategy, tau, metric, link):
+    """Per-trial values of one cell on one block and the mask of trials that
+    count: the one row of its stack of one."""
+    stack, = montecarlo._stacks([(params, strategy, metric, tau)], 1)
+    vals, ok = montecarlo._stack_values(stack, link)
+    return vals[0], ok[0]
 
 
 def test_estimate_returns_metadata():
@@ -438,6 +446,74 @@ def test_each_cell_of_a_group_equals_its_own_estimate(cold, workers, chunk_size)
         for (params, strategy, metric, tau), est in zip(cells, got):
             want = estimate(params, strategy, n, 3, metric=metric, tau=tau)
             assert repr(est) == repr(want), (strategy, metric, tau, n)
+
+
+@st.composite
+def _stacked_group(draw):
+    """(cells, n_trials): every strategy with one tau, fixed or optimized,
+    taken by one to three cells of random scenarios on one stream, so that
+    cells share stacks; the circuit power is none, finite, or so low that
+    pc_watt underflows to 0. exact, the costly strategy, only on a short
+    block; the others also over two blocks and an odd partial one."""
+    n_trials = draw(st.sampled_from([5, 2 * 4096 + 7]))
+    n = draw(st.integers(1, 6))
+    cells = []
+    for strategy in MC_STRATEGIES:
+        if strategy == "exact" and n_trials > 4096:
+            continue
+        fixed = strategy in ("mrt-user", "no-relay") and draw(st.booleans())
+        tau = draw(st.floats(0.05, 0.95)) if fixed else None
+        for _ in range(draw(st.integers(1, 3))):
+            params = SystemParams(
+                n_antennas=n, d1=draw(st.floats(2.0, 40.0)), d2=draw(st.floats(2.0, 40.0)),
+                d3=draw(st.floats(2.0, 40.0)), ps_dbm=draw(st.floats(-20.0, 50.0)),
+                gamma_th_db=draw(st.floats(20.0, 90.0)),  # where these SNRs lie
+                pc_dbm=draw(st.sampled_from([None, -4000.0]) | st.floats(-60.0, 0.0)))
+            cells.append((params, strategy, draw(st.sampled_from(METRICS)), tau))
+    return cells, n_trials
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(group=_stacked_group(), workers=st.sampled_from([1, 2]))
+def test_each_cell_of_a_stacked_group_equals_its_own_estimate(group, workers):
+    cells, n = group
+    got = estimate_cells(cells, n, 3, workers=workers, chunk_size=4096)
+    for (params, strategy, metric, tau), est in zip(cells, got):
+        want = estimate(params, strategy, n, 3, metric=metric, tau=tau)
+        assert repr(est) == repr(want), (params, strategy, metric, tau)
+
+
+def test_a_dbm_this_low_leaves_no_circuit_need():
+    # the stacked test above relies on it to stack a pc_dbm with pc_dbm None
+    assert replace(PARAMS, pc_dbm=-4000.0).pc_watt == 0.0
+
+
+@pytest.mark.parametrize("name, trials, curves, relayed", [
+    ("fig4", 4, 8, 8),  # four strategies at each of two N
+    ("fig8a", 2 * 4096 + 7, 2, 1),  # mrt-user and no-relay, at tau 0.5
+])
+def test_a_sweep_solves_and_evaluates_each_stack_once_per_block(monkeypatch, tmp_path, name,
+                                                                 trials, curves, relayed):
+    # one solver call per relayed stack and one SNR call per stack, per block,
+    # whatever the number of cells in the stack; each curve has 7 cells
+    calls = {"solve": 0, "snr": 0}
+    real_solve, real_snr = montecarlo.beamform.solve_lanes, montecarlo.coefficient_snr
+
+    def solve_lanes(*args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    def coefficient_snr(*args, **kwargs):
+        calls["snr"] += 1
+        return real_snr(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.beamform, "solve_lanes", solve_lanes)
+    monkeypatch.setattr(montecarlo, "coefficient_snr", coefficient_snr)
+    run_recipe(name, default_params(), trials, 5, tmp_path / f"{name}.csv", 2)
+    blocks = -(-trials // montecarlo._BLOCK)
+    per_curve = -(-7 // (montecarlo._STACK_LANES // min(trials, montecarlo._BLOCK)))
+    assert per_curve < 7
+    assert calls == {"solve": relayed * per_curve * blocks, "snr": curves * per_curve * blocks}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
