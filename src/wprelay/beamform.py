@@ -102,10 +102,11 @@ class BlockDesign:
 
     g1 = |h1^T w|^2 and g2 = |h2^T w|^2 are the gains of the beam w.
     gamma_bound is the SNR upper bound that the suboptimal and large-n
-    designs maximize; scenario and case_index are filled by the suboptimal
-    design only. rate_bound, filled by the exact design only, is each
-    trial's certificate: no (x_bar, tau) rates above it, up to rounding,
-    and it is at most 1e-3 above the trial's own rate.
+    designs maximize; scenario (an index into SCENARIOS) and case_index
+    are filled by the suboptimal design only. rate_bound, filled by the
+    exact design only, is each trial's certificate: no (x_bar, tau) rates
+    above it, up to rounding, and it is at most 1e-3 above the trial's own
+    rate.
     """
 
     x_bar: np.ndarray
@@ -152,7 +153,8 @@ def solve_suboptimal_xbar(dec: ChannelDecomposition):
     """Closed-form maximizer of bound_min over x_bar in [0, 1].
 
     Returns (x_bar, gamma_max, scenario, case_index), as arrays when the
-    fields of dec are arrays and as plain scalars otherwise. With
+    fields of dec are arrays and as plain scalars otherwise; scenario is a
+    name of SCENARIOS for a scalar and an index into it in an array. With
     t = x_bar^2:
       f1(x) = S t,                          S = (A0 + C0) a^2,
       f3(x) = P t + q x sqrt(1 - t) + e,    e = D0 c^2,
@@ -186,10 +188,9 @@ def solve_suboptimal_xbar(dec: ChannelDecomposition):
     gamma, gamma_low = bound_min(dec, x_opt), bound_min(dec, x_low)
     better = gamma_low > gamma
     x_opt, gamma = np.where(better, x_low, x_opt), np.where(better, gamma_low, gamma)
-    names = np.asarray(SCENARIOS)[scenario]
     if np.ndim(x_opt) == 0:
-        return float(x_opt), float(gamma), str(names), int(case)
-    return x_opt, gamma, names, case
+        return float(x_opt), float(gamma), SCENARIOS[int(scenario)], int(case)
+    return x_opt, gamma, scenario, case
 
 
 def _lambert_tau(dec: ChannelDecomposition, kappa: np.ndarray, g1: np.ndarray,
@@ -630,7 +631,7 @@ def solve(strategy: str, params: SystemParams, ch: ChannelState,
         raise ValueError(f"{strategy}: no finite design for this channel")
     return BeamformerDesign(
         strategy=strategy, x_bar=x_bar, w=w, gamma_max=gamma, tau=tau,
-        scenario=None if design.scenario is None else str(design.scenario[0]),
+        scenario=None if design.scenario is None else SCENARIOS[int(design.scenario[0])],
         case_index=None if design.case_index is None else int(design.case_index[0]))
 
 

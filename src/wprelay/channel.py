@@ -47,7 +47,6 @@ __all__ = [
 # -174 dBm/Hz noise density over 20 MHz bandwidth
 DEFAULT_NOISE_DBM = -174.0 + 10.0 * math.log10(20e6)
 
-_RADICAND_SLOP = 1e-12
 # A perpendicular component no larger than this times max(||h2||, 1)
 # leaves only the parallel beam direction.
 _PERP_TOL = 1e-12
@@ -320,12 +319,11 @@ class LinkStats:
     Every beam design and the end-to-end SNR see a channel only through
     n1_sq = ||h1||^2, inner = h1^H h2, n2_sq = ||h2||^2 and h3_sq = |h3|^2,
     plus the projection scalars a, b, c derived from them. ok is False
-    where the channel is degenerate: h1 vanishes (or is not a number), or
-    the perpendicular radicand ||h2||^2 - b^2 falls below minus the
-    rounding slop. Where the radicand is within that slop of zero it
-    cannot tell a small c from none, so c is taken there from the
-    perpendicular vector itself and zeroed below _PERP_TOL times
-    max(||h2||, 1); build_beamformer's parallel-only case is c == 0.
+    where the channel is degenerate: h1 vanishes (or is not a number).
+    from_block takes c as the norm of the part of h2 perpendicular to h1,
+    h2 - h1 (h1^H h2)/||h1||^2, not from the radicand ||h2||^2 - b^2, which
+    loses a small c to rounding; c is zeroed at or below _PERP_TOL times
+    max(||h2||, 1), and build_beamformer's parallel-only case is c == 0.
     sample_link_block draws the fields directly, with c = sqrt(s) exactly.
     Indexing applies the index to every field.
     """
@@ -348,27 +346,17 @@ class LinkStats:
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.sqrt(n1_sq)
             b = np.abs(inner) / a
-            c_sq = n2_sq - b * b
-            c = np.sqrt(np.maximum(c_sq, 0.0))
-        slop = _RADICAND_SLOP * np.maximum(n2_sq, 1.0)
-        ok = (n1_sq > 0.0) & (c_sq >= -slop)
-        near = ok & (c_sq <= slop)
-        if near.any():
-            perp = h2[near] - h1[near] * (inner[near] / n1_sq[near])[:, None]
-            c_near = np.sqrt(_row_sq_norms(perp))
-            cut = _PERP_TOL * np.maximum(np.sqrt(n2_sq[near]), 1.0)
-            c[near] = np.where(c_near > cut, c_near, 0.0)
+            c = np.sqrt(_row_sq_norms(h2 - h1 * (inner / n1_sq)[:, None]))
+            c[c <= _PERP_TOL * np.maximum(np.sqrt(n2_sq), 1.0)] = 0.0
         return cls(n1_sq=n1_sq, inner=inner, n2_sq=n2_sq, h3_sq=np.abs(h3) ** 2,
-                   a=a, b=b, c=c, ok=ok)
+                   a=a, b=b, c=c, ok=n1_sq > 0.0)
 
     @classmethod
     def of(cls, ch: "ChannelState") -> "LinkStats":
         """A block of one trial; raises if the channel is degenerate."""
         link = cls.from_block(ch.h1[None, :], ch.h2[None, :], np.array([ch.h3]))
-        if link.n1_sq[0] == 0.0:
-            raise DegenerateChannelError("h1 vanishes; no beam direction exists")
         if not link.ok[0]:
-            raise ValueError("perpendicular radicand below rounding slop")
+            raise DegenerateChannelError("h1 vanishes; no beam direction exists")
         return link
 
     def __len__(self) -> int:

@@ -27,22 +27,15 @@ arrays made a lone thread slower, while four blocks already spare the
 per-call cost of small cells (fig4 at a few trials a point) and the
 calls that pooled threads wait on each other for.
 
-Separate estimate calls on one stream share blocks through a
-functools.lru_cache of _CACHE_TRIALS // _BLOCK blocks (at most
-_CACHE_TRIALS trials, about 4.3 MB at 65 B per trial) keyed by the block's
-trial range, one per stream (_stream_blocks): each call asks for its
-stream's cache, which drops the last stream's blocks when the stream
-changes. Calls of at most _CACHE_TRIALS trials read and keep blocks there;
-larger ones sample every block and keep none. Kept arrays are read-only,
-and an estimate has the same bits whether its blocks were kept or
-sampled.
+A block lives only as long as the call that samples it: separate estimate
+calls on one stream sample their own blocks, and only the cells of one
+group share them.
 
 Workers are threads of the calling process; each evaluates every stack
 of the group on the blocks of its chunks. A pool runs only when the trials
 span more than one chunk (by default more than _DEFAULT_CHUNK trials),
 with no more threads than chunks. On 2 vCPUs a default-trials fig8a sweep
-took 0.13-0.20 s with 1 worker and 0.16-0.17 s with 2, and the same sweep
-at 65 536 trials on kept blocks 30-32 ms with 1 and 39-47 ms with 2.
+took 0.13-0.20 s with 1 worker and 0.16-0.17 s with 2.
 
 Every strategy solves a whole lane array at once (see beamform); tau fixed
 or optimized, there is one evaluation path. A trial fails, and is counted
@@ -58,8 +51,8 @@ import math
 # ProcessPoolExecutor is unused; perfbench/layers.py patches this binding
 # to count pools, and its traced runs fail without it.
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,7 +77,6 @@ METRICS = ("throughput", "outage", "tau")
 _MAX_ERROR_FRACTION = 1e-3
 _BLOCK = 4096  # trials per reduction block; divides _DEFAULT_CHUNK
 _DEFAULT_CHUNK = 32768
-_CACHE_TRIALS = 2 * _DEFAULT_CHUNK  # largest cell that stores, and most trials kept
 _STACK_LANES = 4 * _BLOCK  # lanes per stack at most, unless one cell's block is longer
 
 
@@ -104,21 +96,6 @@ class PerformanceEstimate:
     strategy: str
     params_digest: str
     n_failed: int = 0
-
-
-@lru_cache(maxsize=1)
-def _stream_blocks(n_antennas: int, master_seed: int):
-    """Block cache of the one stream asked for last; asking for another
-    stream drops it. Its blocks hold read-only arrays."""
-
-    @lru_cache(maxsize=_CACHE_TRIALS // _BLOCK)
-    def block(lo: int, hi: int) -> LinkStats:
-        link = sample_link_block(n_antennas, master_seed, lo, hi)
-        for f in fields(link):
-            getattr(link, f.name).flags.writeable = False
-        return link
-
-    return block
 
 
 @dataclass(frozen=True)
@@ -268,10 +245,8 @@ def estimate_cells(cells, n_trials: int, master_seed: int, workers: int = 1,
         raise ValueError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
-    _check_seed(master_seed)  # before the cache: True and 1.0 would find seed 1's blocks
-    link_of = _stream_blocks(n_antennas[0], master_seed)  # drops any other stream's
-    if n_trials > _CACHE_TRIALS:  # sampled block by block, none kept
-        link_of = partial(sample_link_block, n_antennas[0], master_seed)
+    _check_seed(master_seed)  # before any block is sampled
+    link_of = partial(sample_link_block, n_antennas[0], master_seed)
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
     starts = range(0, n_trials, chunk)
     stops = [min(s + chunk, n_trials) for s in starts]

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wprelay import beamform
-from wprelay.beamform import (STRATEGIES, beam_gains, bound_min, direct_tau, solve, solve_block,
-                              tau_profile)
+from wprelay.beamform import (SCENARIOS, STRATEGIES, beam_gains, bound_min, direct_tau, solve,
+                              solve_block, tau_profile)
 from wprelay.channel import (ChannelDecomposition, ChannelState, LinkStats, SystemParams,
                              build_beamformer, sample_channel_block, sample_link_block)
 from wprelay.cli import default_params
@@ -335,7 +335,8 @@ def test_block_matches_single_channel_solves(setup):
             assert abs(ch.h1 @ one.w) ** 2 == pytest.approx(d.g1[i], rel=1e-12), (strategy, i)
             assert abs(ch.h2 @ one.w) ** 2 == pytest.approx(d.g2[i], rel=1e-12), (strategy, i)
             if strategy == "suboptimal":
-                assert (one.case_index, one.scenario) == (d.case_index[i], d.scenario[i])
+                want = (d.case_index[i], SCENARIOS[d.scenario[i]])
+                assert (one.case_index, one.scenario) == want
 
 
 def _assert_rows_solve_alone(params, link, rows):

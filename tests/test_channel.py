@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields, replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,6 +296,8 @@ def _laws(link):
 def test_link_sampling_fits_the_rayleigh_laws(n):
     link = _in_pieces(lambda lo, hi: sample_link_block(n, 2026, lo, hi), 2 ** 20)
     assert link.ok.all()
+    if n == 1:  # no part of h2 is perpendicular to h1
+        assert np.all(link.c == 0.0)
     laws = {"n1_sq": ("gamma", (n,)), "n2_sq": ("gamma", (n,)),
             "|inner|^2/n1_sq": ("expon", ()), "h3_sq": ("expon", ()),
             "arg inner": ("uniform", (-math.pi, 2 * math.pi))}
@@ -333,9 +336,41 @@ def test_channel_vectors_give_back_the_link_statistics(n):
         assert np.array_equal(got.ok, want.ok) and want.ok.all()
         for f in fields(LinkStats)[:-1]:
             a, b = getattr(got, f.name), getattr(want, f.name)
-            # from_block takes c from ||h2||^2 - b^2, so its rounding scales with ||h2||
+            # from_block takes c from the perpendicular part of h2, whose rounding scales
+            # with ||h2||
             scale = np.sqrt(want.n2_sq) if f.name == "c" else np.abs(b)
             assert np.all(np.abs(a - b) <= 1e-12 * scale), (start, f.name)
+
+
+def _row_norms(h: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(h, axis=1)
+
+
+def _perp_norm_oracle(h1: np.ndarray, h2: np.ndarray) -> float:
+    """||h2 - h1 (h1^H h2)/||h1||^2|| of the given doubles, in 50 digits."""
+    with mp.workdps(50):
+        u = [mp.mpc(complex(v)) for v in h1]
+        w = [mp.mpc(complex(v)) for v in h2]
+        coef = mp.fsum(mp.conj(x) * y for x, y in zip(u, w)) / mp.fsum(abs(x) ** 2 for x in u)
+        return float(mp.sqrt(mp.fsum(abs(y - x * coef) ** 2 for x, y in zip(u, w))))
+
+
+def test_from_block_keeps_a_small_perpendicular_part():
+    # h2 nearly along h1, c/||h2|| = r: c must keep the rounding of ||h2||,
+    # eps ||h2||, not the radicand's eps ||h2||^2 / c
+    rng = np.random.default_rng(2024)
+    n, count = 4, 200
+    for r in (1e-3, 1e-5, 1.1e-6, 1e-7):
+        h1 = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / 2 ** 0.5
+        g = (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) / 2 ** 0.5
+        v = g - h1 * (np.einsum("ij,ij->i", np.conj(h1), g) / _row_norms(h1) ** 2)[:, None]
+        v /= _row_norms(v)[:, None]
+        along = h1 * (rng.standard_normal(count) + 1j * rng.standard_normal(count))[:, None]
+        h2 = along + r * _row_norms(along)[:, None] * v
+        link = LinkStats.from_block(h1, h2, np.ones(count, complex))
+        want = np.array([_perp_norm_oracle(x, y) for x, y in zip(h1, h2)])
+        err = np.abs(link.c - want) / np.sqrt(link.n2_sq)
+        assert link.ok.all() and err.max() <= 4 * np.finfo(float).eps, (r, err.max())
 
 
 def test_block_sampling_seed_sensitivity():

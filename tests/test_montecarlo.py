@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from wprelay import montecarlo
 from wprelay.cli import default_params, run_recipe
-from wprelay.channel import (ChannelState, LinkStats, SystemParams, sample_channel_block,
-                             sample_link_block)
+from wprelay.channel import ChannelState, LinkStats, SystemParams, sample_channel_block
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
                                 SimulationError, estimate, estimate_cells)
 from wprelay.sysmodel import snr_exact, throughput
@@ -247,35 +246,6 @@ def test_fixed_tau_error_names_both_strategies_that_take_one():
     assert est.n_trials + est.n_failed == 100
 
 
-@pytest.fixture
-def cold():
-    """An empty block cache, so that a test sees its own cells' blocks only."""
-    montecarlo._stream_blocks.cache_clear()
-    yield
-    montecarlo._stream_blocks.cache_clear()
-
-
-def _kept_blocks(n_antennas: int, seed: int, n_trials: int) -> list[LinkStats]:
-    """The kept blocks of trials [0, n_trials) of one stream, read back from
-    the cache; fails unless that stream and every one of those blocks is kept."""
-    streams = montecarlo._stream_blocks.cache_info()
-    block = montecarlo._stream_blocks(n_antennas, seed)
-    assert montecarlo._stream_blocks.cache_info().misses == streams.misses, "stream not kept"
-    misses = block.cache_info().misses
-    links = [block(lo, min(lo + montecarlo._BLOCK, n_trials))
-             for lo in range(0, n_trials, montecarlo._BLOCK)]
-    assert block.cache_info().misses == misses, "block not kept"
-    return links
-
-
-def _kept_count(n_antennas: int, seed: int) -> int:
-    """How many blocks of a stream are kept; fails unless that stream is."""
-    streams = montecarlo._stream_blocks.cache_info()
-    count = montecarlo._stream_blocks(n_antennas, seed).cache_info().currsize
-    assert montecarlo._stream_blocks.cache_info().misses == streams.misses, "stream not kept"
-    return count
-
-
 def _tracking(monkeypatch) -> list:
     """Patch the sampler to record (stream, trials, weak reference) of every
     block it draws, so a test can see which blocks are still alive."""
@@ -296,64 +266,40 @@ def _alive(drawn) -> list[tuple[tuple[int, int], int]]:
     return [(stream, n) for stream, n, ref in drawn if ref() is not None]
 
 
-def test_warm_estimates_equal_cold_ones(cold):
-    # a cache hit must give the bits of a fresh sample, for every strategy and metric
-    n_antennas = PARAMS.n_antennas
+def test_repeated_estimates_give_the_same_repr():
+    # for every strategy and metric, a second call and a pooled third give the first one's bits
     for strategy in MC_STRATEGIES:
         n = 6 if strategy == "exact" else 4096 + 300
         tau = 0.4 if strategy in ("mrt-user", "no-relay") else None
         for metric in METRICS:
-            montecarlo._stream_blocks.cache_clear()
-            cold_est = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau)
-            assert _kept_count(n_antennas, 3) == len(_kept_blocks(n_antennas, 3, n))
-            warm = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau, workers=2,
-                            chunk_size=4096)
-            assert repr(warm) == repr(cold_est), (strategy, metric)
+            first = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau)
+            again = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau)
+            pooled = estimate(PARAMS, strategy, n, 3, metric=metric, tau=tau, workers=2,
+                              chunk_size=4096)
+            assert repr(again) == repr(first) == repr(pooled), (strategy, metric)
 
 
-@pytest.mark.parametrize("n", [1, 10])
-def test_stored_block_equals_one_call(cold, n):
-    # at N = 1 no part of h2 is perpendicular to h1, so c is 0
-    lo, hi = 8192, 8192 + 4096
-    whole = sample_link_block(n, 7, lo, hi)
-    if n == 1:
-        assert np.all(whole.c == 0.0)
-    kept = montecarlo._stream_blocks(n, 7)(lo, hi)
-    for f in fields(LinkStats):
-        a, b = getattr(kept, f.name), getattr(whole, f.name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-
-
-def test_only_cells_within_the_cap_store_their_blocks(cold, monkeypatch):
-    cap = montecarlo._CACHE_TRIALS
-    n_antennas = PARAMS.n_antennas
-    kw = dict(metric="outage", tau=0.5)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_sampled_block_outlives_its_call(monkeypatch, workers):
+    # one block, and several in chunks of one block each, so that two workers pool
     drawn = _tracking(monkeypatch)
-    estimate(PARAMS, "mrt-user", cap + 1, 3, **kw)
-    assert _kept_count(n_antennas, 3) == 0 and _alive(drawn) == []
-    estimate(PARAMS, "mrt-user", 100, 3, **kw)  # dropped once the cache is full
-    estimate(PARAMS, "mrt-user", cap, 3, **kw)
-    assert _kept_count(n_antennas, 3) == cap // montecarlo._BLOCK
-    links = _kept_blocks(n_antennas, 3, cap)
-    assert sum(map(len, links)) == cap
-    assert sum(n for _, n in _alive(drawn)) == cap  # at most cap trials are held
-    assert not any(getattr(link, f.name).flags.writeable
-                   for link in links for f in fields(LinkStats))
-    with pytest.raises(ValueError, match="read-only"):
-        links[0].a[0] = 1.0
-    del links
-    # a cell on another stream, even one over the cap, frees the kept blocks
-    estimate(replace(PARAMS, n_antennas=2), "mrt-user", cap + 1, 3, **kw)
-    assert _kept_count(2, 3) == 0 and _alive(drawn) == []
+    for n in (100, 4 * 4096 + 5):
+        estimate(PARAMS, "mrt-user", n, 3, metric="outage", tau=0.5, workers=workers,
+                 chunk_size=4096)
+        assert drawn and _alive(drawn) == [], n
+        drawn.clear()
+    cells = [(replace(PARAMS, ps_dbm=ps), s, "throughput", None)
+             for ps in (10.0, 30.0) for s in ("suboptimal", "no-relay")]
+    estimate_cells(cells, 2 * 4096 + 7, 3, workers=workers, chunk_size=4096)
+    assert drawn and _alive(drawn) == []
 
 
-def test_cells_on_two_streams_in_two_threads_give_the_serial_results(cold, monkeypatch):
-    # three streams, each cell pooled over four threads: twelve threads on
-    # a cache that every cell on another stream empties
+def test_cells_on_two_streams_in_two_threads_give_the_serial_results(monkeypatch):
+    # three streams, each cell pooled over four threads: twelve threads that
+    # sample the same blocks at once
     cells = [(PARAMS, 3), (PARAMS, 4), (replace(PARAMS, n_antennas=2), 3)]
     kw = dict(metric="throughput", tau=0.5, workers=4, chunk_size=4096)
     serial = [estimate(p, "mrt-user", 4 * 4096, seed, **kw) for p, seed in cells]
-    montecarlo._stream_blocks.cache_clear()
     drawn = _tracking(monkeypatch)
     barrier = threading.Barrier(3)
     got: dict[int, list] = {i: [] for i in range(3)}
@@ -379,16 +325,12 @@ def test_cells_on_two_streams_in_two_threads_give_the_serial_results(cold, monke
     for results in got.values():
         assert len(results) == 4
         assert all(est == serial[j] for j, est in results)
-    # once the cells are done, one stream's blocks at most are alive
-    alive = _alive(drawn)
-    assert len({stream for stream, _ in alive}) <= 1
-    assert sum(n for _, n in alive) <= montecarlo._CACHE_TRIALS
-    for (p, seed), want in zip(cells, serial):
-        assert estimate(p, "mrt-user", 4 * 4096, seed, **kw) == want
+    # once the cells are done, none of the blocks that they sampled is alive
+    assert drawn and _alive(drawn) == []
 
 
 def test_channels_depend_on_the_antenna_count_only():
-    # the cache keys a block by (n_antennas, master_seed, lo, hi) alone
+    # so cells of any scenario at one n_antennas share a stream
     other = SystemParams(n_antennas=PARAMS.n_antennas, d1=3.0, d2=7.0, d3=9.0, alpha=3.5,
                          eta=0.25, ps_dbm=-10.0, noise_dbm=-90.0, gamma_th_db=3.0,
                          pc_dbm=-30.0)
@@ -399,14 +341,18 @@ def test_channels_depend_on_the_antenna_count_only():
         assert a.tobytes() == b.tobytes()
 
 
-def test_seed_is_checked_before_the_memo(cold):
-    estimate(PARAMS, "mrt-user", 100, 1, tau=0.5)
+def test_seed_is_checked_before_the_memo(monkeypatch):
+    # before any block is sampled: True and 1.0 equal seed 1
+    def never(*args, **kwargs):
+        raise AssertionError("a block was sampled")
+
+    monkeypatch.setattr(montecarlo, "sample_link_block", never)
     for seed in (True, 1.0, -1, 2 ** 128):
         with pytest.raises(ValueError, match="master_seed"):
             estimate(PARAMS, "mrt-user", 100, seed, tau=0.5)
 
 
-def test_a_sweep_samples_each_trial_once(cold, monkeypatch, tmp_path):
+def test_a_sweep_samples_each_trial_once(monkeypatch, tmp_path):
     sampled = []
     real = montecarlo.sample_link_block
 
@@ -416,11 +362,9 @@ def test_a_sweep_samples_each_trial_once(cold, monkeypatch, tmp_path):
 
     monkeypatch.setattr(montecarlo, "sample_link_block", counting)
     base = default_params()
-    # fig8a's 14 cells at 70 000 trials are over the cap, so none reads a kept block
+    # a run twice, so that the second would show any block kept from the first
     for name, trials, workers in [("fig8b", 2000, 1), ("fig8b", 2000, 1),
                                   ("fig8a", 70_000, 1), ("fig8a", 70_000, 2)]:
-        # a cell at another N first, so that no run finds the last run's blocks
-        estimate(replace(base, n_antennas=3), "mrt-user", 100, 5, tau=0.5)
         sampled.clear()
         run_recipe(name, base, trials, 5, tmp_path / f"{name}.csv", workers)
         assert len((tmp_path / f"{name}.csv").read_text().splitlines()) == 1 + 14
@@ -437,7 +381,7 @@ def _every_cell(params: SystemParams, exact: bool = True) -> list:
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("chunk_size", [4096, montecarlo._DEFAULT_CHUNK])
-def test_each_cell_of_a_group_equals_its_own_estimate(cold, workers, chunk_size):
+def test_each_cell_of_a_group_equals_its_own_estimate(workers, chunk_size):
     # exact, the costly strategy, on one short block; the others over two
     # blocks, so that at chunk 4096 and two workers a pool runs
     for n, cells in [(6, _every_cell(PARAMS)), (4096 + 300, _every_cell(PARAMS, exact=False))]:
@@ -518,8 +462,7 @@ def test_a_sweep_solves_and_evaluates_each_stack_once_per_block(monkeypatch, tmp
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n_trials", [3 * 4096 + 5, 70_000])
-def test_a_group_samples_each_trial_once(cold, monkeypatch, workers, n_trials):
-    # within the cap the blocks go through the cache, above it they are sampled directly
+def test_a_group_samples_each_trial_once(monkeypatch, workers, n_trials):
     sampled = []
     real = montecarlo.sample_link_block
 
@@ -541,7 +484,6 @@ def test_a_group_needs_cells_on_one_stream(monkeypatch):
         raise AssertionError("a block was sampled")
 
     monkeypatch.setattr(montecarlo, "sample_link_block", never)
-    monkeypatch.setattr(montecarlo, "_stream_blocks", never)
     with pytest.raises(ValueError, match="at least one"):
         estimate_cells([], 100, 1)
     cells = [(PARAMS, "mrt-user", "outage", 0.5),
@@ -552,7 +494,7 @@ def test_a_group_needs_cells_on_one_stream(monkeypatch):
         estimate_cells([(PARAMS, "beam-hopping", "outage", None)], 100, 1)
 
 
-def test_a_failing_cell_of_a_group_raises_what_its_own_estimate_does(cold, monkeypatch):
+def test_a_failing_cell_of_a_group_raises_what_its_own_estimate_does(monkeypatch):
     # |h3|^2 not a number on one trial in 50: the relayed cells fail, the
     # direct cell never reads h3 and passes
     real = montecarlo.sample_link_block
