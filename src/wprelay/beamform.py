@@ -544,9 +544,10 @@ def large_n_block(dec: ChannelDecomposition, link: LinkStats) -> BlockDesign:
     n2 = np.sqrt(link.n2_sq)
     s = np.where(n2 > 0.0, np.sqrt(np.maximum(0.0, 1.0 - x_bar * x_bar)), 0.0)
     n2 = np.where(n2 > 0.0, n2, 1.0)
-    norm_sq = x_bar * x_bar + s * s + 2.0 * x_bar * s * link.inner.real / (link.a * n2)
-    g1 = np.abs(x_bar * link.a + s * np.conj(link.inner) / n2) ** 2 / norm_sq
-    g2 = np.abs(x_bar * link.inner / link.a + s * n2) ** 2 / norm_sq
+    inner = link.inner
+    norm_sq = x_bar * x_bar + s * s + 2.0 * x_bar * s * inner.real / (link.a * n2)
+    g1 = np.abs(x_bar * link.a + s * np.conj(inner) / n2) ** 2 / norm_sq
+    g2 = np.abs(x_bar * inner / link.a + s * n2) ** 2 / norm_sq
     # harvest time from the actual bound value achieved by this beam
     kappa = np.minimum((dec.a0 + dec.c0) * g1, dec.a0 * g1 + dec.d0 * g2)
     tau = _lambert_tau(dec, np.maximum(kappa, 1e-300), g1)
@@ -562,7 +563,7 @@ def mrt_user_block(dec: ChannelDecomposition, link: LinkStats,
     this beam: tau_profile at x_bar = 1.
     """
     g1 = link.n1_sq
-    g2 = np.abs(link.inner) ** 2 / np.maximum(g1, 1e-300)
+    g2 = link.b * link.b
     shape = np.shape(dec.a0)
     if tau is None:  # the profile runs on the lanes laid flat
         lanes = (np.broadcast_to(g, shape).ravel() for g in (g1, g2))

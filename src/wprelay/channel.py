@@ -3,9 +3,12 @@ sampling and geometric decomposition.
 
 Channels come from one seekable sampler, sample_link_block, which
 draws the statistics a Rayleigh channel reaches the designs through
-(LinkStats) directly; sample_channel_block puts them on random
-orthonormal directions when the vectors themselves are wanted. Trial t of
-a seed is the same channel whichever block or single draw asks for it.
+(LinkStats) directly: the Exp(1) sums as -log of products of uniforms and
+h1^H h2 as a phase, which LinkStats.inner turns into the complex value
+only for the callers that read it. sample_channel_block puts the
+statistics on random orthonormal directions when the vectors themselves
+are wanted. Trial t of a seed is the same channel whichever block or
+single draw asks for it.
 
 The downlink beam is a mix of two orthonormal directions derived from the
 user channel h1 and the relay channel h2: the component of h2* along h1*
@@ -50,6 +53,10 @@ DEFAULT_NOISE_DBM = -174.0 + 10.0 * math.log10(20e6)
 # A perpendicular component no larger than this times max(||h2||, 1)
 # leaves only the parallel beam direction.
 _PERP_TOL = 1e-12
+
+# Factors per log in _exp_sums: 16 factors >= 2**-53 multiply to at least
+# 2**-848, still a normal float.
+_LOG_SPAN = 16
 
 
 class DegenerateChannelError(ValueError):
@@ -317,10 +324,12 @@ class LinkStats:
     """Per-trial channel statistics of a block of trials.
 
     Every beam design and the end-to-end SNR see a channel only through
-    n1_sq = ||h1||^2, inner = h1^H h2, n2_sq = ||h2||^2 and h3_sq = |h3|^2,
-    plus the projection scalars a, b, c derived from them. ok is False
-    where the channel is degenerate: h1 vanishes (or is not a number).
-    from_block takes c as the norm of the part of h2 perpendicular to h1,
+    n1_sq = ||h1||^2, h1^H h2 = a b e^(i phase), n2_sq = ||h2||^2 and
+    h3_sq = |h3|^2, plus the projection scalars a = ||h1||, b = |h1^H h2|/a
+    and c, the norm of the part of h2 perpendicular to h1. The complex
+    h1^H h2 is kept as its phase; the property inner builds it for the few
+    callers that read it. ok is False where the channel is degenerate: h1
+    vanishes (or is not a number). from_block takes c as the norm of
     h2 - h1 (h1^H h2)/||h1||^2, not from the radicand ||h2||^2 - b^2, which
     loses a small c to rounding; c is zeroed at or below _PERP_TOL times
     max(||h2||, 1), and build_beamformer's parallel-only case is c == 0.
@@ -329,13 +338,18 @@ class LinkStats:
     """
 
     n1_sq: np.ndarray
-    inner: np.ndarray
+    phase: np.ndarray
     n2_sq: np.ndarray
     h3_sq: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     ok: np.ndarray
+
+    @property
+    def inner(self) -> np.ndarray:
+        """h1^H h2 of each trial: a b e^(i phase)."""
+        return self.a * self.b * np.exp(1j * self.phase)
 
     @classmethod
     def from_block(cls, h1: np.ndarray, h2: np.ndarray, h3: np.ndarray) -> "LinkStats":
@@ -348,7 +362,7 @@ class LinkStats:
             b = np.abs(inner) / a
             c = np.sqrt(_row_sq_norms(h2 - h1 * (inner / n1_sq)[:, None]))
             c[c <= _PERP_TOL * np.maximum(np.sqrt(n2_sq), 1.0)] = 0.0
-        return cls(n1_sq=n1_sq, inner=inner, n2_sq=n2_sq, h3_sq=np.abs(h3) ** 2,
+        return cls(n1_sq=n1_sq, phase=np.angle(inner), n2_sq=n2_sq, h3_sq=np.abs(h3) ** 2,
                    a=a, b=b, c=c, ok=n1_sq > 0.0)
 
     @classmethod
@@ -384,6 +398,20 @@ def _normals_in_place(z: np.ndarray) -> None:
     z *= 1.0 / math.sqrt(2.0)
 
 
+def _exp_sums(f: np.ndarray) -> np.ndarray:
+    """The sum over each row of f, whose entries lie in [2**-53, 1], of the
+    Exp(1) draws -log f: -log of the row's product, taken in column order,
+    with one log per _LOG_SPAN factors so that no product leaves the normal
+    floats. A row of no entries sums to 0.0."""
+    total = np.zeros(len(f))
+    for lo in range(0, f.shape[1], _LOG_SPAN):
+        p = f[:, lo].copy()
+        for j in range(lo + 1, min(lo + _LOG_SPAN, f.shape[1])):
+            p *= f[:, j]
+        total -= np.log(p, out=p)
+    return total
+
+
 def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) -> LinkStats:
     """Channel statistics of trials [start, stop) of a seekable stream.
 
@@ -392,12 +420,15 @@ def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) 
     ||h1||^2 ~ Gamma(N); h1^H h2 = a u with u ~ CN(0, 1) the part of h2
     along h1; ||h2||^2 = |u|^2 + s with s ~ Gamma(N - 1) the rest of h2;
     |h3|^2 ~ Exp(1). Trial t reads its own 2N + 2 words of the PCG64DXSM
-    stream of master_seed's region 0 (_uniforms): N Exp(1) draws
-    -log1p(-U) sum to ||h1||^2, N - 1 more to s, one is |h3|^2, and two
-    give u by the inverse normal CDF. Any chunking of the trial range
-    reproduces the same bits. The perpendicular scalar is c = sqrt(s)
-    exactly, with no radicand; ok is False only where ||h1||^2 is 0. The
-    statistics depend on no scenario constant but the antenna count N.
+    stream of master_seed's region 0 (_uniforms). With f = 1 - U, exact
+    for these uniforms, -log f is an Exp(1) draw: ||h1||^2 and s are -log
+    of the products of the first N and the next N - 1 words' f (_exp_sums),
+    |h3|^2 = -log f of word 2N - 1 and |u|^2, itself Exp(1), -log f of word
+    2N, so b = sqrt(|u|^2); u's phase is 2 pi U - pi of the last word. Any
+    chunking of the trial range reproduces the same bits. The
+    perpendicular scalar is c = sqrt(s) exactly, with no radicand; ok is
+    False only where ||h1||^2 is 0. The statistics depend on no scenario
+    constant but the antenna count N.
     """
     if not _is_int(n_antennas) or n_antennas < 1:
         raise ValueError(f"n_antennas must be an int >= 1, got {n_antennas!r}")
@@ -409,18 +440,14 @@ def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) 
                          f"[{start!r}, {stop!r})")
     n, start, stop = int(n_antennas), int(start), int(stop)  # numpy ints overflow in the offsets
     z = _uniforms(master_seed, 0, start, stop, 2 * n + 2)
-    u = np.empty(len(z), dtype=complex)
-    u.real, u.imag = z[:, 2 * n], z[:, 2 * n + 1]
-    _normals_in_place(u.view(float))
-    np.negative(z, out=z)
-    np.log1p(z, out=z)
-    np.negative(z, out=z)  # an Exp(1) draw in every word; u's unused
-    n1_sq, s, h3_sq = z[:, :n].sum(axis=1), z[:, n:2 * n - 1].sum(axis=1), z[:, 2 * n - 1].copy()
-    del z  # freed before the derived fields are built, which lowers the peak
+    phase = z[:, 2 * n + 1] * (2.0 * math.pi) - math.pi
+    f = np.subtract(1.0, z, out=z)  # the whole buffer: one contiguous pass
+    n1_sq, s, h3_sq, u_sq = (_exp_sums(f[:, lo:hi]) for lo, hi in (
+        (0, n), (n, 2 * n - 1), (2 * n - 1, 2 * n), (2 * n, 2 * n + 1)))
+    del z, f  # freed before the derived fields are built, which lowers the peak
     a = np.sqrt(n1_sq)
-    b = np.abs(u)
-    return LinkStats(n1_sq=n1_sq, inner=a * u, n2_sq=b * b + s, h3_sq=h3_sq,
-                     a=a, b=b, c=np.sqrt(s), ok=n1_sq > 0.0)
+    return LinkStats(n1_sq=n1_sq, phase=phase, n2_sq=u_sq + s, h3_sq=h3_sq,
+                     a=a, b=np.sqrt(u_sq), c=np.sqrt(s), ok=n1_sq > 0.0)
 
 
 def sample_channel_block(params: SystemParams, master_seed: int, start: int, stop: int
@@ -432,7 +459,7 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     region 1 (4N + 2 words per trial, an even count for the complex view:
     two CN(0, I) vectors that Gram-Schmidt makes orthonormal, one uniform
     and one unused word): h1 = a v1,
-    h2 = u v1 + c v2 and h3 = |h3| e^(i theta), with u = h1^H h2 / a. So
+    h2 = u v1 + c v2 and h3 = |h3| e^(i theta), with u = b e^(i phase). So
     every entry is CN(0, 1), independent of the others, and
     LinkStats.from_block of the vectors gives back the statistics up to
     rounding. Any chunking of the trial range reproduces the same bits.
@@ -450,7 +477,7 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
         h2 *= (link.c / np.sqrt(_row_sq_norms(h2)))[:, None]  # c v2
     else:
         h2[:] = 0.0  # c = 0: no perpendicular direction
-    h2 += h1 * (link.inner / link.a)[:, None]
+    h2 += h1 * (link.b * np.exp(1j * link.phase))[:, None]  # u v1
     h1 *= link.a[:, None]
     return h1, h2, h3
 

@@ -380,8 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "used only at more than 32768 trials, and the CSV is the same for "
                          "any count. Each thread evaluates every cell of the group on its "
                          "blocks, one solver call per stack of cells that share a strategy "
-                         "and tau. On 2 vCPUs a default-trials fig8a took 0.13-0.20 s with "
-                         "1 worker and 0.16-0.17 s with 2")
+                         "and tau")
     # The sweep flags apply to the custom recipe only; None means not given.
     rp.add_argument("--axis", default=None, choices=[f.name for f in fields(SystemParams)],
                     help="custom recipe sweep field (default ps_dbm)")

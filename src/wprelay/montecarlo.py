@@ -34,8 +34,7 @@ group share them.
 Workers are threads of the calling process; each evaluates every stack
 of the group on the blocks of its chunks. A pool runs only when the trials
 span more than one chunk (by default more than _DEFAULT_CHUNK trials),
-with no more threads than chunks. On 2 vCPUs a default-trials fig8a sweep
-took 0.13-0.20 s with 1 worker and 0.16-0.17 s with 2.
+with no more threads than chunks.
 
 Every strategy solves a whole lane array at once (see beamform); tau fixed
 or optimized, there is one evaluation path. A trial fails, and is counted

@@ -395,10 +395,34 @@ def test_exact_on_the_benchmark_cells(n, ps, seed):
     _assert_rows_solve_alone(params, link, range(4))
 
 
+def _literal_block(**hex_fields) -> LinkStats:
+    """A LinkStats block whose float fields are given as float.hex strings."""
+    values = {name: np.array([float.fromhex(x) for x in v]) for name, v in hex_fields.items()}
+    return LinkStats(**values, ok=values["n1_sq"] > 0.0)
+
+
 def test_exact_profile_call_budget(monkeypatch):
     # on a block this small each tau_profile call costs more than its lanes'
     # arithmetic, so the count of calls is the cost: here the closed-form
-    # bounds certify every interval and _refine stops after two profiles
+    # bounds certify every interval and _refine stops after two profiles.
+    # The block is the first four trials of the benchmark's N = 10, 35 dBm
+    # exact cell as the 0.3.0 stream drew them; the 0.4.0 stream's trials
+    # there take three calls.
+    link = _literal_block(
+        n1_sq=["0x1.6fa68d602fb11p+3", "0x1.087a613c65c64p+3", "0x1.24bf5ace05773p+3",
+               "0x1.45e87ba7e8c36p+3"],
+        phase=["0x1.874400d517842p-1", "-0x1.6749ea7e12f46p+1", "-0x1.0b3748dd5e282p+0",
+               "0x1.38a4697d278e2p-1"],
+        n2_sq=["0x1.b307306bafb60p+2", "0x1.8b31520739ae5p+2", "0x1.17a00e6b31cdep+4",
+               "0x1.5787df6fa91f5p+3"],
+        h3_sq=["0x1.c2a75b076a012p-1", "0x1.4be81a61e9b0ap+0", "0x1.7bdad1e8ae2cap-3",
+               "0x1.5e853f93574f9p-3"],
+        a=["0x1.b1dcedb2d5d15p+1", "0x1.6ffc1719917bap+1", "0x1.8326ecb6e02b1p+1",
+           "0x1.987db7b59d986p+1"],
+        b=["0x1.c9c5b122d3d59p-1", "0x1.3bd6126b13a4cp+0", "0x1.048117974eafap+0",
+           "0x1.46e3197f64e63p+0"],
+        c=["0x1.397afcfd911e3p+1", "0x1.1419975e05a20p+1", "0x1.03812f474ab88p+2",
+           "0x1.823afde755778p+1"])
     calls = []
     real = beamform.tau_profile
 
@@ -407,7 +431,8 @@ def test_exact_profile_call_budget(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(beamform, "tau_profile", counted)
-    solve_block("exact", *_bench_block(10, 35.0))
+    params = replace(default_params(), d1=20.0, d2=20.0, d3=2.0, n_antennas=10, ps_dbm=35.0)
+    solve_block("exact", params, link)
     assert len(calls) == 2, calls
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 
 import mpmath as mp
@@ -11,7 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import ks_2samp, kstest
 
 from wprelay.channel import (DEFAULT_NOISE_DBM, ChannelDecomposition, ChannelState,
-                             DegenerateChannelError, LinkStats, SystemParams,
+                             DegenerateChannelError, LinkStats, SystemParams, _exp_sums,
                              branch_constants, build_beamformer, cell_constants,
                              dbm_to_watt, sample_channel, sample_channel_block,
                              sample_link_block)
@@ -222,13 +223,18 @@ def _stats_from_raw_pcg64dxsm(n, seed, start, stop):
     bg.advance(origin * words)
     raw = bg.random_raw((stop - origin) * words)
     w = ((raw >> 11) * 2.0 ** -53).reshape(-1, words)[start - origin:]
-    e = -np.log1p(-w[:, :2 * n])
-    n1_sq, s = e[:, :n].sum(axis=1), e[:, n:2 * n - 1].sum(axis=1)
-    z = ndtri(np.clip(w[:, 2 * n:2 * n + 2], 2.0 ** -55, 1.0 - 2.0 ** -53)) * (1.0 / math.sqrt(2.0))
-    u = z[:, 0] + 1j * z[:, 1]
+    f = 1.0 - w
+
+    def exp_sum(lo, hi):
+        """-log of the product of each 16 columns of f in [lo, hi), summed in column order."""
+        return sum((-np.log(np.prod(f[:, g:min(g + 16, hi)], axis=1)) for g in range(lo, hi, 16)),
+                   np.zeros(len(f)))
+
+    n1_sq, s, u_sq = exp_sum(0, n), exp_sum(n, 2 * n - 1), exp_sum(2 * n, 2 * n + 1)
     a = np.sqrt(n1_sq)
-    return {"n1_sq": n1_sq, "inner": a * u, "n2_sq": np.abs(u) ** 2 + s, "h3_sq": e[:, 2 * n - 1],
-            "a": a, "b": np.abs(u), "c": np.sqrt(s), "ok": n1_sq > 0.0}
+    return {"n1_sq": n1_sq, "phase": 2.0 * math.pi * w[:, 2 * n + 1] - math.pi,
+            "n2_sq": u_sq + s, "h3_sq": exp_sum(2 * n - 1, 2 * n), "a": a, "b": np.sqrt(u_sq),
+            "c": np.sqrt(s), "ok": n1_sq > 0.0}
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
@@ -254,25 +260,54 @@ def _hex(values):
 
 
 def test_the_stream_is_pinned_by_literals():
-    # the raw-word oracle above moves with numpy's generator; these values
-    # change if a numpy upgrade or a refactor shifts the stream
+    # the raw-word oracle above moves with numpy's generator and with its log
+    # and exp; these values change if a numpy upgrade or a refactor shifts
+    # the stream
     link = sample_link_block(2, 7, 0, 3)
-    assert _hex(link.n1_sq) == ["0x1.b16c533aa2886p-1", "0x1.68f2471927d10p+1",
+    assert _hex(link.n1_sq) == ["0x1.b16c533aa2886p-1", "0x1.68f2471927d0fp+1",
                                 "0x1.16a114a6c0b48p-1"]
-    assert _hex(link.inner) == ["0x1.358e0e46a1429p-1", "-0x1.3635c095d3e49p+0",
-                                "-0x1.c8e6155843db9p+0", "-0x1.3bbe394262c0cp-2",
-                                "0x1.0ef8646a303bep+0", "-0x1.f5402aa510e6fp-8"]
+    assert _hex(link.phase) == ["-0x1.78fb33691ccc4p+1", "-0x1.498f25915c870p-1",
+                                "-0x1.2d136db549940p-5"]
+    assert _hex(link.inner) == ["-0x1.304d2a61bf90cp+0", "-0x1.e46df9ad146afp-3",
+                                "0x1.6891bbd607f69p-2", "-0x1.0e85b2ad84f72p-2",
+                                "0x1.726f745f5beffp+0", "-0x1.b3db6702ad52dp-5"]
     assert _hex(link.h3_sq) == ["0x1.15d0e7bee58f9p+0", "0x1.73f70ff03f6d9p-1",
                                 "0x1.06b78f463c53dp+2"]
     link = sample_link_block(10, 7, 4095, 4097)  # across a 4096-trial boundary
-    assert _hex(link.n2_sq) == ["0x1.2be6cc910c029p+4", "0x1.1f95523fe2cf7p+3"]
-    assert _hex(link.inner) == ["-0x1.1d9bb9e3023c1p-3", "-0x1.8137af1a79d93p+1",
-                                "0x1.779947742919ap+0", "-0x1.cace563639436p-2"]
+    assert _hex(link.n2_sq) == ["0x1.254841d268bc2p+4", "0x1.46cfa6b0b8d5fp+3"]
+    assert _hex(link.inner) == ["-0x1.0d336b5794522p+1", "-0x1.0ba1f76e8e20cp+0",
+                                "0x1.3e9f369cd78d7p+1", "-0x1.dd43f8d610265p+0"]
     ch = sample_channel(PARAMS, 7, 0)
     assert _hex(ch.h1[:2]) == ["-0x1.c8f761576ddb0p-6", "0x1.074a8a44ee46bp-2",
                                "-0x1.416e1f91d9532p-1", "-0x1.ec7f3fb8fbed2p-2"]
-    assert _hex(ch.h2[:1]) == ["-0x1.406d7fae9323dp+0", "0x1.c608e8d4aace0p-2"]
+    assert _hex(ch.h2[:1]) == ["-0x1.6562ad587c10fp+0", "0x1.744de9982cad8p-2"]
     assert _hex(np.array([ch.h3])) == ["-0x1.fdc30918eaa12p-2", "0x1.0489d4823480bp-1"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50, 300])
+def test_exp_sums_match_an_exact_sum_of_log1p_draws(n):
+    # ||h1||^2 and s as -log of products of f = 1 - U, against math.fsum of
+    # the Exp(1) draws -log1p(-U) of the same raw words
+    words, count = 2 * n + 2, 2000
+    bg = PCG64DXSM(SeedSequence(31, spawn_key=(0,)))
+    w = ((bg.random_raw(count * words) >> 11) * 2.0 ** -53).reshape(count, words)
+    eps = np.finfo(float).eps
+    for cols in (slice(0, n), slice(n, 2 * n - 1)):
+        got = _exp_sums(1.0 - w[:, cols])
+        want = np.array([math.fsum(row) for row in -np.log1p(-w[:, cols])])
+        assert np.all(np.abs(got - want) <= 4 * eps * np.maximum(want, 1.0)), (n, cols)
+    assert np.array_equal(sample_link_block(n, 31, 0, count).n1_sq, _exp_sums(1.0 - w[:, :n]))
+
+
+def test_exp_sums_keep_every_product_a_normal_float():
+    # 300 factors of 2**-53 multiply to 2**-15900: a product of 20 of them is
+    # subnormal, and one of 21 or more is 0, whose log is -inf
+    f = np.full((1, 300), 2.0 ** -53)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _exp_sums(f)
+    assert np.isfinite(got).all()
+    assert got[0] == pytest.approx(300 * 53 * math.log(2.0), rel=4 * np.finfo(float).eps)
 
 
 def _in_pieces(sample, trials, piece=2 ** 15):
@@ -334,12 +369,15 @@ def test_channel_vectors_give_back_the_link_statistics(n):
         want = sample_link_block(n, 5, start, stop)
         got = LinkStats.from_block(*sample_channel_block(params, 5, start, stop))
         assert np.array_equal(got.ok, want.ok) and want.ok.all()
-        for f in fields(LinkStats)[:-1]:
-            a, b = getattr(got, f.name), getattr(want, f.name)
+        for name in [f.name for f in fields(LinkStats)[:-1] if f.name != "phase"] + ["inner"]:
+            a, b = getattr(got, name), getattr(want, name)
             # from_block takes c from the perpendicular part of h2, whose rounding scales
             # with ||h2||
-            scale = np.sqrt(want.n2_sq) if f.name == "c" else np.abs(b)
-            assert np.all(np.abs(a - b) <= 1e-12 * scale), (start, f.name)
+            scale = np.sqrt(want.n2_sq) if name == "c" else np.abs(b)
+            assert np.all(np.abs(a - b) <= 1e-12 * scale), (start, name)
+        # the phase wraps at pi and is near 0 on some rows, so no bound relative to it
+        dphase = np.angle(np.exp(1j * (got.phase - want.phase)))
+        assert np.all(np.abs(dphase) <= 1e-12), (start, "phase")
 
 
 def _row_norms(h: np.ndarray) -> np.ndarray:
