@@ -36,6 +36,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, kve, psi
 
 from .channel import BranchConstants, SystemParams, _is_int, branch_constants
+from .sysmodel import link_throughput
 
 __all__ = [
     "BranchConstants",
@@ -272,4 +273,4 @@ def throughput_lower_bound(params: SystemParams, tau: float) -> float:
     m4 = bc.b1 * n
     m5 = branch_moments(params, tau, order=1)["relay-ap"]
     relayed = math.exp(m2 + m3 - math.log1p(m4 + m5))
-    return 0.5 * (1.0 - tau) * math.log2(1.0 + math.exp(m1) + relayed)
+    return float(link_throughput(math.exp(m1) + relayed, tau))

@@ -16,13 +16,14 @@ for a stack of cells (montecarlo); solve_block is the one cell's call:
                 (BlockDesign.rate_bound), then climbs the profile's rate in
                 x_bar by Newton steps in each basin that could still win,
                 each lane until its own step falls to rounding level.
-- "suboptimal": closed-form x_bar maximizing the min of the two branches
-                of the SNR upper bound (tau-independent; where the branches
+- "suboptimal": closed-form x_bar maximizing upper_snr, the min of the two
+                branches of the SNR upper bound (tau-independent; where they
                 cross, the crossing is the larger root of a quadratic in
                 x_bar^2), then the Lambert-W harvest time for the resulting
                 SNR coefficient above the user's harvest threshold.
 - "large-n":    many-antenna limit where h1 and h2 are treated as
-                orthogonal and x_bar depends on channel norms only.
+                orthogonal and x_bar depends on channel norms only; the
+                harvest time is suboptimal's, for upper_snr of this beam.
 - "mrt-user":   beam fully toward the user (x_bar = 1); tau, unless fixed,
                 from the tau profile. The other strategies optimize tau and
                 reject a fixed one.
@@ -101,12 +102,12 @@ class BlockDesign:
     the lanes, where the beam does not depend on the cell.
 
     g1 = |h1^T w|^2 and g2 = |h2^T w|^2 are the gains of the beam w.
-    gamma_bound is the SNR upper bound that the suboptimal and large-n
-    designs maximize; scenario (an index into SCENARIOS) and case_index
-    are filled by the suboptimal design only. rate_bound, filled by the
-    exact design only, is each trial's certificate: no (x_bar, tau) rates
-    above it, up to rounding, and it is at most 1e-3 above the trial's own
-    rate.
+    gamma_bound, of the suboptimal and large-n designs, is upper_snr of
+    those gains times tau/(1 - tau); scenario (an index into SCENARIOS) and
+    case_index are filled by the suboptimal design only. rate_bound, filled
+    by the exact design only, is each trial's certificate: no (x_bar, tau)
+    rates above it, up to rounding, and it is at most 1e-3 above the trial's
+    own rate.
     """
 
     x_bar: np.ndarray
@@ -126,27 +127,21 @@ def beam_gains(a, b, c, x_bar):
     return a * a * np.square(x), np.square(b * x + c * s)
 
 
-def branch_user_hop(dec: ChannelDecomposition, x_bar):
-    """SNR upper bound when the user->relay hop binds the relayed term."""
-    return (dec.a0 + dec.c0) * dec.a * dec.a * np.square(x_bar)
-
-
-def branch_relay_hop(dec: ChannelDecomposition, x_bar):
-    """SNR upper bound when the relay->AP hop binds the relayed term."""
-    x = np.asarray(x_bar, dtype=float)
-    s = np.sqrt(np.maximum(1.0 - np.square(x), 0.0))
-    return dec.a0 * dec.a * dec.a * np.square(x) + dec.d0 * np.square(dec.b * x + dec.c * s)
+def upper_snr(dec: ChannelDecomposition, g1, g2):
+    """SNR bound gamma_d + min(x_u, x_r) of beam gains g1, g2 at k = 1 without
+    circuit power: the min of the user->relay and relay->AP hops' branches."""
+    return np.minimum((dec.a0 + dec.c0) * g1, dec.a0 * g1 + dec.d0 * g2)
 
 
 def bound_min(dec: ChannelDecomposition, x_bar):
-    """min of the two bound branches; the objective of the suboptimal design.
+    """upper_snr of the beam with mix x_bar; the suboptimal design's objective.
 
     A long x_bar grid against one channel runs in slices that fit in cache.
     """
     x = np.asarray(x_bar, dtype=float)
     if x.ndim == 1 and x.size > _SLICE and not any(np.ndim(v) for v in vars(dec).values()):
         return np.concatenate([bound_min(dec, x[i:i + _SLICE]) for i in range(0, x.size, _SLICE)])
-    return np.minimum(branch_user_hop(dec, x), branch_relay_hop(dec, x))
+    return upper_snr(dec, *beam_gains(dec.a, dec.b, dec.c, x))
 
 
 def solve_suboptimal_xbar(dec: ChannelDecomposition):
@@ -548,8 +543,7 @@ def large_n_block(dec: ChannelDecomposition, link: LinkStats) -> BlockDesign:
     norm_sq = x_bar * x_bar + s * s + 2.0 * x_bar * s * inner.real / (link.a * n2)
     g1 = np.abs(x_bar * link.a + s * np.conj(inner) / n2) ** 2 / norm_sq
     g2 = np.abs(x_bar * inner / link.a + s * n2) ** 2 / norm_sq
-    # harvest time from the actual bound value achieved by this beam
-    kappa = np.minimum((dec.a0 + dec.c0) * g1, dec.a0 * g1 + dec.d0 * g2)
+    kappa = upper_snr(dec, g1, g2)
     tau = _lambert_tau(dec, np.maximum(kappa, 1e-300), g1)
     return BlockDesign(x_bar=x_bar, tau=tau, g1=g1, g2=g2,
                        gamma_bound=kappa * tau / (1.0 - tau))

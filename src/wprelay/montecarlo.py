@@ -156,12 +156,12 @@ def _stack_values(stack: _Stack, link: LinkStats) -> tuple[list[np.ndarray], np.
 
 
 def _run_chunk(stacks, n_cells: int, link_of, start: int, stop: int
-               ) -> list[list[tuple[int, int, int, float, float]]]:
+               ) -> list[list[tuple[int, int, float, float]]]:
     """Trials [start, stop) of every cell of the stacks, a whole number of
     blocks except at the end; link_of(lo, hi) gives the LinkStats of trials
     [lo, hi), asked for once per block whatever the number of cells.
 
-    Returns per cell, per block (first trial, ok, failed, sum, M2), where M2
+    Returns per cell, per block (ok, failed, sum, M2), where M2
     is the sum of squared deviations from the block mean.
     """
     parts = [[] for _ in range(n_cells)]
@@ -174,14 +174,14 @@ def _run_chunk(stacks, n_cells: int, link_of, start: int, stop: int
                 v = row_vals[row_ok]
                 total = float(np.sum(v))
                 m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
-                parts[cell].append((lo, v.size, hi - lo - v.size, total, m2))
+                parts[cell].append((v.size, hi - lo - v.size, total, m2))
     return parts
 
 
 def _merge(parts) -> tuple[int, float, float]:
     """(n, sum, M2) of the union of blocks, merged in the given order."""
     n, total, m2 = 0, 0.0, 0.0
-    for _, nb, _, sb, m2b in parts:
+    for nb, _, sb, m2b in parts:
         if nb == 0:
             continue
         if n:
@@ -261,10 +261,9 @@ def estimate_cells(cells, n_trials: int, master_seed: int, workers: int = 1,
 
 
 def _summary(cell, parts, n_trials: int, master_seed: int) -> PerformanceEstimate:
-    """The estimate of one cell from its blocks' (first trial, ok, failed, sum,
-    M2), given in trial order."""
+    """The estimate of one cell from its blocks' (ok, failed, sum, M2) in trial order."""
     params, strategy, metric, _ = cell
-    n_err = sum(p[2] for p in parts)
+    n_err = sum(p[1] for p in parts)
     if n_err > _MAX_ERROR_FRACTION * n_trials:
         raise SimulationError(f"{n_err} of {n_trials} trials failed")
     n_ok, total, m2 = _merge(parts)

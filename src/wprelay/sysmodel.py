@@ -114,4 +114,4 @@ def throughput(gamma: float, tau: float) -> float:
     _check_tau(tau)
     if not gamma >= 0:  # NaN too
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    return 0.5 * (1.0 - tau) * math.log1p(gamma) / _LN2
+    return float(link_throughput(gamma, tau))

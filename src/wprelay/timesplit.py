@@ -1,11 +1,12 @@
 """Harvest-time optimization: Lambert-W closed form and a bounded scalar search.
 
-optimal_tau maximizes the rate bound rate_upper(kappa, tau) in closed form,
-for every coefficient of an array at once; beamform shifts it onto the
-circuit-power threshold wherever the SNR is affine in tau/(1-tau), and
-starts its tau profile's Newton steps from it. golden_max, scipy's
-bounded scalar search on one interval, is the independent search
-`wprelay verify` checks optimal_tau against.
+optimal_tau maximizes the rate bound rate_upper(kappa, tau), the rate
+(sysmodel.link_throughput) of the SNR kappa*tau/(1-tau), in closed form for
+every coefficient of an array at once; beamform shifts it onto the
+circuit-power threshold wherever the SNR is affine in tau/(1-tau), and starts
+its tau profile's Newton steps from it. golden_max, scipy's bounded scalar
+search on one interval, is the independent search `wprelay verify` checks
+optimal_tau against.
 """
 from __future__ import annotations
 
@@ -14,13 +15,14 @@ import math
 import numpy as np
 from scipy.special import lambertw
 
+from .sysmodel import link_throughput
+
 __all__ = [
     "optimal_tau",
     "golden_max",
     "rate_upper",
 ]
 
-_LN2 = math.log(2.0)
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 # Below _SERIES_KAPPA, W0 + 1 is the branch-point series sum c_j p^j, p = sqrt(2 kappa)
 # (Corless et al. 1996); truncated after p^8 it is good to 1e-17 there.
@@ -30,9 +32,9 @@ _W_SERIES = (0.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280, -221 / 8505,
 
 
 def rate_upper(kappa, tau):
-    """Rate bound (1-tau)/2 * log2(1 + kappa*tau/(1-tau)); log1p keeps its
-    relative accuracy where kappa*tau/(1-tau) is small."""
-    return 0.5 * (1.0 - tau) * np.log1p(kappa * tau / (1.0 - tau)) / _LN2
+    """Rate bound (1-tau)/2 * log2(1 + kappa*tau/(1-tau)): link_throughput of
+    the SNR kappa*tau/(1-tau)."""
+    return link_throughput(kappa * tau / (1.0 - tau), tau)
 
 
 def optimal_tau(kappa):

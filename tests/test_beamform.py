@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wprelay.beamform import (STRATEGIES, BeamformerDesign, _lambert_tau, bound_min,
-                              branch_relay_hop, branch_user_hop, solve, solve_block,
-                              solve_suboptimal_xbar)
+from wprelay.beamform import (STRATEGIES, BeamformerDesign, _lambert_tau, bound_min, solve,
+                              solve_block, solve_suboptimal_xbar, upper_snr)
 from wprelay.channel import (ChannelDecomposition, LinkStats, SystemParams, branch_constants,
-                             sample_channel)
+                             build_beamformer, sample_channel)
 from wprelay.montecarlo import check_cell
 from wprelay.sysmodel import harvest_threshold, snr_exact, throughput
 from wprelay.timesplit import optimal_tau
@@ -41,13 +40,53 @@ def test_suboptimal_beats_fine_grid():
         assert val <= grid * (1 + 1e-4)  # grid resolution slack
 
 
-def test_suboptimal_value_is_min_of_branches():
-    ch = sample_channel(PARAMS, 1)
-    dec = _dec(PARAMS, ch)
-    x_opt, val, _, _ = solve_suboptimal_xbar(dec)
-    assert val == pytest.approx(min(float(branch_user_hop(dec, x_opt)),
-                                    float(branch_relay_hop(dec, x_opt))),
-                                rel=1e-12)
+def _unit_beams(rng, count, n):
+    """count random unit beams in C^n, one per row."""
+    w = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def test_upper_snr_is_the_bound_of_the_vector_snr():
+    # at tau = 0.5 (k = 1) and without circuit power, snr_exact's gamma_d +
+    # min(x_u, x_r) from the vectors is upper_snr of the beam's gains
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        ch = sample_channel(PARAMS, 1, trial)
+        dec = _dec(PARAMS, ch)
+        for w in _unit_beams(rng, 10, PARAMS.n_antennas):
+            snr = snr_exact(PARAMS, ch, w, 0.5)
+            bound = float(upper_snr(dec, abs(ch.h1 @ w) ** 2, abs(ch.h2 @ w) ** 2))
+            assert snr.gamma_upper == pytest.approx(bound, rel=1e-12, abs=0.0)
+            assert bound >= snr.gamma_total
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_no_unit_beam_beats_the_two_direction_family(n):
+    # exact certifies x_bar in [0, 1] only, which covers every beam because for
+    # any unit w some x_bar gives both gains at least |h1^T w|^2 and |h2^T w|^2:
+    # at the g1 of x = sqrt(g1)/a, the family's largest g2 over x_bar >= x is
+    # b^2 + c^2 up to the peak x = b/sqrt(b^2 + c^2), and (b x + c sqrt(1 - x^2))^2
+    # above it. Half the beams are random, half the family's beams perturbed.
+    params, rng = replace(PARAMS, n_antennas=n), np.random.default_rng(n)
+    worst = -np.inf
+    for trial in range(20):
+        ch = sample_channel(params, 3, trial)
+        a = np.linalg.norm(ch.h1)
+        inner = np.vdot(ch.h1, ch.h2)  # h1^H h2
+        b, c = abs(inner) / a, np.linalg.norm(ch.h2 - ch.h1 * inner / (a * a))
+        family = np.array([build_beamformer(ch, x) for x in rng.uniform(0.0, 1.0, 50)])
+        near = np.repeat(family, 100, axis=0)
+        near = near + 10.0 ** rng.uniform(-8.0, 0.0, (near.shape[0], 1)) * _unit_beams(
+            rng, near.shape[0], n)
+        w = np.concatenate([_unit_beams(rng, 5000, n),
+                            near / np.linalg.norm(near, axis=1, keepdims=True)])
+        g1, g2 = np.abs(w @ ch.h1) ** 2, np.abs(w @ ch.h2) ** 2
+        x = np.minimum(np.sqrt(g1) / a, 1.0)
+        top = np.where(x <= b / np.hypot(b, c), b * b + c * c,
+                       np.square(b * x + c * np.sqrt(1.0 - x * x)))
+        worst = max(worst, float(np.max(g2 - top)) / (b * b + c * c))
+    assert worst <= 1e-12
+    assert worst > -1e-6  # the perturbed beams reach the family's frontier
 
 
 def test_suboptimal_zero_slope_scenario():

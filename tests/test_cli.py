@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import pytest
@@ -50,6 +51,42 @@ def test_run_fig9a_includes_analytic_curves(tmp_path):
     analytic = [r for r in rows if r["strategy"].startswith("analytic")]
     assert all(r["n_trials"] == "0" for r in analytic)
     assert all(0.0 <= float(r["value"]) <= 1.0 for r in analytic)
+
+
+def test_fig4_more_antennas_give_more_throughput():
+    # the paper's first finding: at fig4's geometry and default trials, every
+    # design's N = 10 throughput beats its N = 2 one at every power, by more
+    # than 3 standard errors of the difference
+    recipe = RECIPES["fig4"]
+    rows = {}
+    for row in cli._sweep(recipe, default_params(), recipe.trials, 1, 1):
+        rows.setdefault(row["strategy"], []).append(row)
+    for s in ("exact", "suboptimal", "large-n", "mrt-user"):
+        for two, ten in zip(rows[f"{s}/N=2"], rows[f"{s}/N=10"], strict=True):
+            se = math.hypot(two["std_err"], ten["std_err"])
+            assert ten["value"] - two["value"] > 3.0 * se, (s, two["axis"])
+
+
+def _fig9a_columns(n3_outages, trials=400000):
+    """fig9a's check columns with each simulated outage at its analytic value
+    but N = 3's last, which is n3_outages in trials."""
+    ana = {2: [0.3, 0.1, 0.03, 0.01, 3e-3], 3: [0.1, 0.02, 3e-3, 4e-4, 3.652e-5]}
+    v, se, n = {}, {}, {}
+    for ant, col in ana.items():
+        sim = col[:-1] + [n3_outages / trials if ant == 3 else col[-1]]
+        v[f"mrt-user/N={ant}"], n[f"mrt-user/N={ant}"] = sim, [trials] * len(sim)
+        se[f"mrt-user/N={ant}"] = [math.sqrt(p * (1.0 - p) / trials) for p in sim]
+        v[f"analytic-exact/N={ant}"] = col
+    return v, se, n
+
+
+@pytest.mark.parametrize("outages, passed", [(6, True), (15, True), (0, False)])
+def test_fig9a_outage_check_takes_sigma_at_the_analytic_value(outages, passed):
+    # at N = 3's last point an analytic 3.652e-5 expects 14.6 outages in 400 000
+    # trials, with sigma = 9.6e-6 at that p: 6 outages (z = -2.25, but -3.51 by
+    # their own std_err) pass, and none (z = -3.82, with a std_err of 0) fail
+    v, se, n = _fig9a_columns(outages)
+    assert dict(cli._check_fig9a(v, se, n))["N=3: analytic outage tracks simulation"] is passed
 
 
 def test_run_custom_sweep(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from wprelay.channel import (ChannelDecomposition, LinkStats, SystemParams, build_beamformer,
                              sample_channel)
-from wprelay.sysmodel import (_hops, harvest_threshold, link_snr, relay_threshold, snr_exact,
-                              throughput)
+from wprelay.sysmodel import (_hops, coefficient_snr, harvest_threshold, link_snr,
+                              relay_threshold, snr_exact, throughput)
 
 PARAMS = SystemParams(n_antennas=5, d1=20.0, d2=15.0, d3=15.0, ps_dbm=35.0)
 
@@ -118,6 +118,25 @@ def test_snr_tracks_power_monotonically():
     hi = SystemParams(n_antennas=5, d1=20.0, d2=15.0, d3=15.0, ps_dbm=30.0)
     assert snr_exact(hi, ch, w, 0.5).gamma_total > \
         snr_exact(lo, ch, w, 0.5).gamma_total
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda u: 10.0 ** u)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(a0=_decades(-8, 8), c0=_decades(-8, 8), d0=_decades(-8, 8), g1=_decades(-4, 4),
+       g2=_decades(-4, 4), tau=st.floats(1e-12, 1.0 - 1e-12),
+       needs=st.none() | st.tuples(_decades(-6, 6), _decades(-6, 6)), up=st.floats(0.0, 3.0))
+def test_coefficient_snr_never_falls_as_a_gain_grows(a0, c0, d0, g1, g2, tau, needs, up):
+    # exact's certificate bounds an x_bar interval at its largest gains, which
+    # holds only if the SNR rises in g1 and in g2 at every tau, with or
+    # without a circuit draw; a gain grows by 10**up, and by one ulp at least
+    dec = ChannelDecomposition(1.0, 1.0, 1.0, a0, c0, d0, *(needs or (0.0, 0.0)))
+    base = float(coefficient_snr(dec, g1, g2, tau))
+    for h1, h2 in ((max(g1 * 10.0 ** up, np.nextafter(g1, np.inf)), g2),
+                   (g1, max(g2 * 10.0 ** up, np.nextafter(g2, np.inf)))):
+        assert float(coefficient_snr(dec, h1, h2, tau)) >= base - 4 * np.spacing(base)
 
 
 def test_rejects_non_unit_beam():
