@@ -10,16 +10,16 @@ curves appear as strategies ("analytic-exact", "analytic-high-snr",
 "lower-bound") with n_trials = 0. Re-running a recipe with the same seed
 writes byte-identical data rows regardless of worker count.
 
-Recipes are data: RECIPES maps each figure to a Recipe value, and one
-curve-major loop (_sweep) runs them all. It runs the Monte Carlo cells of
-each n_antennas as one montecarlo.estimate_cells group, which evaluates
-each channel block for every cell on that stream, a curve's cells stacked
-into one solver call; custom orders the rows of its one sweep axis-major
-afterwards.
+Recipes are data: RECIPES maps each figure to a Recipe value. _recipe
+lists and checks a recipe's cells once, in row order, and one loop
+(_sweep) runs them all: every Monte Carlo cell in one
+montecarlo.estimate_cells call, which evaluates each channel block for
+every cell on its stream, a curve's cells stacked into one solver call.
 """
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -29,6 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from . import analysis, beamform, montecarlo, timesplit
 from .channel import ChannelDecomposition, LinkStats, SystemParams, sample_channel
@@ -89,32 +90,22 @@ class Recipe:
     base: dict = field(default_factory=dict)
 
 
-def _sweep(recipe: Recipe, params: SystemParams, trials: int, seed: int,
-           workers: int) -> list[dict]:
-    """Rows of every curve at every point, curve-major. The Monte Carlo
-    cells of one n_antennas share a stream and run as one estimate_cells
-    group, which samples each block once for all of them."""
-    cells = []
-    groups = {}  # n_antennas -> {cell index: (params, strategy, metric, tau)}
-    for tag, overrides, metric, tau in recipe.curves:
-        kind = tag.split("/")[0]
-        for point in recipe.points:
-            p = replace(params, **{**recipe.base, **overrides, **point})
-            if kind not in ANALYTIC:
-                groups.setdefault(p.n_antennas, {})[len(cells)] = (p, kind, metric, tau)
-            cells.append((tag, kind, metric, tau, point, p))
-    estimates = {}
-    for group in groups.values():
-        estimates.update(zip(group, montecarlo.estimate_cells(group.values(), trials, seed,
-                                                              workers=workers)))
+def _sweep(cells, trials: int, seed: int, workers: int) -> list[dict]:
+    """One row per (tag, axis value, params, metric, tau) cell, in cell
+    order. Every Monte Carlo cell runs in one estimate_cells call, which
+    samples each block of each n_antennas stream once for all of its cells."""
+    kinds = [tag.split("/")[0] for tag, *_ in cells]
+    estimates = iter(montecarlo.estimate_cells(
+        [(p, kind, metric, tau) for kind, (_, _, p, metric, tau) in zip(kinds, cells)
+         if kind not in ANALYTIC], trials, seed, workers=workers))
     rows = []
-    for i, (tag, kind, metric, tau, point, p) in enumerate(cells):
+    for kind, (tag, x, p, metric, tau) in zip(kinds, cells):
         if kind in ANALYTIC:
             value, std_err, n = getattr(analysis, ANALYTIC[kind])(p, tau), 0.0, 0
         else:
-            est = estimates[i]
+            est = next(estimates)
             value, std_err, n = est.value, est.std_err, est.n_trials
-        rows.append({"axis": point[recipe.axis], "strategy": tag, "metric": metric,
+        rows.append({"axis": x, "strategy": tag, "metric": metric,
                      "value": value, "std_err": std_err, "n_trials": n, "seed": seed})
     return rows
 
@@ -161,13 +152,19 @@ def _check_relay_throughput(v, se, nt):
             ("direct transmission wins at high power", direct[-1] >= relay[-1])]
 
 
+def _binomial_agrees(rate: float, n: int, p: float, z: float) -> bool:
+    """Whether k = rate * n events in n trials lie within Binomial(n, p)'s
+    two tails of Phi(-z) each, so the check fails at the 2 Phi(-z) rate
+    that a normal bound at z sigma promises but exceeds at small n p."""
+    k, tail = round(rate * n), special.ndtr(-z)  # k an int: bdtr floors others silently
+    return bool(special.bdtr(k, n, p) >= tail and special.bdtrc(k - 1, n, p) >= tail)
+
+
 def _check_fig9a(v, se, nt):
     out = []
     for n in (2, 3):
         mc, ana = f"mrt-user/N={n}", v[f"analytic-exact/N={n}"]
-        # sigma at the analytic p: a row's own std_err is 0 where it saw no outage
-        close = all(abs(m - a) <= 3.5 * (a * (1.0 - a) / k) ** 0.5
-                    for m, k, a in zip(v[mc], nt[mc], ana))
+        close = all(_binomial_agrees(m, k, a, 3.5) for m, k, a in zip(v[mc], nt[mc], ana))
         out += [(f"N={n}: analytic outage tracks simulation", close),
                 (f"N={n}: outage falls with power", all(a >= b for a, b in zip(ana, ana[1:])))]
     return out
@@ -256,22 +253,26 @@ def _custom_recipe(axis: str, values, strategies, metric: str, tau: float | None
                   tuple((s, {}, metric, tau) for s in strategies), partial(_check_custom, axis))
 
 
-def _recipe(name: str, custom: dict | None, params: SystemParams) -> Recipe:
-    """Recipe name (custom built from custom), once every cell's parameters,
-    strategy, metric and tau pass: a bad cell raises before any cell runs."""
+def _recipe(name: str, custom: dict | None, params: SystemParams) -> tuple[Recipe, list]:
+    """Recipe name (custom built from custom) and its cells, each (tag, axis
+    value, params, metric, tau), in row order: curve-major, but custom's
+    axis-major. Every cell's parameters, strategy, metric and tau pass
+    before it returns, so a bad cell raises before any cell runs."""
     if name == "custom":
         recipe = _custom_recipe(**(custom or {}))
+        order = [(curve, point) for point in recipe.points for curve in recipe.curves]
     elif name in RECIPES:
         recipe = RECIPES[name]
+        order = [(curve, point) for curve in recipe.curves for point in recipe.points]
     else:
         raise ValueError(f"unknown recipe {name!r}")
-    for tag, overrides, metric, tau in recipe.curves:
-        for point in recipe.points:
-            replace(params, **{**recipe.base, **overrides, **point})
+    cells = [(tag, point[recipe.axis], replace(params, **{**recipe.base, **overrides, **point}),
+              metric, tau) for (tag, overrides, metric, tau), point in order]
+    for tag, _, metric, tau in recipe.curves:
         kind = tag.split("/")[0]
         if name == "custom" or kind not in ANALYTIC:  # analytic tags are no strategies
             montecarlo.check_cell(kind, metric, tau)
-    return recipe
+    return recipe, cells
 
 
 def run_recipe(name: str, params: SystemParams, trials: int | None, seed: int,
@@ -280,12 +281,13 @@ def run_recipe(name: str, params: SystemParams, trials: int | None, seed: int,
     """Run a recipe (custom takes its axis, values, strategies, metric and
     tau from custom), write its CSV to out and return the check lines and
     whether every check passed. trials None takes the recipe's default."""
-    recipe = _recipe(name, custom, params)
-    trials = recipe.trials if trials is None else trials
-    rows = _sweep(recipe, params, trials, seed, workers)
-    if name == "custom":  # axis-major: every strategy at one value, then the next value
-        k = len(recipe.points)
-        rows = [row for i in range(k) for row in rows[i::k]]
+    return _run(*_recipe(name, custom, params), trials, seed, out, workers)
+
+
+def _run(recipe: Recipe, cells, trials: int | None, seed: int, out: Path, workers: int
+         ) -> tuple[list[str], bool]:
+    """run_recipe of the recipe and the cells that _recipe gave for it."""
+    rows = _sweep(cells, recipe.trials if trials is None else trials, seed, workers)
     columns = {key: {} for key in ("value", "std_err", "n_trials")}
     for row in rows:
         for key, col in columns.items():
@@ -326,11 +328,8 @@ def _verify_outage(params, trials: int, seed: int) -> tuple[str, bool, str]:
     # drop to 2 antennas and low power so the outage level is measurable
     p = replace(params, n_antennas=2, ps_dbm=-25.0)
     ana = analysis.outage_exact(p, tau)
-    est = montecarlo.estimate(p, "mrt-user", trials, seed, metric="outage",
-                              tau=tau)
-    dev = abs(ana - est.value)
-    tol = 3.0 * (ana * (1.0 - ana) / est.n_trials) ** 0.5  # sigma at the analytic p
-    return ("analytic outage vs simulation", dev <= tol,
+    est = montecarlo.estimate(p, "mrt-user", trials, seed, metric="outage", tau=tau)
+    return ("analytic outage vs simulation", _binomial_agrees(est.value, est.n_trials, ana, 3.0),
             f"analytic {ana:.4g}, simulated {est.value:.4g} +/- {est.std_err:.2g}")
 
 
@@ -378,16 +377,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--out", type=Path, default=None)
     rp.add_argument("--config", default=None, help="flat key=value parameter file")
     rp.add_argument("--workers", type=int, default=1,
-                    help="threads per group of Monte Carlo cells that share n_antennas; "
-                         "used only at more than 32768 trials, and the CSV is the same for "
-                         "any count. Each thread evaluates every cell of the group on its "
-                         "blocks, one solver call per stack of cells that share a strategy "
-                         "and tau")
+                    help="threads for the sweep's Monte Carlo cells; used only at more "
+                         "than 32768 trials, and the CSV is the same for any count. Each "
+                         "thread evaluates every cell on its blocks, one solver call per "
+                         "stack of cells that share n_antennas, a strategy and tau")
     # The sweep flags apply to the custom recipe only; None means not given.
     rp.add_argument("--axis", default=None, choices=[f.name for f in fields(SystemParams)],
                     help="custom recipe sweep field (default ps_dbm)")
-    rp.add_argument("--values", default=None, help="custom recipe axis values (csv); "
-                    "a list starting with a minus sign needs the = form: --values=-40,-30")
+    rp.add_argument("--values", default=None, help="custom recipe axis values (csv)")
     rp.add_argument("--strategies", default=None, help="custom recipe strategies (csv)")
     rp.add_argument("--metric", default=None, choices=montecarlo.METRICS,
                     help="custom recipe metric (default throughput)")
@@ -400,6 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse takes a lone -40,-30 for an option
+        if argv[i - 1] == "--values" and re.fullmatch(r"-?[\d.][\d.eE+,-]*", argv[i]):
+            argv[i - 1:i + 1] = [f"--values={argv[i]}"]
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:  # a missing or bad config file is a usage error
@@ -430,13 +431,12 @@ def main(argv: list[str] | None = None) -> int:
                           values=[float(v) for v in (args.values or "").split(",") if v.strip()],
                           strategies=[s for s in (args.strategies or "").split(",") if s.strip()],
                           metric=args.metric or "throughput", tau=args.tau)
-        _recipe(args.recipe, custom, params)
+        recipe, cells = _recipe(args.recipe, custom, params)
     except ValueError as exc:
         parser.error(str(exc))
     out = args.out or Path(f"{args.recipe}.csv")
     t0 = time.time()
-    lines, ok = run_recipe(args.recipe, params, args.trials, args.seed, out,
-                           args.workers, custom=custom)
+    lines, ok = _run(recipe, cells, args.trials, args.seed, out, args.workers)
     print(f"wrote {out} in {time.time() - t0:.1f} s")
     print("\n".join(lines))
     return 0 if ok else 1

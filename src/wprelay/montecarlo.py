@@ -10,15 +10,15 @@ order with the pairwise update of Chan, Golub and LeVeque (1983).
 Estimates are therefore bit-identical for any worker count or chunk size.
 
 A channel depends only on (n_antennas, master_seed, trial), so cells that
-share n_antennas share a stream. estimate_cells takes a group of such
-cells (a sweep runs each n_antennas as one group): it samples each block
-once and evaluates it for every cell of the group, and each cell gets the
-bits that estimate gives it alone. estimate is the one-cell group.
+share n_antennas share a stream. estimate_cells takes any list of cells (a
+sweep is one call): it samples each block of each stream once and
+evaluates it for every cell on that stream, and each cell gets the bits
+that estimate gives it alone. estimate is the one-cell list.
 
-A group's cells that share a strategy, a tau and which circuit needs are 0
-form stacks. Each block is solved (beamform.solve_lanes) and its SNR
-evaluated (sysmodel.coefficient_snr) once per stack, on lanes that are the
-block's trials under every cell's constants
+The cells of one stream that share a strategy, a tau and which circuit
+needs are 0 form stacks. Each block is solved (beamform.solve_lanes) and
+its SNR evaluated (sysmodel.coefficient_snr) once per stack, on lanes that
+are the block's trials under every cell's constants
 (channel.ChannelDecomposition.stack); each cell's row is then reduced on
 its own. Every lane is computed as it is in a stack of one, so stacking
 changes no bit. A stack holds at most _STACK_LANES lanes (four blocks),
@@ -27,12 +27,12 @@ arrays made a lone thread slower, while four blocks already spare the
 per-call cost of small cells (fig4 at a few trials a point) and the
 calls that pooled threads wait on each other for.
 
-A block lives only as long as the call that samples it: separate estimate
-calls on one stream sample their own blocks, and only the cells of one
-group share them.
+A block lives only as long as the call that samples it, and a thread
+holds one block of each stream at a time: separate estimate calls on one
+stream sample their own blocks, and only the cells of one call share them.
 
 Workers are threads of the calling process; each evaluates every stack
-of the group on the blocks of its chunks. A pool runs only when the trials
+on the blocks of its chunks. A pool runs only when the trials
 span more than one chunk (by default more than _DEFAULT_CHUNK trials),
 with no more threads than chunks.
 
@@ -99,11 +99,12 @@ class PerformanceEstimate:
 
 @dataclass(frozen=True)
 class _Stack:
-    """Cells of a group solved and evaluated as one lane array: they share a
+    """Cells solved and evaluated as one lane array: they share a stream, a
     strategy, a tau and which of the circuit needs are 0. cells are their
-    places in the group; consts holds one row of cell_constants and
+    places in the call; consts holds one row of cell_constants and
     gamma_th one outage threshold per cell."""
 
+    n_antennas: int
     strategy: str
     tau: float | None
     cells: tuple[int, ...]
@@ -114,18 +115,18 @@ class _Stack:
 
 def _stacks(cells, size: int) -> list[_Stack]:
     """The cells split into stacks of at most size cells, each keyed by
-    strategy, tau and whether each need is 0, so that a stack's solver and
-    SNR make one test of each need for all of its lanes."""
+    n_antennas, strategy, tau and whether each need is 0, so that a stack's
+    solver and SNR make one test of each need for all of its lanes."""
     keyed = {}
     for i, (params, strategy, metric, tau) in enumerate(cells):
         consts = cell_constants(params)
-        key = (strategy, tau, consts[3] != 0.0, consts[4] != 0.0)
+        key = (params.n_antennas, strategy, tau, consts[3] != 0.0, consts[4] != 0.0)
         keyed.setdefault(key, []).append((i, metric, consts, params.gamma_th))
     stacks = []
-    for (strategy, tau, *_), members in keyed.items():
+    for (n_antennas, strategy, tau, *_), members in keyed.items():
         for j in range(0, len(members), size):
             places, metrics, consts, gamma_th = zip(*members[j:j + size])
-            stacks.append(_Stack(strategy, tau, places, metrics, np.array(consts),
+            stacks.append(_Stack(n_antennas, strategy, tau, places, metrics, np.array(consts),
                                  np.array(gamma_th)))
     return stacks
 
@@ -155,11 +156,11 @@ def _stack_values(stack: _Stack, link: LinkStats) -> tuple[list[np.ndarray], np.
     return vals, ok
 
 
-def _run_chunk(stacks, n_cells: int, link_of, start: int, stop: int
+def _run_chunk(stacks, n_cells: int, master_seed: int, start: int, stop: int
                ) -> list[list[tuple[int, int, float, float]]]:
     """Trials [start, stop) of every cell of the stacks, a whole number of
-    blocks except at the end; link_of(lo, hi) gives the LinkStats of trials
-    [lo, hi), asked for once per block whatever the number of cells.
+    blocks except at the end; each block of each stream is sampled once,
+    whatever the number of cells on it.
 
     Returns per cell, per block (ok, failed, sum, M2), where M2
     is the sum of squared deviations from the block mean.
@@ -167,9 +168,10 @@ def _run_chunk(stacks, n_cells: int, link_of, start: int, stop: int
     parts = [[] for _ in range(n_cells)]
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
-        link = link_of(lo, hi)
+        links = {n: sample_link_block(n, master_seed, lo, hi)
+                 for n in {stack.n_antennas for stack in stacks}}
         for stack in stacks:
-            vals, ok = _stack_values(stack, link)
+            vals, ok = _stack_values(stack, links[stack.n_antennas])
             for cell, row_vals, row_ok in zip(stack.cells, vals, ok):
                 v = row_vals[row_ok]
                 total = float(np.sum(v))
@@ -224,18 +226,15 @@ def estimate(params: SystemParams, strategy: str, n_trials: int,
 def estimate_cells(cells, n_trials: int, master_seed: int, workers: int = 1,
                    chunk_size: int = _DEFAULT_CHUNK) -> list[PerformanceEstimate]:
     """One estimate per (params, strategy, metric, tau) cell, in cell order,
-    from one pass over the stream that the cells share: every cell has the
-    same n_antennas, and each block is sampled once and evaluated for every
-    cell. Each estimate has the bits that estimate gives for its cell alone.
+    from one pass over the streams of the cells' antenna counts: each block
+    of a stream is sampled once and evaluated for every cell on it. Each
+    estimate has the bits that estimate gives for its cell alone.
     """
     cells = list(cells)
     if not cells:
         raise ValueError("cells must hold at least one (params, strategy, metric, tau)")
     for _, strategy, metric, tau in cells:
         check_cell(strategy, metric, tau)
-    n_antennas = sorted({params.n_antennas for params, *_ in cells})
-    if len(n_antennas) > 1:
-        raise ValueError(f"cells must share one stream; got n_antennas {n_antennas}")
     if not _is_int(n_trials) or n_trials < 2:
         raise ValueError(f"n_trials must be an int >= 2, got {n_trials!r}")
     if n_trials > 2 ** 64:  # the sampler's trial range
@@ -245,12 +244,11 @@ def estimate_cells(cells, n_trials: int, master_seed: int, workers: int = 1,
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     _check_seed(master_seed)  # before any block is sampled
-    link_of = partial(sample_link_block, n_antennas[0], master_seed)
     chunk = -(-chunk_size // _BLOCK) * _BLOCK  # whole blocks only
     starts = range(0, n_trials, chunk)
     stops = [min(s + chunk, n_trials) for s in starts]
     size = max(1, _STACK_LANES // min(n_trials, _BLOCK))  # cells per stack
-    run = partial(_run_chunk, _stacks(cells, size), len(cells), link_of)
+    run = partial(_run_chunk, _stacks(cells, size), len(cells), master_seed)
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             chunks = list(pool.map(run, starts, stops))

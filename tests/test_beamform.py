@@ -11,7 +11,8 @@ from wprelay.beamform import (STRATEGIES, BeamformerDesign, _lambert_tau, bound_
 from wprelay.channel import (ChannelDecomposition, LinkStats, SystemParams, branch_constants,
                              build_beamformer, sample_channel)
 from wprelay.montecarlo import check_cell
-from wprelay.sysmodel import harvest_threshold, snr_exact, throughput
+from wprelay.sysmodel import (coefficient_snr, harvest_threshold, link_throughput, snr_exact,
+                              throughput)
 from wprelay.timesplit import optimal_tau
 
 PARAMS = SystemParams(n_antennas=4, d1=20.0, d2=20.0, d3=2.0, ps_dbm=40.0)
@@ -87,6 +88,29 @@ def test_no_unit_beam_beats_the_two_direction_family(n):
         worst = max(worst, float(np.max(g2 - top)) / (b * b + c * c))
     assert worst <= 1e-12
     assert worst > -1e-6  # the perturbed beams reach the family's frontier
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("pc_dbm, ps_dbm", [(None, 35.0), (-20.0, 20.0), (-30.0, 0.0)])
+def test_no_unit_beam_beats_the_exact_certificate(n, pc_dbm, ps_dbm):
+    # the watt-domain claim that the x_bar family holds the optimal beam: on
+    # fig4's geometry, no random unit beam at any tau of a grid rates above
+    # exact's rate_bound. The best point is checked against snr_exact.
+    params = SystemParams(n_antennas=n, d1=20.0, d2=20.0, d3=2.0, ps_dbm=ps_dbm, pc_dbm=pc_dbm)
+    rng, taus = np.random.default_rng(n), np.linspace(0.0, 1.0, 803)[1:-1]
+    for trial in range(12):
+        ch = sample_channel(params, 7, trial)
+        link = LinkStats.of(ch)
+        bound = float(solve_block("exact", params, link).rate_bound[0])
+        w = _unit_beams(rng, 1500, n)
+        g1, g2 = np.abs(w @ ch.h1) ** 2, np.abs(w @ ch.h2) ** 2
+        gamma = coefficient_snr(ChannelDecomposition.of(params, link), g1[:, None], g2[:, None],
+                                taus)
+        rate = link_throughput(gamma, taus)
+        i, j = np.unravel_index(np.argmax(rate), rate.shape)
+        vector = throughput(snr_exact(params, ch, w[i], taus[j]).gamma_total, taus[j])
+        assert vector == pytest.approx(rate[i, j], rel=1e-12, abs=0.0)
+        assert rate[i, j] <= bound * (1.0 + 1e-12), trial
 
 
 def test_suboptimal_zero_slope_scenario():

@@ -59,7 +59,7 @@ def test_fig4_more_antennas_give_more_throughput():
     # than 3 standard errors of the difference
     recipe = RECIPES["fig4"]
     rows = {}
-    for row in cli._sweep(recipe, default_params(), recipe.trials, 1, 1):
+    for row in cli._sweep(cli._recipe("fig4", None, default_params())[1], recipe.trials, 1, 1):
         rows.setdefault(row["strategy"], []).append(row)
     for s in ("exact", "suboptimal", "large-n", "mrt-user"):
         for two, ten in zip(rows[f"{s}/N=2"], rows[f"{s}/N=10"], strict=True):
@@ -80,11 +80,13 @@ def _fig9a_columns(n3_outages, trials=400000):
     return v, se, n
 
 
-@pytest.mark.parametrize("outages, passed", [(6, True), (15, True), (0, False)])
+@pytest.mark.parametrize("outages, passed",
+                         [(6, True), (15, True), (0, False), (2, False), (30, True)])
 def test_fig9a_outage_check_takes_sigma_at_the_analytic_value(outages, passed):
     # at N = 3's last point an analytic 3.652e-5 expects 14.6 outages in 400 000
-    # trials, with sigma = 9.6e-6 at that p: 6 outages (z = -2.25, but -3.51 by
-    # their own std_err) pass, and none (z = -3.82, with a std_err of 0) fail
+    # trials. The exact binomial test at 2 Phi(-3.5) accepts 3 to 30 of them:
+    # 6 (z = -3.51 by their own std_err) pass, and none (a std_err of 0) fail.
+    # A normal bound at 3.5 sigma would accept 2 and reject 30
     v, se, n = _fig9a_columns(outages)
     assert dict(cli._check_fig9a(v, se, n))["N=3: analytic outage tracks simulation"] is passed
 
@@ -97,6 +99,37 @@ def test_run_custom_sweep(tmp_path):
     assert rc == 0
     rows = _read_rows(out)
     assert len(rows) == 4
+
+
+def test_run_custom_takes_a_negative_values_list(tmp_path):
+    # argparse takes a lone -40,-30 for an option; main joins it to --values
+    outs = tmp_path / "space.csv", tmp_path / "equals.csv"
+    for values, out in zip((["--values", "-40,-30"], ["--values=-40,-30"]), outs):
+        assert main(["run", "custom", *values, "--strategies", "mrt-user", "--metric",
+                     "outage", "--tau", "0.5", "--trials", "200", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert [r["axis"] for r in _read_rows(outs[0])] == ["-40.0", "-30.0"]
+
+
+def test_run_builds_each_cell_once_and_estimates_them_in_one_call(tmp_path, monkeypatch):
+    # fig4's 56 cells span two antenna counts: the default parameters plus
+    # one SystemParams per cell, and one Monte Carlo call for all of them
+    built, calls = [], []
+    init, estimate_cells = SystemParams.__init__, montecarlo.estimate_cells
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_cells(cells, *args, **kwargs):
+        calls.append(len(cells))
+        return estimate_cells(cells, *args, **kwargs)
+
+    monkeypatch.setattr(SystemParams, "__init__", counting_init)
+    monkeypatch.setattr(cli.montecarlo, "estimate_cells", counting_cells)
+    assert main(["run", "fig4", "--trials", "4", "--out", str(tmp_path / "fig4.csv")]) == 0
+    assert len(built) == 1 + 56
+    assert calls == [56]
 
 
 def test_run_custom_empty_axis_fails(tmp_path):
@@ -140,16 +173,16 @@ def _cell_by_cell(recipe, params, trials, seed):
 
 @pytest.mark.parametrize("name", sorted(RECIPES))
 def test_sweep_rows_equal_cell_by_cell_rows(name):
-    # a sweep runs the cells of one n_antennas as one group; every row must
+    # a sweep runs all of its Monte Carlo cells in one call; every row must
     # keep the bits and the place that its own cell gives it
     params, recipe = default_params(), RECIPES[name]
     trials = 6 if name == "fig4" else 300  # fig4 runs exact
     want = _cell_by_cell(recipe, params, trials, 11)
-    assert repr(cli._sweep(recipe, params, trials, 11, 2)) == repr(want)
+    assert repr(cli._sweep(cli._recipe(name, None, params)[1], trials, 11, 2)) == repr(want)
 
 
 def test_custom_rows_equal_cell_by_cell_rows(tmp_path):
-    # one sweep over every value, ordered axis-major afterwards, writes the
+    # one sweep over every value, its cells listed axis-major, writes the
     # bytes of one sweep per value
     params = default_params()
     custom = dict(axis="ps_dbm", values=[10.0, 20.0, 30.0],

@@ -479,19 +479,43 @@ def test_a_group_samples_each_trial_once(monkeypatch, workers, n_trials):
     assert sorted(sampled) == blocks
 
 
-def test_a_group_needs_cells_on_one_stream(monkeypatch):
+def test_cells_are_checked_before_any_block_is_sampled(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a block was sampled")
 
     monkeypatch.setattr(montecarlo, "sample_link_block", never)
     with pytest.raises(ValueError, match="at least one"):
         estimate_cells([], 100, 1)
-    cells = [(PARAMS, "mrt-user", "outage", 0.5),
-             (replace(PARAMS, n_antennas=2), "mrt-user", "outage", 0.5)]
-    with pytest.raises(ValueError, match=r"n_antennas \[2, 4\]"):
-        estimate_cells(cells, 100, 1)
     with pytest.raises(ValueError, match="unknown strategy"):
         estimate_cells([(PARAMS, "beam-hopping", "outage", None)], 100, 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_size", [4096, montecarlo._DEFAULT_CHUNK])
+def test_one_call_on_two_antenna_counts_equals_each_cells_own_estimate(monkeypatch, workers,
+                                                                       chunk_size):
+    # cells of N = 2 and N = 10 in mixed order, over two blocks and a partial
+    # one: each gets the bits of its own estimate, and each stream's block of
+    # each trial range is sampled once
+    n = 2 * 4096 + 7
+    cells = [cell for n_antennas in (2, 10)
+             for cell in _every_cell(replace(PARAMS, n_antennas=n_antennas), exact=False)]
+    cells = cells[0::2] + cells[1::2]
+    want = [estimate(params, strategy, n, 3, metric=metric, tau=tau)
+            for params, strategy, metric, tau in cells]
+    sampled = []
+    real = montecarlo.sample_link_block
+
+    def counting(n_antennas, master_seed, start, stop):
+        sampled.append((n_antennas, start, stop))
+        return real(n_antennas, master_seed, start, stop)
+
+    monkeypatch.setattr(montecarlo, "sample_link_block", counting)
+    got = estimate_cells(cells, n, 3, workers=workers, chunk_size=chunk_size)
+    assert [repr(est) for est in got] == [repr(est) for est in want]
+    assert sorted(sampled) == [(n_antennas, lo, min(lo + montecarlo._BLOCK, n))
+                               for n_antennas in (2, 10)
+                               for lo in range(0, n, montecarlo._BLOCK)]
 
 
 def test_a_failing_cell_of_a_group_raises_what_its_own_estimate_does(monkeypatch):
