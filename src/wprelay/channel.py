@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator, SeedSequence
-from scipy.special import ndtri
 
 __all__ = [
     "DEFAULT_NOISE_DBM",
@@ -393,6 +392,8 @@ def _uniforms(master_seed: int, region: int, start: int, stop: int, words: int) 
 def _normals_in_place(z: np.ndarray) -> None:
     """Turn uniforms into normals of variance 1/2 (the parts of a CN(0, 1)
     draw): clip, inverse CDF and scale, all on z's own buffer."""
+    from scipy.special import ndtri  # not on import: Monte Carlo builds no channel vector
+
     np.clip(z, 2.0 ** -55, 1.0 - 2.0 ** -53, out=z)
     ndtri(z, out=z)
     z *= 1.0 / math.sqrt(2.0)

@@ -29,9 +29,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
-from . import analysis, beamform, montecarlo, timesplit
+from . import beamform, montecarlo, timesplit
 from .channel import ChannelDecomposition, LinkStats, SystemParams, sample_channel
 
 __all__ = ["main", "RECIPES", "Recipe", "default_params", "run_recipe", "run_verify"]
@@ -93,7 +92,8 @@ class Recipe:
 def _sweep(cells, trials: int, seed: int, workers: int) -> list[dict]:
     """One row per (tag, axis value, params, metric, tau) cell, in cell
     order. Every Monte Carlo cell runs in one estimate_cells call, which
-    samples each block of each n_antennas stream once for all of its cells."""
+    samples each block of each n_antennas stream once for all of its cells.
+    Only a recipe with an analytic curve imports analysis, and with it scipy."""
     kinds = [tag.split("/")[0] for tag, *_ in cells]
     estimates = iter(montecarlo.estimate_cells(
         [(p, kind, metric, tau) for kind, (_, _, p, metric, tau) in zip(kinds, cells)
@@ -101,6 +101,8 @@ def _sweep(cells, trials: int, seed: int, workers: int) -> list[dict]:
     rows = []
     for kind, (tag, x, p, metric, tau) in zip(kinds, cells):
         if kind in ANALYTIC:
+            from . import analysis
+
             value, std_err, n = getattr(analysis, ANALYTIC[kind])(p, tau), 0.0, 0
         else:
             est = next(estimates)
@@ -156,6 +158,8 @@ def _binomial_agrees(rate: float, n: int, p: float, z: float) -> bool:
     """Whether k = rate * n events in n trials lie within Binomial(n, p)'s
     two tails of Phi(-z) each, so the check fails at the 2 Phi(-z) rate
     that a normal bound at z sigma promises but exceeds at small n p."""
+    from scipy import special  # not on import: only the outage checks call this
+
     k, tail = round(rate * n), special.ndtr(-z)  # k an int: bdtr floors others silently
     return bool(special.bdtr(k, n, p) >= tail and special.bdtrc(k - 1, n, p) >= tail)
 
@@ -324,6 +328,8 @@ def _verify_lambert(count: int) -> tuple[str, bool, str]:
 
 
 def _verify_outage(params, trials: int, seed: int) -> tuple[str, bool, str]:
+    from . import analysis
+
     tau = 0.5
     # drop to 2 antennas and low power so the outage level is measurable
     p = replace(params, n_antennas=2, ps_dbm=-25.0)
@@ -334,6 +340,8 @@ def _verify_outage(params, trials: int, seed: int) -> tuple[str, bool, str]:
 
 
 def _verify_throughput_bound(params, trials: int, seed: int) -> tuple[str, bool, str]:
+    from . import analysis
+
     tau = 0.5
     est = montecarlo.estimate(params, "mrt-user", trials, seed,
                               metric="throughput", tau=tau)

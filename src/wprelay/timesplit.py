@@ -2,7 +2,8 @@
 
 optimal_tau maximizes the rate bound rate_upper(kappa, tau), the rate
 (sysmodel.link_throughput) of the SNR kappa*tau/(1-tau), in closed form for
-every coefficient of an array at once; beamform shifts it onto the
+every coefficient of an array at once, through a numpy Lambert W0 (_w0), so
+that no Monte Carlo call imports scipy; beamform shifts it onto the
 circuit-power threshold wherever the SNR is affine in tau/(1-tau), and starts
 its tau profile's Newton steps from it. golden_max, scipy's bounded scalar
 search on one interval, is the independent search `wprelay verify` checks
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import lambertw
 
 from .sysmodel import link_throughput
 
@@ -29,6 +29,33 @@ _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 _SERIES_KAPPA = 1e-4
 _W_SERIES = (0.0, 1.0, -1 / 3, 11 / 72, -43 / 540, 769 / 17280, -221 / 8505,
              680863 / 43545600, -1963 / 204120)
+# _w0 starts from the series below _W_SPLIT, from Winitzki's approximation above
+_W_SPLIT = -0.25
+
+
+def _w0(kappa: np.ndarray) -> np.ndarray:
+    """W0((kappa - 1)/e) for an array of kappa >= _SERIES_KAPPA.
+
+    The start is the branch-point series -1 + p - p^2/3 in p = sqrt(2 kappa)
+    = sqrt(2(1 + e x)) for x < _W_SPLIT, else Winitzki's (2003)
+    ln(1 + x)(1 - ln(1 + ln(1 + x))/(2 + ln(1 + x))); two quartic steps of
+    Fritsch, Shafer and Crowley (1973) take it to rounding level. At x = 0
+    (kappa = 1) the start is 0, and the steps, which read x/w there as 1,
+    keep it 0.
+    """
+    x = (kappa - 1.0) / math.e
+    p = np.sqrt(2.0 * np.minimum(kappa, 1.0))  # capped where unused, to stay finite
+    lg = np.log1p(x)
+    w = np.where(x < _W_SPLIT, (1.0 + _W_SERIES[2] * p) * p - 1.0,
+                 lg * (1.0 - np.log1p(lg) / (2.0 + lg)))
+    at0 = x == 0.0  # and only there is w = 0
+    x1 = x + at0
+    for _ in range(2):
+        z = np.log(x1 / (w + at0)) - w
+        v = 1.0 + w
+        h = v * (v + (2.0 / 3.0) * z)  # q/2 of Fritsch et al.
+        w += w * z * (h - 0.5 * z) / (v * (h - z))
+    return w
 
 
 def rate_upper(kappa, tau):
@@ -51,7 +78,7 @@ def optimal_tau(kappa):
     k = np.asarray(kappa, dtype=float)
     if not np.all(k > 0):
         raise ValueError(f"optimal_tau requires kappa > 0, got {kappa}")
-    z = np.exp(lambertw((k - 1.0) / math.e).real + 1.0)  # NaN below -1/e, replaced there
+    z = np.exp(_w0(np.maximum(k, _SERIES_KAPPA)) + 1.0)  # replaced below _SERIES_KAPPA
     tau = np.asarray((z - 1.0) / (k - 1.0 + z))
     small = k < _SERIES_KAPPA
     if small.any():

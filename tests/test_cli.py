@@ -268,7 +268,7 @@ def test_run_rejects_bad_numbers_before_any_cell(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(cli.montecarlo, "estimate", never)
     monkeypatch.setattr(cli.montecarlo, "estimate_cells", never)
-    monkeypatch.setattr(cli.analysis, "outage_exact", never)
+    monkeypatch.setattr(analysis, "outage_exact", never)
     out = tmp_path / "never.csv"
     with pytest.raises(SystemExit) as exc:
         main(["run", *flag, "--out", str(out)])

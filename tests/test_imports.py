@@ -9,9 +9,11 @@ import pytest
 
 import wprelay
 
-# Importing the package, its CLI and specfun (which perfbench/run.py imports
-# in every run) pulls in scipy.special only; the other scipy subpackages
-# (integrate, stats, optimize, ...) cost tenths of a second of start-up each.
+# Importing the package and its CLI loads no scipy at all (see
+# test_monte_carlo_loads_no_scipy). The modules that do need it, analysis and
+# specfun (which perfbench/run.py imports in every run), pull in scipy.special
+# only; the other scipy subpackages (integrate, stats, optimize, ...) cost
+# tenths of a second of start-up each, so they are imported where called.
 PROBE = """
 import sys
 import scipy.special
@@ -20,15 +22,39 @@ import wprelay, wprelay.cli, wprelay.analysis, wprelay.specfun
 print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'scipy'))
 """
 
+# The Monte Carlo path, the optimized tau's Lambert W included, and a
+# fixed-tau recipe run on numpy alone: scipy.special takes longer to import
+# than most recipes take to run.
+MONTE_CARLO = """
+import sys
+import wprelay, wprelay.cli
+from wprelay.cli import default_params, main
+from wprelay.montecarlo import estimate
+p = default_params()
+estimate(p, "mrt-user", 300, 1, metric="outage", tau=0.5)
+estimate(p, "suboptimal", 300, 1)
+estimate(p, "exact", 8, 1)
+assert main(["run", "fig8a", "--trials", "500", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
 
-def test_package_import_loads_no_scipy_beyond_special():
+
+def _run_probe(code: str, *args: str) -> str:
     # The probe imports the same wprelay as this process, installed or not.
     src = str(Path(wprelay.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_package_import_loads_no_scipy_beyond_special():
+    assert _run_probe(PROBE) == "[]"
+
+
+def test_monte_carlo_loads_no_scipy(tmp_path):
+    assert _run_probe(MONTE_CARLO, str(tmp_path / "fig8a.csv")) == "[]"
 
 
 @pytest.mark.parametrize("name", ["wprelay"] + [
