@@ -8,7 +8,7 @@ from .channel import SystemParams, sample_channel
 from .beamform import solve
 from .sysmodel import snr_exact, throughput
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = ["SystemParams", "sample_channel", "solve", "snr_exact", "throughput",
            "__version__"]

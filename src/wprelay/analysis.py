@@ -24,6 +24,17 @@ over s is a fixed Gauss-Legendre rule on panels equally spaced in ln s,
 which resolves both the sqrt(x) scale near s = 0 and the bulk of the
 Gamma density. outage_exact integrates that CDF over |h3|^2 and ||h1||^2
 with the same kind of rule, all nodes of both layers as numpy arrays.
+
+As F depends on x and N only, outage_exact reads it from one table per N
+(_mix_table, cached like the s rule) rather than summing the rule at each
+of its about 28 000 arguments. The table's nodes are equally spaced in
+u = ln x, at most 0.02 apart (about 5 000 nodes), from x = 1e-40 to the
+point where F saturates; it holds ln F and its slope x F'/F, with F' from
+the same s-sum, and a cubic Hermite in u joins them using numpy alone.
+Against the direct sum it is within 2.8e-10 of F relative for N from 2 to
+300, and a build takes about 6 ms. Below x = 1e-40 the read is the direct
+sum. relay_mix_cdf itself stays the direct sum, so a test that checks it
+against an independent quadrature also checks the table's source.
 """
 from __future__ import annotations
 
@@ -62,6 +73,10 @@ _S_FLOOR = 1e-6  # s in [0, _S_FLOOR] is lumped into one node
 _T_FLOOR = 1e-15  # the t rule lumps at least [0, _T_FLOOR] into one node, so its
 # panels stay narrow as t* -> 0 at the edge of the outage region
 _MAX_ELEMENTS = 65536  # elements of the largest (x, s) temporary
+_TABLE_X_LO = 1e-40  # lowest node of the mix-CDF table; below it the direct sum
+_TABLE_STEP = 0.02  # largest step of the table's grid in ln x: F within 2.8e-10
+# relative for about 6 ms a build; 0.05 builds in 2.5 ms but reaches 1.1e-8, the
+# size of the 1e-8 tolerance that outage_exact is held to
 _TOP_FLOOR = 1e-12  # outage_exact leaves off [(1 - _TOP_FLOOR) y_max, y_max]
 
 
@@ -107,6 +122,22 @@ def _mix_rule(n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return s, w, saturation
 
 
+def _mix_sum(x: np.ndarray, s: np.ndarray, w: np.ndarray, slope: bool = False):
+    """F(x) = sum of w (1 - exp(-r)) over the s nodes, r^2 + s r = x, at each x
+    of a flat array; with slope=True also dF/dx = sum of w exp(-r) / (2r + s).
+    Rows of x go in chunks that keep every (x, s) temporary within _MAX_ELEMENTS."""
+    f = np.empty(x.size)
+    df = np.empty(x.size) if slope else None
+    rows = _MAX_ELEMENTS // s.size
+    for i in range(0, x.size, rows):
+        xc = x[i:i + rows, None]
+        root = 2.0 * xc / (s + np.sqrt(s * s + 4.0 * xc))
+        f[i:i + rows] = (-np.expm1(-root) * w).sum(axis=1)
+        if slope:
+            df[i:i + rows] = (np.exp(-root) * w / (2.0 * root + s)).sum(axis=1)
+    return (f, df) if slope else f
+
+
 def relay_mix_cdf(x, n_antennas: int):
     """CDF of z = v * ||h2||^4, v ~ Beta(1, N-1) independent of ||h2||^2.
 
@@ -124,14 +155,57 @@ def relay_mix_cdf(x, n_antennas: int):
     xa = np.asarray(x, dtype=float)
     flat = xa.ravel()
     out = np.where(flat >= saturation, 1.0, 0.0)
-    inside = np.flatnonzero(~(flat <= 0.0) & ~(flat >= saturation))
-    rows = _MAX_ELEMENTS // s.size
-    for i in range(0, inside.size, rows):
-        idx = inside[i:i + rows]
-        xc = flat[idx, None]
-        root = 2.0 * xc / (s + np.sqrt(s * s + 4.0 * xc))
-        out[idx] = np.minimum((-np.expm1(-root) * w).sum(axis=1), 1.0)
+    inside = ~(flat <= 0.0) & ~(flat >= saturation)
+    out[inside] = np.minimum(_mix_sum(flat[inside], s, w), 1.0)
     return float(out[0]) if xa.ndim == 0 else out.reshape(xa.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _mix_table(n: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """relay_mix_cdf's table for N antennas: ln x of its lowest node, its step
+    in ln x, F at its nodes, and rows c1, c2, c3 of Hermite coefficients with
+    one column per interval.
+
+    The nodes are equally spaced in u = ln x, at most _TABLE_STEP apart, from
+    x = _TABLE_X_LO to the saturation point. Over each interval, ln F is the
+    cubic in t = (u - u_k) / step that matches ln F and its slope x F'/F at
+    both ends, written as ln F_k + t (c1 + t (c2 + t c3)).
+    """
+    s, w, saturation = _mix_rule(n)
+    u_lo, u_hi = float(np.log(_TABLE_X_LO)), float(np.log(saturation))
+    intervals = math.ceil((u_hi - u_lo) / _TABLE_STEP)
+    step = (u_hi - u_lo) / intervals
+    x = np.exp(u_lo + step * np.arange(intervals + 1))
+    x[0], x[-1] = _TABLE_X_LO, saturation
+    f, df = _mix_sum(x, s, w, slope=True)
+    f = np.minimum(f, 1.0)
+    m = step * x * df / f  # d ln F / dt at the nodes
+    d = np.log(f[1:] / f[:-1])
+    # Slopes cut to 3 d keep each cubic monotone (Fritsch and Carlson 1980); the
+    # cut acts only near saturation, where 1 - F, and so d, is a few ulps of 1.
+    a, b = np.minimum(m[:-1], 3.0 * d), np.minimum(m[1:], 3.0 * d)
+    coef = np.stack((a, 3.0 * d - 2.0 * a - b, a + b - 2.0 * d))
+    f.setflags(write=False)
+    coef.setflags(write=False)
+    return u_lo, step, f, coef
+
+
+def _mix_cdf_interp(x: np.ndarray, n: int) -> np.ndarray:
+    """relay_mix_cdf(x, n) for an array x, read from _mix_table(n) between its
+    lowest node and saturation and summed directly elsewhere (0 at x <= 0, 1
+    from saturation). Each interval's values are held within the F of its
+    ends, so the result never falls in x where the table's nodes do not."""
+    u_lo, step, f, (c1, c2, c3) = _mix_table(n)
+    flat = x.ravel()
+    grid = (flat >= _TABLE_X_LO) & (flat < _mix_rule(n)[2])
+    out = np.empty(flat.size)
+    out[~grid] = relay_mix_cdf(flat[~grid], n)
+    u = (np.log(flat[grid]) - u_lo) / step
+    k = np.minimum(u.astype(np.intp), c1.size - 1)
+    t = u - k
+    lo, hi = f[k], f[k + 1]
+    out[grid] = np.minimum(np.maximum(lo * np.exp(t * (c1[k] + t * (c2[k] + t * c3[k]))), lo), hi)
+    return out.reshape(x.shape)
 
 
 def branch_cdfs(params: SystemParams, tau: float) -> dict[str, Callable[[float], float]]:
@@ -229,7 +303,7 @@ def outage_exact(params: SystemParams, tau: float) -> float:
     t, w = _log_rule(t_lo, _NEGLIGIBLE_EXP)
     t = np.concatenate((0.5 * t_lo[:, None], t), axis=1)
     w = np.concatenate((-np.expm1(-t_lo)[:, None], w * np.exp(-t[:, 1:])), axis=1)
-    second = (relay_mix_cdf(a[:, None] + t_star[:, None] / t, n) * w).sum(axis=1)
+    second = (_mix_cdf_interp(a[:, None] + t_star[:, None] / t, n) * w).sum(axis=1)
     val = gammainc(n, y_lo) + weight @ (-np.expm1(-mu0) + np.exp(-mu0) * second)
     if val < -_OUTAGE_SLOP or val > 1.0 + _OUTAGE_SLOP:
         raise ValueError(f"outage estimate {val} escapes [0, 1]")

@@ -82,12 +82,19 @@ def _check_tau(tau) -> None:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
 
 
+# The linear values SystemParams derives, and the dBm/dB fields each comes from.
+_LINEAR_SOURCES = {"rho": ("ps_dbm", "noise_dbm"), "ps_watt": ("ps_dbm",),
+                   "noise_watt": ("noise_dbm",), "pc_watt": ("pc_dbm",),
+                   "gamma_th": ("gamma_th_db",)}
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All scenario constants. Powers in dBm, distances in meters.
 
     Conversions to linear scale happen once here; everything downstream
-    works in watts and linear SNR.
+    works in watts and linear SNR. A dBm or dB field, or the pair behind
+    rho, whose linear value overflows a float raises ValueError.
     """
 
     n_antennas: int
@@ -118,6 +125,14 @@ class SystemParams:
             raise ValueError("alpha must be >= 2")
         if not (0 < self.eta <= 1):
             raise ValueError("eta must lie in (0, 1]")
+        for name, sources in _LINEAR_SOURCES.items():
+            try:
+                value = getattr(self, name)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                given = ", ".join(f"{f}={getattr(self, f)!r}" for f in sources)
+                raise ValueError(f"{name} overflows a float at {given}")
 
     @property
     def rho(self) -> float:

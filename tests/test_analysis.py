@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammainc
 
-from wprelay.analysis import (BranchConstants, branch_cdfs, branch_constants,
-                              branch_moments, outage_exact, outage_high_snr,
-                              relay_mix_cdf, throughput_lower_bound)
+from wprelay.analysis import (_TABLE_X_LO, BranchConstants, _mix_cdf_interp, _mix_rule,
+                              _mix_table, branch_cdfs, branch_constants, branch_moments,
+                              outage_exact, outage_high_snr, relay_mix_cdf,
+                              throughput_lower_bound)
 from wprelay.channel import SystemParams, sample_channel_block
 from wprelay.montecarlo import estimate
 
@@ -106,6 +107,32 @@ def test_relay_mix_cdf_is_a_cdf_over_the_whole_range(n, x):
     assert np.all((got >= 0.0) & (got <= 1.0))
     assert np.all(np.diff(got) >= 0.0)
     assert np.array_equal(got, [relay_mix_cdf(float(v), n) for v in x])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 64, 300])
+def test_mix_table_read_matches_the_direct_sum(n):
+    # Across the grid within 1e-9 of F relative: the worst of 200 000 random x
+    # per N was 2.8e-10 (N = 300), 3.6x inside the bound. Outside it the read
+    # is the direct sum, bit for bit.
+    saturation = _mix_rule(n)[2]
+    x = np.exp(np.random.default_rng(n).uniform(math.log(_TABLE_X_LO), math.log(saturation),
+                                                20_000))
+    ref = relay_mix_cdf(x, n)
+    assert np.all(np.abs(_mix_cdf_interp(x, n) - ref) <= 1e-9 * ref)
+    outside = np.array([-1.0, 0.0, 1e-300, 1e-45, np.nextafter(_TABLE_X_LO, 0.0),
+                        saturation, np.nextafter(saturation, np.inf), 2.0 * saturation, 1e300])
+    assert np.array_equal(_mix_cdf_interp(outside, n), relay_mix_cdf(outside, n))
+    # sorted x, the table's nodes and their neighbouring doubles among them, and
+    # the last decade before saturation, where 1 - F is only some ulps of 1 (at
+    # N = 5 cubics through the nodes' own slopes fall there by up to 4e-15)
+    u_lo, step, f, _ = _mix_table(n)
+    nodes = np.exp(u_lo + step * np.arange(f.size))
+    xs = np.sort(np.concatenate((x, outside, nodes, np.nextafter(nodes, 0.0),
+                                 np.nextafter(nodes, np.inf), [_TABLE_X_LO],
+                                 np.geomspace(0.1 * saturation, saturation, 5000))))
+    got = _mix_cdf_interp(xs, n)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert np.all(np.diff(got) >= 0.0)
 
 
 def test_branch_cdfs_match_simulation():

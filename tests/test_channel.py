@@ -51,6 +51,24 @@ def test_params_reject_non_integer_antennas_and_non_finite_fields(field, value):
         SystemParams(**{"n_antennas": 2, "d1": 1.0, "d2": 1.0, "d3": 1.0, field: value})
 
 
+@pytest.mark.parametrize("given, name", [
+    ({"ps_dbm": 3000.0}, "rho"), ({"noise_dbm": -3100.0}, "rho"),
+    ({"noise_dbm": 3200.0}, "noise_watt"),
+    ({"ps_dbm": 3200.0, "noise_dbm": 3200.0}, "ps_watt"), ({"pc_dbm": 3200.0}, "pc_watt"),
+    ({"gamma_th_db": 3100.0}, "gamma_th"),
+])
+def test_params_reject_powers_whose_linear_value_overflows(given, name):
+    # each dBm/dB field is finite, but 10^(value/10) leaves the float range
+    with pytest.raises(ValueError, match=f"^{name} overflows a float at "):
+        SystemParams(n_antennas=2, d1=1.0, d2=1.0, d3=1.0, **given)
+
+
+def test_params_keep_large_powers_whose_linear_values_are_finite():
+    p = SystemParams(n_antennas=2, d1=1.0, d2=1.0, d3=1.0, ps_dbm=2000.0, noise_dbm=-1000.0,
+                     pc_dbm=3000.0, gamma_th_db=-3000.0)
+    assert math.isfinite(p.rho) and math.isfinite(p.pc_watt) and p.gamma_th == 1e-300
+
+
 def test_params_linear_properties():
     assert PARAMS.rho == pytest.approx(10 ** ((40.0 - PARAMS.noise_dbm) / 10))
     assert PARAMS.gamma_th == pytest.approx(1.0)

@@ -259,6 +259,8 @@ def _custom(axis, values, strategies, *flags):
      "('exact', 'suboptimal', 'large-n', 'mrt-user', 'no-relay')"),
     (["fig8b", "--config", "/missing"], "[Errno 2] No such file or directory: '/missing'"),
     (["fig8b", "--trials", str(2 ** 64 + 1)], f"--trials must be <= 2**64, got {2 ** 64 + 1}"),
+    (_custom("ps_dbm", "3000", "suboptimal"),
+     f"rho overflows a float at ps_dbm=3000.0, noise_dbm={default_params().noise_dbm!r}"),
 ])
 def test_run_rejects_bad_numbers_before_any_cell(tmp_path, capsys, monkeypatch, flag, message):
     # a bad number, cell or config file is a usage error: exit status 2, one

@@ -38,6 +38,21 @@ assert main(["run", "fig8a", "--trials", "500", "--out", sys.argv[1]]) == 0
 print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 """
 
+# The analytic outage reads its mix-CDF table with numpy alone: building and
+# interpolating it at two antenna counts loads no scipy subpackage but special
+# (scipy.interpolate alone costs about 0.2 s to import).
+OUTAGE = """
+import sys
+from dataclasses import replace
+from wprelay.analysis import outage_exact
+from wprelay.cli import default_params
+p = default_params()
+for n in (2, 10):
+    outage_exact(replace(p, n_antennas=n, ps_dbm=-30.0), 0.5)
+print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy.") and m.count(".") == 1
+             and not m.startswith("scipy._") and hasattr(mod, "__path__")))
+"""
+
 
 def _run_probe(code: str, *args: str) -> str:
     # The probe imports the same wprelay as this process, installed or not.
@@ -55,6 +70,10 @@ def test_package_import_loads_no_scipy_beyond_special():
 
 def test_monte_carlo_loads_no_scipy(tmp_path):
     assert _run_probe(MONTE_CARLO, str(tmp_path / "fig8a.csv")) == "[]"
+
+
+def test_outage_loads_no_scipy_subpackage_but_special():
+    assert _run_probe(OUTAGE) == "['scipy.special']"
 
 
 @pytest.mark.parametrize("name", ["wprelay"] + [
