@@ -99,7 +99,7 @@ class BeamformerDesign:
 class BlockDesign:
     """Designs for the lanes of a ChannelDecomposition, one array entry per
     lane; g1 and g2 may hold one entry per trial, which broadcasts against
-    the lanes, where the beam does not depend on the cell.
+    the lanes, where the beam does not depend on the cell; a fixed tau is a float.
 
     g1 = |h1^T w|^2 and g2 = |h2^T w|^2 are the gains of the beam w.
     gamma_bound, of the suboptimal and large-n designs, is upper_snr of
@@ -111,7 +111,7 @@ class BlockDesign:
     """
 
     x_bar: np.ndarray
-    tau: np.ndarray
+    tau: np.ndarray | float
     g1: np.ndarray
     g2: np.ndarray
     gamma_bound: np.ndarray | None = None
@@ -558,11 +558,12 @@ def mrt_user_block(dec: ChannelDecomposition, link: LinkStats,
     """
     g1 = link.n1_sq
     g2 = link.b * link.b
-    shape = np.shape(dec.a0)
     if tau is None:  # the profile runs on the lanes laid flat
+        shape = np.shape(dec.a0)
         lanes = (np.broadcast_to(g, shape).ravel() for g in (g1, g2))
         tau = tau_profile(dec.flat(), *lanes)[0].reshape(shape)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), shape)
+    else:
+        tau = float(tau)
     return BlockDesign(x_bar=np.ones(g1.shape), tau=tau, g1=g1, g2=g2)
 
 
@@ -617,7 +618,7 @@ def solve(strategy: str, params: SystemParams, ch: ChannelState,
     design = solve_block(strategy, params, link, tau=tau)
     x_bar = float(design.x_bar[0])
     w = _beam(strategy, ch, link, x_bar)
-    tau = float(design.tau[0])
+    tau = float(design.tau[0] if tau is None else tau)
     if design.gamma_bound is None:
         gamma = float(link_snr(params, link, design.g1, design.g2, design.tau)[0])
     else:

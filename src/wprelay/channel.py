@@ -1,14 +1,15 @@
 """Scenario parameters, the branch SNR coefficients, Rayleigh channel
 sampling and geometric decomposition.
 
-Channels come from one seekable sampler, sample_link_block, which
+Channels come from one seekable sampler, sample_link_blocks, which
 draws the statistics a Rayleigh channel reaches the designs through
 (LinkStats) directly: the Exp(1) sums as -log of products of uniforms and
 h1^H h2 as a phase, which LinkStats.inner turns into the complex value
-only for the callers that read it. sample_channel_block puts the
-statistics on random orthonormal directions when the vectors themselves
-are wanted. Trial t of a seed is the same channel whichever block or
-single draw asks for it.
+only for the callers that read it. It seeds one generator per call and
+yields a trial range block by block; sample_link_block is its one-block
+case. sample_channel_block puts the statistics on random orthonormal
+directions when the vectors themselves are wanted. Trial t of a seed is
+the same channel whichever call, block or single draw asks for it.
 
 The downlink beam is a mix of two orthonormal directions derived from the
 user channel h1 and the relay channel h2: the component of h2* along h1*
@@ -23,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,6 +45,7 @@ __all__ = [
     "sample_channel",
     "sample_channel_block",
     "sample_link_block",
+    "sample_link_blocks",
     "build_beamformer",
 ]
 
@@ -347,7 +350,7 @@ class LinkStats:
     h2 - h1 (h1^H h2)/||h1||^2, not from the radicand ||h2||^2 - b^2, which
     loses a small c to rounding; c is zeroed at or below _PERP_TOL times
     max(||h2||, 1), and build_beamformer's parallel-only case is c == 0.
-    sample_link_block draws the fields directly, with c = sqrt(s) exactly.
+    sample_link_blocks draws the fields directly, with c = sqrt(s) exactly.
     Indexing applies the index to every field.
     """
 
@@ -394,14 +397,14 @@ class LinkStats:
         return LinkStats(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
-def _uniforms(master_seed: int, region: int, start: int, stop: int, words: int) -> np.ndarray:
-    """Uniforms in [0, 1) of trials [start, stop), one row of `words` per
-    trial. Trial t reads words [t * words, (t + 1) * words) of the PCG64DXSM
-    stream seeded by SeedSequence(master_seed, spawn_key=(region,)), one
-    word per uniform, so its row is the same whichever range asks for it."""
+def _stream(master_seed: int, region: int, start: int, words: int) -> Generator:
+    """The PCG64DXSM stream seeded by SeedSequence(master_seed,
+    spawn_key=(region,)), advanced to trial start. Trial t reads words
+    [t * words, (t + 1) * words) of it, one word per uniform in [0, 1), so
+    its uniforms are the same whichever range asks for them."""
     bg = PCG64DXSM(SeedSequence(master_seed, spawn_key=(region,)))
     bg.advance(start * words)
-    return Generator(bg).random((stop - start) * words).reshape(stop - start, words)
+    return Generator(bg)
 
 
 def _normals_in_place(z: np.ndarray) -> None:
@@ -418,25 +421,30 @@ def _exp_sums(f: np.ndarray) -> np.ndarray:
     """The sum over each row of f, whose entries lie in [2**-53, 1], of the
     Exp(1) draws -log f: -log of the row's product, taken in column order,
     with one log per _LOG_SPAN factors so that no product leaves the normal
-    floats. A row of no entries sums to 0.0."""
-    total = np.zeros(len(f))
+    floats; each product is logged and taken off the sum in its own buffer.
+    The sum starts at 0.0, so a row of ones, or of no entries, is +0.0."""
+    total = 0.0
     for lo in range(0, f.shape[1], _LOG_SPAN):
-        p = f[:, lo].copy()
-        for j in range(lo + 1, min(lo + _LOG_SPAN, f.shape[1])):
+        hi = min(lo + _LOG_SPAN, f.shape[1])
+        p = f[:, lo].copy() if hi - lo == 1 else f[:, lo] * f[:, lo + 1]
+        for j in range(lo + 2, hi):
             p *= f[:, j]
-        total -= np.log(p, out=p)
-    return total
+        total = np.subtract(total, np.log(p, out=p), out=p)
+    return total if f.shape[1] else np.zeros(len(f))
 
 
-def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) -> LinkStats:
-    """Channel statistics of trials [start, stop) of a seekable stream.
+def sample_link_blocks(n_antennas: int, master_seed: int, start: int, stop: int,
+                       size: int) -> Iterator[LinkStats]:
+    """Channel statistics of trials [start, stop) of a seekable stream, in
+    blocks of `size` trials, from one seeding and one buffer (each block's
+    fields are its own arrays); arguments are checked as block one is drawn.
 
     A Rayleigh channel reaches the designs and the SNR only through
     LinkStats, whose fields are drawn directly, by rotational invariance:
     ||h1||^2 ~ Gamma(N); h1^H h2 = a u with u ~ CN(0, 1) the part of h2
     along h1; ||h2||^2 = |u|^2 + s with s ~ Gamma(N - 1) the rest of h2;
     |h3|^2 ~ Exp(1). Trial t reads its own 2N + 2 words of the PCG64DXSM
-    stream of master_seed's region 0 (_uniforms). With f = 1 - U, exact
+    stream of master_seed's region 0 (_stream). With f = 1 - U, exact
     for these uniforms, -log f is an Exp(1) draw: ||h1||^2 and s are -log
     of the products of the first N and the next N - 1 words' f (_exp_sums),
     |h3|^2 = -log f of word 2N - 1 and |u|^2, itself Exp(1), -log f of word
@@ -455,15 +463,21 @@ def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) 
         raise ValueError(f"trials need ints 0 <= start < stop <= 2**64, got "
                          f"[{start!r}, {stop!r})")
     n, start, stop = int(n_antennas), int(start), int(stop)  # numpy ints overflow in the offsets
-    z = _uniforms(master_seed, 0, start, stop, 2 * n + 2)
-    phase = z[:, 2 * n + 1] * (2.0 * math.pi) - math.pi
-    f = np.subtract(1.0, z, out=z)  # the whole buffer: one contiguous pass
-    n1_sq, s, h3_sq, u_sq = (_exp_sums(f[:, lo:hi]) for lo, hi in (
-        (0, n), (n, 2 * n - 1), (2 * n - 1, 2 * n), (2 * n, 2 * n + 1)))
-    del z, f  # freed before the derived fields are built, which lowers the peak
-    a = np.sqrt(n1_sq)
-    return LinkStats(n1_sq=n1_sq, phase=phase, n2_sq=u_sq + s, h3_sq=h3_sq,
-                     a=a, b=np.sqrt(u_sq), c=np.sqrt(s), ok=n1_sq > 0.0)
+    gen = _stream(master_seed, 0, start, 2 * n + 2)
+    buf = np.empty((min(size, stop - start), 2 * n + 2))
+    for first in range(start, stop, size):
+        z = gen.random(out=buf[:min(size, stop - first)])
+        phase = z[:, 2 * n + 1] * (2.0 * math.pi) - math.pi
+        f = np.subtract(1.0, z, out=z)  # the whole buffer: one contiguous pass
+        n1_sq, s, h3_sq, u_sq = (_exp_sums(f[:, lo:hi]) for lo, hi in (
+            (0, n), (n, 2 * n - 1), (2 * n - 1, 2 * n), (2 * n, 2 * n + 1)))
+        yield LinkStats(n1_sq=n1_sq, phase=phase, n2_sq=u_sq + s, h3_sq=h3_sq,
+                        a=np.sqrt(n1_sq), b=np.sqrt(u_sq), c=np.sqrt(s), ok=n1_sq > 0.0)
+
+
+def sample_link_block(n_antennas: int, master_seed: int, start: int, stop: int) -> LinkStats:
+    """Channel statistics of trials [start, stop): sample_link_blocks' one block."""
+    return next(sample_link_blocks(n_antennas, master_seed, start, stop, 2 ** 64))
 
 
 def sample_channel_block(params: SystemParams, master_seed: int, start: int, stop: int
@@ -483,7 +497,8 @@ def sample_channel_block(params: SystemParams, master_seed: int, start: int, sto
     link = sample_link_block(params.n_antennas, master_seed, start, stop)
     start, stop = int(start), int(stop)
     n = params.n_antennas
-    g = _uniforms(master_seed, 1, start, stop, 4 * n + 2)
+    g = _stream(master_seed, 1, start, 4 * n + 2).random((stop - start) * (4 * n + 2))
+    g = g.reshape(stop - start, 4 * n + 2)
     h3 = np.sqrt(link.h3_sq) * np.exp(2j * math.pi * g[:, 4 * n])
     _normals_in_place(g)
     h1, h2 = g.view(complex)[:, :n], g.view(complex)[:, n:2 * n]  # made into h1, h2 in place

@@ -1,13 +1,16 @@
 """Reproducible Monte Carlo estimation of throughput, outage and time split.
 
 Trial t always reads the same words of a seekable random stream, from
-which channel.sample_link_block draws its channel statistics directly (no
+which channel.sample_link_blocks draws its channel statistics directly (no
 channel vector is built), so any thread can sample any range of trials by
 itself. Trials are sampled, evaluated and reduced in fixed blocks of
 _BLOCK consecutive trials: chunks handed to workers hold whole blocks
 only, each block yields (n, sum, M2), and the blocks are merged in trial
 order with the pairwise update of Chan, Golub and LeVeque (1983).
 Estimates are therefore bit-identical for any worker count or chunk size.
+A chunk seeds one generator per stream and draws its blocks from it in
+turn. A fixed tau stays a float; the SNR, the rate and the reduction work
+in place, in the order of operations of their formulas.
 
 A channel depends only on (n_antennas, master_seed, trial), so cells that
 share n_antennas share a stream. estimate_cells takes any list of cells (a
@@ -27,9 +30,10 @@ arrays made a lone thread slower, while four blocks already spare the
 per-call cost of small cells (fig4 at a few trials a point) and the
 calls that pooled threads wait on each other for.
 
-A block lives only as long as the call that samples it, and a thread
-holds one block of each stream at a time: separate estimate calls on one
-stream sample their own blocks, and only the cells of one call share them.
+A block, and a chunk's generator, lives only as long as the call that
+samples it, and a thread holds one block of each stream at a time:
+separate estimate calls on one stream sample their own blocks, and only
+the cells of one call share them.
 
 Workers are threads of the calling process; each evaluates every stack
 on the blocks of its chunks. A pool runs only when the trials
@@ -57,7 +61,7 @@ import numpy as np
 
 from . import beamform
 from .channel import (ChannelDecomposition, LinkStats, SystemParams, _check_seed, _check_tau,
-                      _is_int, cell_constants, sample_link_block)
+                      _is_int, cell_constants, sample_link_blocks)
 from .sysmodel import coefficient_snr, link_throughput
 
 __all__ = [
@@ -137,20 +141,23 @@ def _stack_values(stack: _Stack, link: LinkStats) -> tuple[list[np.ndarray], np.
     call on the block's trials under every cell's constants."""
     dec = ChannelDecomposition.stack(stack.consts, link)
     relay = stack.strategy != "no-relay"
+    fixed = stack.tau is not None  # a fixed tau stays a float
     with np.errstate(all="ignore"):  # failed trials are masked below
         if relay:
             design = beamform.solve_lanes(stack.strategy, dec, link, tau=stack.tau)
             g1, g2, tau = design.g1, design.g2, design.tau
         else:
-            g1, g2, tau = link.n1_sq, 0.0, stack.tau
-            if tau is None:
-                tau = beamform.direct_tau(dec, link)
-        tau = np.broadcast_to(tau, np.shape(dec.a0))
+            g1, g2 = link.n1_sq, 0.0
+            tau = stack.tau if fixed else beamform.direct_tau(dec, link)
         shape = (len(stack.cells), len(link))  # a stack of one has the block's shape
-        gamma, tau = coefficient_snr(dec, g1, g2, tau, relay).reshape(shape), tau.reshape(shape)
-        ok = link.ok & np.isfinite(gamma) & np.isfinite(tau)
+        gamma = coefficient_snr(dec, g1, g2, tau, relay).reshape(shape)
+        ok = np.isfinite(gamma) & link.ok
+        if not fixed:
+            tau = np.broadcast_to(tau, np.shape(dec.a0)).reshape(shape)
+            ok &= np.isfinite(tau)
         rate = link_throughput(gamma, tau, relay) if "throughput" in stack.metrics else None
-        vals = [tau[i] if metric == "tau" else rate[i] if metric == "throughput"
+        vals = [(np.full(len(link), tau) if fixed else tau[i]) if metric == "tau"
+                else rate[i] if metric == "throughput"
                 else (gamma[i] < stack.gamma_th[i]).astype(float)
                 for i, metric in enumerate(stack.metrics)]
     return vals, ok
@@ -160,22 +167,24 @@ def _run_chunk(stacks, n_cells: int, master_seed: int, start: int, stop: int
                ) -> list[list[tuple[int, int, float, float]]]:
     """Trials [start, stop) of every cell of the stacks, a whole number of
     blocks except at the end; each block of each stream is sampled once,
-    whatever the number of cells on it.
+    whatever the number of cells on it, by one sample_link_blocks call.
 
     Returns per cell, per block (ok, failed, sum, M2), where M2
     is the sum of squared deviations from the block mean.
     """
     parts = [[] for _ in range(n_cells)]
+    streams = {n: sample_link_blocks(n, master_seed, start, stop, _BLOCK)
+               for n in {stack.n_antennas for stack in stacks}}
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
-        links = {n: sample_link_block(n, master_seed, lo, hi)
-                 for n in {stack.n_antennas for stack in stacks}}
+        links = {n: next(blocks) for n, blocks in streams.items()}
         for stack in stacks:
             vals, ok = _stack_values(stack, links[stack.n_antennas])
             for cell, row_vals, row_ok in zip(stack.cells, vals, ok):
-                v = row_vals[row_ok]
-                total = float(np.sum(v))
-                m2 = float(np.sum(np.square(v - total / v.size))) if v.size else 0.0
+                v = row_vals[row_ok]  # a copy, which the reduction overwrites
+                total = float(v.sum())
+                v -= total / max(v.size, 1)
+                m2 = float(np.square(v, out=v).sum())
                 parts[cell].append((v.size, hi - lo - v.size, total, m2))
     return parts
 

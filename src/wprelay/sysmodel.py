@@ -8,9 +8,10 @@ post-combining SNR is the direct-link term plus the relayed term.
 One kernel computes that SNR, coefficient_snr: it takes the per-trial
 coefficients (channel.ChannelDecomposition), the beam gains g1 = |h1^T w|^2
 and g2 = |h2^T w|^2, and tau, as numpy arrays that broadcast against each
-other. relay=False gives the direct-link baseline, where the user transmits
-for the whole (1-tau)*T. link_snr and snr_exact build the coefficients of a
-block of trials or of one channel and evaluate them.
+other (a fixed tau is a float). relay=False gives the direct-link baseline,
+where the user transmits for the whole (1-tau)*T. link_snr and snr_exact
+build the coefficients of a block of trials or of one channel and evaluate
+them. The SNR and the rate work in place, in their formulas' order.
 """
 from __future__ import annotations
 
@@ -77,9 +78,17 @@ def _hops(dec: ChannelDecomposition, g1, g2, tau, relay: bool = True):
 
 
 def coefficient_snr(dec: ChannelDecomposition, g1, g2, tau, relay: bool = True):
-    """Exact post-MRC SNR of each trial of dec under beam gains g1, g2 at tau."""
+    """Exact post-MRC SNR of each trial of dec under beam gains g1, g2 at tau:
+    gd + xu xr / (xu + xr + 1), built in the hops' arrays, so g1 and g2 must
+    share a shape, and dec's c0 and d0 a0's."""
     gd, xu, xr = _hops(dec, g1, g2, tau, relay)
-    return gd + xu * xr / (xu + xr + 1.0) if relay else gd
+    if relay:
+        den = xu + xr
+        den += 1.0
+        xu *= xr
+        xu /= den
+        gd += xu
+    return gd
 
 
 def link_snr(params: SystemParams, link, g1, g2, tau, relay: bool = True):
@@ -90,7 +99,10 @@ def link_snr(params: SystemParams, link, g1, g2, tau, relay: bool = True):
 def link_throughput(gamma, tau, relay: bool = True):
     """Per-trial throughput in bits/s/Hz; the data phase is halved with the relay.
     log1p keeps the rate's relative accuracy at small gamma."""
-    return (0.5 if relay else 1.0) * (1.0 - tau) * np.log1p(gamma) / _LN2
+    rate = np.log1p(gamma)
+    rate *= (0.5 if relay else 1.0) * (1.0 - tau)
+    rate /= _LN2
+    return rate
 
 
 def snr_exact(params: SystemParams, ch: ChannelState, w: np.ndarray,

@@ -15,7 +15,7 @@ from wprelay.channel import (DEFAULT_NOISE_DBM, ChannelDecomposition, ChannelSta
                              DegenerateChannelError, LinkStats, SystemParams, _exp_sums,
                              branch_constants, build_beamformer, cell_constants,
                              dbm_to_watt, sample_channel, sample_channel_block,
-                             sample_link_block)
+                             sample_link_block, sample_link_blocks)
 
 PARAMS = SystemParams(n_antennas=6, d1=20.0, d2=15.0, d3=15.0, ps_dbm=40.0)
 
@@ -326,6 +326,31 @@ def test_exp_sums_keep_every_product_a_normal_float():
         got = _exp_sums(f)
     assert np.isfinite(got).all()
     assert got[0] == pytest.approx(300 * 53 * math.log(2.0), rel=4 * np.finfo(float).eps)
+
+
+def test_exp_sums_keep_the_sign_of_zero():
+    # a row of ones, one of no entries and one of one entry: each sums to +0.0
+    for f in (np.ones((3, 2)), np.ones((3, 0)), np.ones((3, 1))):
+        got = _exp_sums(f)
+        assert got.tobytes() == np.zeros(3).tobytes(), f.shape
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_block_iterator_matches_one_block_calls(n):
+    # blocks of 4096 from an odd start, across the trial 32768 at which Monte
+    # Carlo's default chunks start a new generator, and a short last block:
+    # each equals the one-block call on its range, byte for byte
+    start, stop, size = 32768 - 2 * 4096 + 3, 32768 + 4096 + 11, 4096
+    firsts = range(start, stop, size)
+    blocks = list(sample_link_blocks(n, 9, start, stop, size))
+    assert [len(link) for link in blocks] == [min(size, stop - lo) for lo in firsts]
+    for lo, got in zip(firsts, blocks):
+        want = sample_link_block(n, 9, lo, min(lo + size, stop))
+        for f in fields(LinkStats):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (lo, f.name)
+        if n == 1:  # s = 0, no part of h2 is perpendicular to h1: c = sqrt(s) is +0.0
+            assert not got.c.any() and not np.signbit(got.c).any()
 
 
 def _in_pieces(sample, trials, piece=2 ** 15):

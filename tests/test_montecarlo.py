@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import sys
 import threading
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wprelay import montecarlo
+from wprelay import channel, montecarlo
 from wprelay.cli import default_params, run_recipe
-from wprelay.channel import ChannelState, LinkStats, SystemParams, sample_channel_block
+from wprelay.channel import (ChannelState, LinkStats, SystemParams, sample_channel_block,
+                             sample_link_block)
 from wprelay.montecarlo import (MC_STRATEGIES, METRICS, PerformanceEstimate,
                                 SimulationError, estimate, estimate_cells)
 from wprelay.sysmodel import snr_exact, throughput
@@ -233,7 +235,7 @@ def test_trial_counts_beyond_the_stream_are_rejected_before_sampling(monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("a block was sampled")
 
-    monkeypatch.setattr(montecarlo, "sample_link_block", never)
+    monkeypatch.setattr(montecarlo, "sample_link_blocks", never)
     with pytest.raises(ValueError, match=r"n_trials must be <= 2\*\*64, got 18446744073709551617"):
         estimate(PARAMS, "mrt-user", 2 ** 64 + 1, 1, tau=0.5)
 
@@ -246,18 +248,26 @@ def test_fixed_tau_error_names_both_strategies_that_take_one():
     assert est.n_trials + est.n_failed == 100
 
 
+def _each_block(monkeypatch, record) -> None:
+    """Patch the chunk sampler so that record(n_antennas, master_seed, start,
+    link) sees every block it yields, start being the block's first trial."""
+    real = montecarlo.sample_link_blocks
+
+    def wrapped(n_antennas, master_seed, start, stop, size):
+        for link in real(n_antennas, master_seed, start, stop, size):
+            record(n_antennas, master_seed, start, link)
+            start += len(link)
+            yield link
+
+    monkeypatch.setattr(montecarlo, "sample_link_blocks", wrapped)
+
+
 def _tracking(monkeypatch) -> list:
     """Patch the sampler to record (stream, trials, weak reference) of every
     block it draws, so a test can see which blocks are still alive."""
     drawn = []
-    real = montecarlo.sample_link_block
-
-    def tracked(n_antennas, master_seed, start, stop):
-        link = real(n_antennas, master_seed, start, stop)
-        drawn.append(((n_antennas, master_seed), stop - start, weakref.ref(link)))
-        return link
-
-    monkeypatch.setattr(montecarlo, "sample_link_block", tracked)
+    _each_block(monkeypatch, lambda n_antennas, master_seed, start, link: drawn.append(
+        ((n_antennas, master_seed), len(link), weakref.ref(link))))
     return drawn
 
 
@@ -346,7 +356,7 @@ def test_seed_is_checked_before_the_memo(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a block was sampled")
 
-    monkeypatch.setattr(montecarlo, "sample_link_block", never)
+    monkeypatch.setattr(montecarlo, "sample_link_blocks", never)
     for seed in (True, 1.0, -1, 2 ** 128):
         with pytest.raises(ValueError, match="master_seed"):
             estimate(PARAMS, "mrt-user", 100, seed, tau=0.5)
@@ -354,13 +364,7 @@ def test_seed_is_checked_before_the_memo(monkeypatch):
 
 def test_a_sweep_samples_each_trial_once(monkeypatch, tmp_path):
     sampled = []
-    real = montecarlo.sample_link_block
-
-    def counting(n_antennas, master_seed, start, stop):
-        sampled.append(stop - start)
-        return real(n_antennas, master_seed, start, stop)
-
-    monkeypatch.setattr(montecarlo, "sample_link_block", counting)
+    _each_block(monkeypatch, lambda n_antennas, master_seed, start, link: sampled.append(len(link)))
     base = default_params()
     # a run twice, so that the second would show any block kept from the first
     for name, trials, workers in [("fig8b", 2000, 1), ("fig8b", 2000, 1),
@@ -464,13 +468,8 @@ def test_a_sweep_solves_and_evaluates_each_stack_once_per_block(monkeypatch, tmp
 @pytest.mark.parametrize("n_trials", [3 * 4096 + 5, 70_000])
 def test_a_group_samples_each_trial_once(monkeypatch, workers, n_trials):
     sampled = []
-    real = montecarlo.sample_link_block
-
-    def counting(n_antennas, master_seed, start, stop):
-        sampled.append((start, stop))
-        return real(n_antennas, master_seed, start, stop)
-
-    monkeypatch.setattr(montecarlo, "sample_link_block", counting)
+    _each_block(monkeypatch, lambda n_antennas, master_seed, start, link: sampled.append(
+        (start, start + len(link))))
     cells = [(replace(PARAMS, ps_dbm=ps), s, "outage", 0.5)
              for ps in (10.0, 20.0, 30.0) for s in ("mrt-user", "no-relay")]
     estimate_cells(cells, n_trials, 3, workers=workers, chunk_size=4096)
@@ -483,7 +482,7 @@ def test_cells_are_checked_before_any_block_is_sampled(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a block was sampled")
 
-    monkeypatch.setattr(montecarlo, "sample_link_block", never)
+    monkeypatch.setattr(montecarlo, "sample_link_blocks", never)
     with pytest.raises(ValueError, match="at least one"):
         estimate_cells([], 100, 1)
     with pytest.raises(ValueError, match="unknown strategy"):
@@ -504,13 +503,8 @@ def test_one_call_on_two_antenna_counts_equals_each_cells_own_estimate(monkeypat
     want = [estimate(params, strategy, n, 3, metric=metric, tau=tau)
             for params, strategy, metric, tau in cells]
     sampled = []
-    real = montecarlo.sample_link_block
-
-    def counting(n_antennas, master_seed, start, stop):
-        sampled.append((n_antennas, start, stop))
-        return real(n_antennas, master_seed, start, stop)
-
-    monkeypatch.setattr(montecarlo, "sample_link_block", counting)
+    _each_block(monkeypatch, lambda n_antennas, master_seed, start, link: sampled.append(
+        (n_antennas, start, start + len(link))))
     got = estimate_cells(cells, n, 3, workers=workers, chunk_size=chunk_size)
     assert [repr(est) for est in got] == [repr(est) for est in want]
     assert sorted(sampled) == [(n_antennas, lo, min(lo + montecarlo._BLOCK, n))
@@ -521,14 +515,10 @@ def test_one_call_on_two_antenna_counts_equals_each_cells_own_estimate(monkeypat
 def test_a_failing_cell_of_a_group_raises_what_its_own_estimate_does(monkeypatch):
     # |h3|^2 not a number on one trial in 50: the relayed cells fail, the
     # direct cell never reads h3 and passes
-    real = montecarlo.sample_link_block
-
-    def broken(n_antennas, master_seed, start, stop):
-        link = real(n_antennas, master_seed, start, stop)
+    def broken(n_antennas, master_seed, start, link):
         link.h3_sq[::50] = np.nan
-        return link
 
-    monkeypatch.setattr(montecarlo, "sample_link_block", broken)
+    _each_block(monkeypatch, broken)
     direct = (PARAMS, "no-relay", "outage", 0.5)
     relayed = (PARAMS, "mrt-user", "outage", 0.5)
     n = 4000  # one block, of which 80 trials fail
@@ -540,3 +530,98 @@ def test_a_failing_cell_of_a_group_raises_what_its_own_estimate_does(monkeypatch
     assert str(grouped.value) == str(alone.value)
     est, = estimate_cells([direct], n, 3)
     assert est.n_failed == 0 and est.n_trials == n
+
+
+# value and std_err, as float.hex, of fixed-tau cells at tau = 0.3, seed 7 and
+# 2 * 4096 + 7 trials (two blocks and a partial one), ps 0 dBm, without and
+# with a -35 dBm circuit power, and an outage threshold per N that puts the
+# outage between 0 and 1: keyed by (N, pc_dbm, strategy, metric). Metric tau
+# reads the same literals in every cell.
+_PINNED_THRESHOLD_DB = {1: 20.0, 2: 30.0, 3: 35.0, 10: 50.0}
+_PINNED = {
+    (1, None, "mrt-user", "outage"): ("0x1.1ec145b8bf961p-4", "0x1.715afc4730be6p-9"),
+    (1, None, "mrt-user", "throughput"): ("0x1.da3d504401cdcp+1", "0x1.3e7d2a3acdfb3p-7"),
+    (1, None, "no-relay", "outage"): ("0x1.1ec145b8bf961p-2", "0x1.44fbb4291dc16p-8"),
+    (1, None, "no-relay", "throughput"): ("0x1.73c18aec6d371p+2", "0x1.9ace586732896p-6"),
+    (1, -35.0, "mrt-user", "outage"): ("0x1.770df4f26af8ap-1", "0x1.405e7b6249fd0p-8"),
+    (1, -35.0, "mrt-user", "throughput"): ("0x1.17c512117c42ep+0", "0x1.4975e95a5bae8p-6"),
+    (1, -35.0, "no-relay", "outage"): ("0x1.db87fa4141b9ap-1", "0x1.74508466d88f0p-9"),
+    (1, -35.0, "no-relay", "throughput"): ("0x1.1a380f6b01b2ep-1", "0x1.674c9c0fb975ep-6"),
+    (2, None, "mrt-user", "outage"): ("0x1.3d3a9b2e0decfp-4", "0x1.82edcf59c480dp-9"),
+    (2, None, "mrt-user", "throughput"): ("0x1.1c611499fe78fp+2", "0x1.d3d5d02351ef1p-8"),
+    (2, None, "no-relay", "outage"): ("0x1.301d798d69110p-2", "0x1.4ab64b6d61317p-8"),
+    (2, None, "no-relay", "throughput"): ("0x1.ea254db7942cdp+2", "0x1.26127ba97d0ddp-6"),
+    (2, -35.0, "mrt-user", "outage"): ("0x1.e8153b5b04172p-2", "0x1.697d31cca51f0p-8"),
+    (2, -35.0, "mrt-user", "throughput"): ("0x1.5117be802efeep+1", "0x1.859b50d02e1ddp-6"),
+    (2, -35.0, "no-relay", "outage"): ("0x1.9c05deb747e84p-1", "0x1.1ee811e6fd3ebp-8"),
+    (2, -35.0, "no-relay", "throughput"): ("0x1.0a263fab6e190p+1", "0x1.40af0237b265ep-5"),
+    (3, None, "mrt-user", "outage"): ("0x1.37bbceeabca6cp-4", "0x1.7fd77ce55d139p-9"),
+    (3, None, "mrt-user", "throughput"): ("0x1.3719c0989449fp+2", "0x1.8415cdf606d57p-8"),
+    (3, None, "no-relay", "outage"): ("0x1.39fb510646a09p-2", "0x1.4db9274e7e018p-8"),
+    (3, None, "no-relay", "throughput"): ("0x1.15beadf941ecap+3", "0x1.c7ae03c5dcedcp-7"),
+    (3, -35.0, "mrt-user", "outage"): ("0x1.56950f64a1fc9p-2", "0x1.557f97c7c9531p-8"),
+    (3, -35.0, "mrt-user", "throughput"): ("0x1.f14b80305936cp+1", "0x1.3de07734b3dd3p-6"),
+    (3, -35.0, "no-relay", "outage"): ("0x1.68c115c33d4a9p-1", "0x1.4a33287fe5360p-8"),
+    (3, -35.0, "no-relay", "throughput"): ("0x1.0e09dc501f9e4p+2", "0x1.80b88ec0fd8cdp-5"),
+    (10, None, "mrt-user", "outage"): ("0x1.832b4e86d281fp-3", "0x1.1b638596fd511p-8"),
+    (10, None, "mrt-user", "throughput"): ("0x1.850fdfa37f6ecp+2", "0x1.bca03d1467d11p-9"),
+    (10, None, "no-relay", "outage"): ("0x1.49d7d8c8941fap-1", "0x1.5a809119f622cp-8"),
+    (10, None, "no-relay", "throughput"): ("0x1.6b83570c58b54p+3", "0x1.d620deb9b28b9p-8"),
+    (10, -35.0, "mrt-user", "outage"): ("0x1.315d339cb5b84p-2", "0x1.4b1a56806de91p-8"),
+    (10, -35.0, "mrt-user", "throughput"): ("0x1.7e88bea393a6cp+2", "0x1.f41ce3d3b0a90p-9"),
+    (10, -35.0, "no-relay", "outage"): ("0x1.92180abda6839p-1", "0x1.292b607dca951p-8"),
+    (10, -35.0, "no-relay", "throughput"): ("0x1.5fdda41d33098p+3", "0x1.2f932bed22e37p-7"),
+}
+_PINNED_TAU = ("0x1.3333333333332p-2", "0x1.69e7f19a98324p-61")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fixed_tau_estimates_are_pinned_by_literals(workers):
+    # these change if a refactor of the sampler, the SNR, the rate or the
+    # reduction moves a bit; at chunk 4096 two workers pool
+    base = default_params()
+    for n, threshold in _PINNED_THRESHOLD_DB.items():
+        for pc in (None, -35.0):
+            params = replace(base, n_antennas=n, ps_dbm=0.0, pc_dbm=pc, gamma_th_db=threshold)
+            for strategy in ("mrt-user", "no-relay"):
+                for metric in METRICS:
+                    est = estimate(params, strategy, 2 * 4096 + 7, 7, metric=metric, tau=0.3,
+                                   workers=workers, chunk_size=4096)
+                    want = _PINNED_TAU if metric == "tau" else _PINNED[n, pc, strategy, metric]
+                    assert (est.value.hex(), est.std_err.hex()) == want, (n, pc, strategy, metric)
+                    assert (est.n_trials, est.n_failed) == (2 * 4096 + 7, 0)
+
+
+def test_fixed_tau_trial_values_are_pinned_by_a_digest():
+    # the estimates above average away most last-bit changes of single
+    # trials (an SNR reassociated as xu / (xu + xr + 1) * xr keeps them);
+    # this sha256 of every trial's value and mask, in the same cells, does not
+    digest = hashlib.sha256()
+    for n, threshold in _PINNED_THRESHOLD_DB.items():
+        link = sample_link_block(n, 7, 0, 2 * 4096 + 7)
+        for pc in (None, -35.0):
+            params = replace(default_params(), n_antennas=n, ps_dbm=0.0, pc_dbm=pc,
+                             gamma_th_db=threshold)
+            for strategy in ("mrt-user", "no-relay"):
+                for metric in METRICS:
+                    vals, ok = _block_values(params, strategy, 0.3, metric, link)
+                    digest.update(vals.tobytes() + ok.tobytes())
+    assert digest.hexdigest() == "a5468b659f16151422f2a23bc910937bd66a886f7de7f9b40f4e46450bebee4f"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_call_seeds_one_generator_per_chunk_and_stream(monkeypatch, workers):
+    # 70 000 trials are three default chunks of 32768 and 18 blocks of 4096,
+    # on two streams: 6 seedings, not one per block (36)
+    seeded = []
+    real = channel.SeedSequence
+
+    def counting(*args, **kwargs):
+        seeded.append(kwargs["spawn_key"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "SeedSequence", counting)
+    cells = [(replace(PARAMS, n_antennas=n), strategy, "outage", 0.5)
+             for n in (2, 10) for strategy in ("mrt-user", "no-relay")]
+    estimate_cells(cells, 70_000, 3, workers=workers)
+    assert seeded == [(0,)] * 6
