@@ -1,8 +1,8 @@
 """Analytic outage and throughput of the user-directed beam.
 
 All results here assume the beam points entirely at the user
-(w = h1*/||h1||), for which the end-to-end SNR splits into three
-tractable branches:
+(w = h1*/||h1||), N >= 2 and no circuit power (check_scope); the
+end-to-end SNR then splits into three tractable branches:
 
   direct:      gamma_us = a1 * ||h1||^4
   user->relay: gamma_ur = b1 * ||h1||^2 * |h3|^2
@@ -46,12 +46,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc, gammainccinv, gammaincinv, gammaln, kve, psi
 
-from .channel import BranchConstants, SystemParams, _is_int, branch_constants
+from .channel import BranchConstants, SystemParams, _is_int, branch_constants, cell_constants
 from .sysmodel import link_throughput
 
 __all__ = [
     "BranchConstants",
     "branch_constants",
+    "check_scope",
     "relay_mix_cdf",
     "branch_cdfs",
     "branch_moments",
@@ -208,8 +209,18 @@ def _mix_cdf_interp(x: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+def check_scope(params: SystemParams) -> None:
+    """Raise ValueError unless the closed forms hold for params: N >= 2 and no
+    circuit draw (a non-zero need of cell_constants, as Monte Carlo counts it)."""
+    if params.n_antennas < 2:
+        raise ValueError(f"the closed forms need n_antennas >= 2, got {params.n_antennas}")
+    if params.pc_dbm is not None and any(cell_constants(params)[3:]):
+        raise ValueError(f"the closed forms assume no circuit power, got pc_dbm={params.pc_dbm!r}")
+
+
 def branch_cdfs(params: SystemParams, tau: float) -> dict[str, Callable[[float], float]]:
     """CDF callables of the three SNR branches, keyed by branch name."""
+    check_scope(params)
     bc = branch_constants(params, tau)
     n = bc.n_antennas
 
@@ -245,6 +256,7 @@ def branch_moments(params: SystemParams, tau: float, order: int = 1) -> dict[str
     """n-th raw moment of each SNR branch, in closed form."""
     if order < 1:
         raise ValueError("order must be >= 1")
+    check_scope(params)
     bc = branch_constants(params, tau)
     n_ant = bc.n_antennas
     n = order
@@ -252,14 +264,10 @@ def branch_moments(params: SystemParams, tau: float, order: int = 1) -> dict[str
     direct = bc.a1 ** n * math.exp(math.lgamma(n_ant + 2 * n) - math.lgamma(n_ant))
     user_relay = bc.b1 ** n * math.exp(math.lgamma(n + 1) + math.lgamma(n_ant + n)
                                        - math.lgamma(n_ant))
-    if n_ant >= 2:
-        # z = v r^2 with v ~ Beta(1, N-1) and r = ||h2||^2 ~ Gamma(N)
-        # independent: E[z^n] = E[v^n] E[r^2n] = n! Gamma(N+2n) / Gamma(N+n).
-        relay_ap = bc.c1 ** n * math.exp(math.lgamma(n + 1) + math.lgamma(n_ant + 2 * n)
-                                         - math.lgamma(n_ant + n))
-    else:
-        relay_ap = float("nan")
-
+    # z = v r^2 with v ~ Beta(1, N-1) and r = ||h2||^2 ~ Gamma(N)
+    # independent: E[z^n] = E[v^n] E[r^2n] = n! Gamma(N+2n) / Gamma(N+n).
+    relay_ap = bc.c1 ** n * math.exp(math.lgamma(n + 1) + math.lgamma(n_ant + 2 * n)
+                                     - math.lgamma(n_ant + n))
     return {"direct": direct, "user-relay": user_relay, "relay-ap": relay_ap}
 
 
@@ -279,10 +287,9 @@ def outage_exact(params: SystemParams, tau: float) -> float:
     has a kink at y_max; each y has its own t rule in ln t, from where the
     mix CDF leaves 1 to where exp(-t) becomes negligible.
     """
+    check_scope(params)
     bc = branch_constants(params, tau)
     n = bc.n_antennas
-    if n < 2:
-        raise ValueError("outage analysis needs at least 2 antennas")
     gth = params.gamma_th
     y_max = math.sqrt(gth / bc.a1)
     r = _NEGLIGIBLE_EXP * bc.b1  # G = r y at y_lo, the root of a1 y^2 + r y = gamma_th
@@ -317,10 +324,9 @@ def outage_high_snr(params: SystemParams, tau: float) -> float:
     hop stops being the bottleneck. Clipped to 1 where the approximation
     exceeds a probability.
     """
+    check_scope(params)
     bc = branch_constants(params, tau)
     n = bc.n_antennas
-    if n < 2:
-        raise ValueError("high-SNR outage needs at least 2 antennas")
     # 2 (d3/d1)^alpha / (Gamma(N) (N+1) (N-1)) * (gamma_th / a1)^((N+1)/2), d3^a/d1^a = a1/b1
     log_val = (math.log(2.0 * bc.a1 / (bc.b1 * (n + 1) * (n - 1))) - math.lgamma(n)
                + 0.5 * (n + 1) * math.log(params.gamma_th / bc.a1))
@@ -335,10 +341,9 @@ def throughput_lower_bound(params: SystemParams, tau: float) -> float:
     ||h1||^2 ~ Gamma(N) and |h3|^2 ~ Exp(1) are independent, so
     E[gamma_ur] = b1 * N.
     """
+    check_scope(params)
     bc = branch_constants(params, tau)
     n = bc.n_antennas
-    if n < 2:
-        raise ValueError("throughput bound needs at least 2 antennas")
     psi1, psi_n = float(psi(1.0)), float(psi(n))
     m1 = math.log(bc.a1) + 2.0 * psi_n
     m2 = math.log(bc.b1) + psi1 + psi_n

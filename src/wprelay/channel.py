@@ -100,10 +100,10 @@ class SystemParams:
     rho, whose linear value overflows a float raises ValueError.
     """
 
-    n_antennas: int
-    d1: float
-    d2: float
-    d3: float
+    n_antennas: int = 10
+    d1: float = 20.0
+    d2: float = 15.0
+    d3: float = 15.0
     alpha: float = 2.5
     eta: float = 0.5
     ps_dbm: float = 40.0
@@ -168,13 +168,13 @@ class SystemParams:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @classmethod
-    def from_config(cls, path: str | Path, **overrides) -> "SystemParams":
+    def from_config(cls, path: str | Path) -> "SystemParams":
         """Load from a flat key-value text file (key = value per line).
 
-        Each key may appear once. n_antennas takes any integral number
-        ("10" or "10.0"); pc_dbm = none (or empty) means no circuit power.
-        A bad line, one without "=" among them, raises ValueError naming
-        the file and the line, and the key where there is one.
+        Keys given override SystemParams' defaults, each once. n_antennas
+        takes any integral number ("10" or "10.0"); pc_dbm = none (or
+        empty) means no circuit power. A bad line, one without "=" among
+        them, raises ValueError naming the file, the line and any key.
         """
         values: dict[str, object] = {}
         lines: dict[str, int] = {}
@@ -208,7 +208,6 @@ class SystemParams:
                     raise ValueError(f"n_antennas must be an integer, got {val!r} ({where})")
                 number = int(number)
             values[key] = number
-        values.update(overrides)
         return cls(**values)
 
 

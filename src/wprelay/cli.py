@@ -10,8 +10,10 @@ curves appear as strategies ("analytic-exact", "analytic-high-snr",
 "lower-bound") with n_trials = 0. Re-running a recipe with the same seed
 writes byte-identical data rows regardless of worker count.
 
-Recipes are data: RECIPES maps each figure to a Recipe value. _recipe
-lists and checks a recipe's cells once, in row order, and one loop
+Parameters are SystemParams' defaults, which a --config file overrides
+key by key. Recipes are data: RECIPES maps each figure to a Recipe value.
+_recipe lists and checks a recipe's cells once, in row order (an analytic
+one by analysis.check_scope, as verify checks its scenario), and one loop
 (_sweep) runs them all: every Monte Carlo cell in one
 montecarlo.estimate_cells call, which evaluates each channel block for
 every cell on its stream, a curve's cells stacked into one solver call.
@@ -25,7 +27,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,9 @@ __all__ = ["main", "RECIPES", "Recipe", "default_params", "run_recipe", "run_ver
 CSV_HEADER = "axis,strategy,metric,value,std_err,n_trials,seed"
 
 
-def default_params(config: str | None = None, **overrides) -> SystemParams:
-    """Parameters from a key=value file, or the packaged default scenario."""
-    if config is not None:
-        return SystemParams.from_config(config, **overrides)
-    with resources.as_file(resources.files("wprelay") / "default.cfg") as path:
-        return SystemParams.from_config(path, **overrides)
+def default_params(config: str | None = None) -> SystemParams:
+    """The default scenario, overridden key by key by a key=value file if given."""
+    return SystemParams() if config is None else SystemParams.from_config(config)
 
 
 def _fmt(x) -> str:
@@ -272,9 +270,13 @@ def _recipe(name: str, custom: dict | None, params: SystemParams) -> tuple[Recip
         raise ValueError(f"unknown recipe {name!r}")
     cells = [(tag, point[recipe.axis], replace(params, **{**recipe.base, **overrides, **point}),
               metric, tau) for (tag, overrides, metric, tau), point in order]
-    for tag, _, metric, tau in recipe.curves:
+    for tag, _, p, metric, tau in cells:
         kind = tag.split("/")[0]
-        if name == "custom" or kind not in ANALYTIC:  # analytic tags are no strategies
+        if name != "custom" and kind in ANALYTIC:  # an analytic curve, not a strategy
+            from . import analysis
+
+            analysis.check_scope(p)
+        else:
             montecarlo.check_cell(kind, metric, tau)
     return recipe, cells
 
@@ -327,27 +329,26 @@ def _verify_lambert(count: int) -> tuple[str, bool, str]:
             f"worst |delta tau| {worst:.3g}")
 
 
-def _verify_outage(params, trials: int, seed: int) -> tuple[str, bool, str]:
+def _verify_analytic(params, trials: int, seed: int) -> list[tuple[str, bool, str]]:
+    """Analytic outage and the throughput lower bound vs simulation, or one
+    line naming why params lie outside the closed forms' scope."""
     from . import analysis
 
+    try:
+        analysis.check_scope(params)
+    except ValueError as exc:
+        return [("analytic layer", True, f"skipped: {exc}")]
     tau = 0.5
     # drop to 2 antennas and low power so the outage level is measurable
     p = replace(params, n_antennas=2, ps_dbm=-25.0)
     ana = analysis.outage_exact(p, tau)
     est = montecarlo.estimate(p, "mrt-user", trials, seed, metric="outage", tau=tau)
-    return ("analytic outage vs simulation", _binomial_agrees(est.value, est.n_trials, ana, 3.0),
-            f"analytic {ana:.4g}, simulated {est.value:.4g} +/- {est.std_err:.2g}")
-
-
-def _verify_throughput_bound(params, trials: int, seed: int) -> tuple[str, bool, str]:
-    from . import analysis
-
-    tau = 0.5
-    est = montecarlo.estimate(params, "mrt-user", trials, seed,
-                              metric="throughput", tau=tau)
+    mean = montecarlo.estimate(params, "mrt-user", trials, seed, metric="throughput", tau=tau)
     low = analysis.throughput_lower_bound(params, tau)
-    return ("throughput lower bound vs simulation", low <= est.value + 3 * est.std_err,
-            f"bound {low:.4g} vs mean {est.value:.4g}")
+    return [("analytic outage vs simulation", _binomial_agrees(est.value, est.n_trials, ana, 3.0),
+             f"analytic {ana:.4g}, simulated {est.value:.4g} +/- {est.std_err:.2g}"),
+            ("throughput lower bound vs simulation", low <= mean.value + 3 * mean.std_err,
+             f"bound {low:.4g} vs mean {mean.value:.4g}")]
 
 
 def run_verify(params: SystemParams, level: str) -> tuple[list[str], bool]:
@@ -357,12 +358,8 @@ def run_verify(params: SystemParams, level: str) -> tuple[list[str], bool]:
     checks = [
         _verify_solver_vs_grid(params, 500 if big else 100),
         _verify_lambert(100),
+        *_verify_analytic(params, 10 ** 6 if big else 2 * 10 ** 5, 99),
     ]
-    if params.n_antennas >= 2:
-        checks.append(_verify_outage(params, 10 ** 6 if big else 2 * 10 ** 5, 99))
-        checks.append(_verify_throughput_bound(params, 10 ** 6 if big else 2 * 10 ** 5, 99))
-    else:
-        checks.append(("analytic layer", True, "skipped: needs at least 2 antennas"))
     lines = []
     ok = True
     for name, passed, detail in checks:

@@ -232,6 +232,15 @@ def test_outage_bounds_and_errors():
         outage_high_snr(single, TAU)
 
 
+@pytest.mark.parametrize("closed_form", [branch_cdfs, branch_moments, outage_exact,
+                                         outage_high_snr, throughput_lower_bound])
+def test_closed_forms_reject_a_circuit_draw(closed_form):
+    # -4000 dBm is 0 W in a float, so it draws nothing, as in Monte Carlo's stacks
+    with pytest.raises(ValueError, match="pc_dbm=-45.0"):
+        closed_form(replace(PARAMS, pc_dbm=-45.0), TAU)
+    closed_form(replace(PARAMS, pc_dbm=-4000.0), TAU)
+
+
 def test_high_snr_approximation_converges():
     # ratio exact/approx tends to 1 as transmit power grows
     ratios = []

@@ -86,7 +86,7 @@ def test_digest_stable_and_sensitive():
 
 def test_digest_equal_for_equal_parameter_sets():
     canonical = SystemParams(n_antennas=10, d1=20.0, d2=15.0, d3=15.0)
-    variants = [SystemParams(n_antennas=10, d1=20, d2=15, d3=15),
+    variants = [SystemParams(), SystemParams(n_antennas=10, d1=20, d2=15, d3=15),
                 SystemParams(n_antennas=np.int64(10), d1=20.0, d2=15.0, d3=15.0),
                 SystemParams(n_antennas=10, d1=np.float64(20.0), d2=15.0, d3=15.0,
                              gamma_th_db=-0.0)]
@@ -144,7 +144,7 @@ def test_from_config_roundtrip(tmp_path):
                    "ps_dbm = 30\npc_dbm = none\n")
     p = SystemParams.from_config(cfg)
     assert p.n_antennas == 4 and p.d1 == 10.0 and p.pc_dbm is None
-    q = SystemParams.from_config(cfg, ps_dbm=20.0)
+    q = replace(SystemParams.from_config(cfg), ps_dbm=20.0)
     assert q.ps_dbm == 20.0
 
 

@@ -17,6 +17,7 @@ def _read_rows(path):
 
 def test_default_params_from_packaged_config():
     p = default_params()
+    assert p == SystemParams()
     assert p.n_antennas == 10
     assert p.alpha == 2.5
     assert p.eta == 0.5
@@ -328,6 +329,32 @@ def test_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_partial_config_overrides_the_default_scenario_key_by_key(tmp_path):
+    cfg = tmp_path / "circuit.cfg"
+    cfg.write_text("pc_dbm = -45\n")
+    assert SystemParams.from_config(cfg) == SystemParams(pc_dbm=-45.0)
+    assert main(["run", "fig8b", "--config", str(cfg), "--trials", "200",
+                 "--out", str(tmp_path / "fig8b.csv")]) == 0
+
+
+def test_analytic_recipe_rejects_a_circuit_power_before_any_cell(tmp_path, capsys, monkeypatch):
+    # the closed forms assume no circuit power: fig9a under one is a usage error
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli.montecarlo, "estimate_cells", never)
+    cfg = tmp_path / "circuit.cfg"
+    cfg.write_text("n_antennas = 3\npc_dbm = -45\n")
+    out = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig9a", "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("wprelay: error:")]
+    assert len(errors) == 1 and "pc_dbm" in errors[0]
+    assert not out.exists()
+
+
 def test_config_file_override(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("n_antennas = 3\nd1 = 10\nd2 = 8\nd3 = 8\nps_dbm = 20\n")
@@ -340,13 +367,18 @@ def test_config_file_override(tmp_path):
 
 def test_verify_quick_passes():
     from wprelay.cli import run_verify
-    lines, ok = run_verify(default_params(n_antennas=4), "quick")
+    lines, ok = run_verify(replace(default_params(), n_antennas=4), "quick")
     assert ok
     assert all(line.startswith("[PASS]") for line in lines)
 
 
 def test_verify_single_antenna_skips_analytic_layer():
     from wprelay.cli import run_verify
-    lines, ok = run_verify(default_params(n_antennas=1), "quick")
+    lines, ok = run_verify(replace(default_params(), n_antennas=1), "quick")
     assert ok
     assert any("skipped" in line for line in lines)
+    # and so does a circuit power, in one line that says why
+    lines, ok = run_verify(replace(default_params(), pc_dbm=-45.0), "quick")
+    assert ok and len(lines) == 3
+    assert lines[-1] == ("[PASS] analytic layer: skipped: the closed forms assume no "
+                         "circuit power, got pc_dbm=-45.0")

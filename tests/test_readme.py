@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from wprelay import cli
+from wprelay.channel import SystemParams
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,6 +16,15 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     tau, rate = (float(x) for x in capsys.readouterr().out.split())
     assert 0.0 < tau < 1.0 and rate > 0.0
+
+
+def test_readme_config_block_is_the_default_scenario(tmp_path):
+    section = README.read_text().split("## CLI usage", 1)[1]
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
+    # from_config rejects an unknown or repeated key, so ten lines name every field
+    assert len(cfg.read_text().splitlines()) == 10
+    assert SystemParams.from_config(cfg) == SystemParams()
 
 
 def _cli_commands():
